@@ -59,6 +59,7 @@ from .spatial import (
     HotspotResult,
     KNearest,
     SpatialWeightsMatrix,
+    WeightsSummary,
     build_weights,
     classify,
     getis_ord_gstar,
@@ -92,6 +93,7 @@ __all__ = [
     "SpatialWeightsMatrix",
     "Uniform",
     "UniformSquare",
+    "WeightsSummary",
     "ZipPrediction",
     "binarize_counts",
     "build_design",

@@ -79,6 +79,9 @@ _STAR_LEGEND = (
 
 _INFLATE_PREFIX = "inflate:"
 
+#: Island ids listed in the hotspot warning before it is cut short.
+_ISLANDS_SHOWN = 5
+
 
 @dataclass
 class RunConfig:
@@ -245,6 +248,15 @@ def cmd_hotspot(config: RunConfig) -> int:
         values = dataset.covariate_values(config.value_column)
     scheme = DistanceBand(config.band_km) if config.band_km is not None else KNearest(config.k)
     weights = build_weights(dataset.centroids(), scheme)
+    islands = weights.summary().islands
+    if islands:
+        shown = ", ".join(dataset.observations[i].id for i in islands[:_ISLANDS_SHOWN])
+        more = ", ..." if len(islands) > _ISLANDS_SHOWN else ""
+        print(
+            f"hotspot: warning: {len(islands)} of {weights.n} units have no neighbor "
+            f"(islands; their z uses no neighborhood values): {shown}{more}",
+            file=sys.stderr,
+        )
     result = getis_ord_gstar(values, weights)
     fmt = config.format or "csv"
     if fmt == "csv":

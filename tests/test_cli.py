@@ -223,6 +223,38 @@ class TestCmdHotspot:
         assert rc == 1
         assert capsys.readouterr().err.startswith("MissingColumn:")
 
+    @pytest.mark.parametrize(
+        "weights", ["band:nan", "band:inf", "band:-5", "band:0", "knn:0", "knn:-3", "knn:2.5"]
+    )
+    def test_bad_weights_scheme_exits_1(self, tmp_path, capsys, weights):
+        out = tmp_path / "hot.csv"
+        rc = cli.main(["hotspot", "--input", SMOKE_CSV, "--weights", weights, "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("InvalidSpec: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_islands_warn_on_stderr_only(self, tmp_path, capsys):
+        src = tmp_path / "grid.csv"
+        grid_csv(src, side=6, blocks=((1, 1),), block_side=2)
+        out = tmp_path / "hot.csv"
+        argv = ["hotspot", "--input", str(src), "--weights", "band:12", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+        with src.open("a", encoding="utf-8") as handle:
+            handle.write("far_away,30.0,30.0,1\n")
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "hotspot: warning: 1 of 37 units have no neighbor "
+            "(islands; their z uses no neighborhood values): far_away\n"
+        )
+        assert captured.out.startswith("hotspot: n=37 ") and captured.out.count("\n") == 1
+        assert "warning" not in out.read_text()
+
     def test_geojson_output(self, tmp_path):
         src = tmp_path / "grid.csv"
         grid_csv(src, side=6, blocks=((1, 1),), block_side=2)

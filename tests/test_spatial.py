@@ -13,12 +13,13 @@ from geocount import (
     DistanceBand,
     HotspotClass,
     KNearest,
+    WeightsSummary,
     build_weights,
     classify,
     getis_ord_gstar,
     haversine_km,
 )
-from geocount.exceptions import DegenerateGeometry, DimensionMismatch, KTooLarge
+from geocount.exceptions import DegenerateGeometry, DimensionMismatch, InvalidSpec, KTooLarge
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -110,6 +111,54 @@ class TestBuildWeights:
     def test_single_point(self):
         with pytest.raises(DegenerateGeometry):
             build_weights([(0.0, 0.0)], DistanceBand(100.0))
+
+
+class TestSchemes:
+    @pytest.mark.parametrize("d_km", [0.0, -5.0, float("nan"), float("inf"), "150"])
+    def test_bad_band(self, d_km):
+        with pytest.raises(InvalidSpec):
+            DistanceBand(d_km)
+
+    @pytest.mark.parametrize("k", [0, -1, 2.5, 3.0, True, "8"])
+    def test_bad_k(self, k):
+        with pytest.raises(InvalidSpec):
+            KNearest(k)
+
+    def test_numpy_values_accepted(self):
+        assert DistanceBand(np.float64(12.5)).d_km == 12.5
+        assert KNearest(np.int64(3)).k == 3
+
+
+class TestWeightsSummary:
+    def test_band_counts_and_island(self):
+        pts = equator_line(0.0, 100.0, 200.0, 1000.0)
+        summary = build_weights(pts, DistanceBand(150.0)).summary()
+        assert summary == WeightsSummary(
+            nnz=8, min_neighbors=0, median_neighbors=1.0, max_neighbors=2, islands=(3,)
+        )
+
+    def test_without_self_weights(self):
+        pts = equator_line(0.0, 100.0, 200.0, 1000.0, 3000.0)
+        summary = build_weights(pts, DistanceBand(150.0), include_self=False).summary()
+        assert summary.nnz == 4
+        assert summary.islands == (3, 4)
+        assert (summary.min_neighbors, summary.median_neighbors, summary.max_neighbors) == (0, 1.0, 2)
+
+    def test_knn_has_no_islands(self):
+        rng = np.random.default_rng(25)
+        pts = rng.uniform(-10, 10, size=(30, 2))
+        summary = build_weights(pts, KNearest(4)).summary()
+        assert summary.nnz == 30 * 5
+        assert summary.min_neighbors == summary.max_neighbors == 4
+        assert summary.islands == ()
+
+    def test_island_z_uses_only_its_own_value(self):
+        pts = equator_line(0.0, 100.0, 200.0, 1000.0)
+        values = np.array([1.0, 4.0, 2.0, 9.0])
+        res = getis_ord_gstar(values, build_weights(pts, DistanceBand(150.0)))
+        assert res.z[3] == pytest.approx((values[3] - values.mean()) / values.std())
+        res = getis_ord_gstar(values, build_weights(pts, DistanceBand(150.0), include_self=False))
+        assert res.z[3] == 0.0
 
 
 class TestGetisOrdGstar:
