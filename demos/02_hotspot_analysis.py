@@ -42,7 +42,7 @@ for i in range(SIDE):
                 count=count,
             )
         )
-dataset = Dataset(schema=(), observations=tuple(observations))
+dataset = Dataset.from_observations((), observations)
 
 for scheme in (DistanceBand(d_km=12.0), KNearest(k=8)):
     weights = build_weights(dataset.centroids(), scheme)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Dataset
 from .exceptions import GeocountError, InvalidSpec
-from .fitting import FitResult, fit
+from .fitting import INFLATE_PREFIX, FitResult, fit
 from .ingest import IngestConfig, read_dataset, write_dataset
 from .likelihoods import Family, ModelSpec
 from .simulate import dgp_spec_from_json, generate
@@ -77,8 +77,6 @@ _STAR_LEGEND = (
     "*: Significant at the 90.0% level.\n"
 )
 
-_INFLATE_PREFIX = "inflate:"
-
 #: Island ids listed in the hotspot warning before it is cut short.
 _ISLANDS_SHOWN = 5
 
@@ -117,11 +115,10 @@ def _format_p(p: float) -> str:
 
 def render_fit_text(result: FitResult) -> str:
     """Coefficient table with block headings for recognized covariate names."""
-    count_rows = [r for r in result.coefficients if not r.name.startswith(_INFLATE_PREFIX)]
-    inflate_rows = [r for r in result.coefficients if r.name.startswith(_INFLATE_PREFIX)]
+    count_rows = [r for r in result.coefficients if not r.name.startswith(INFLATE_PREFIX)]
+    inflate_rows = [r for r in result.coefficients if r.name.startswith(INFLATE_PREFIX)]
 
     by_name = {r.name: r for r in count_rows}
-    ordered: list[tuple[str | None, list]] = []
     placed = set()
     intercept = [by_name["Intercept"]] if "Intercept" in by_name else []
     placed.update(r.name for r in intercept)
@@ -132,12 +129,9 @@ def render_fit_text(result: FitResult) -> str:
             blocks.append((heading, hit))
             placed.update(r.name for r in hit)
     rest = [r for r in count_rows if r.name not in placed]
-    if blocks:
-        ordered = [(None, intercept + rest)] + blocks
-    else:
-        ordered = [(None, intercept + rest)]
+    ordered: list[tuple[str | None, list]] = [(None, intercept + rest)] + blocks
     if inflate_rows:
-        stripped = [r._replace(name=r.name[len(_INFLATE_PREFIX):]) for r in inflate_rows]
+        stripped = [r._replace(name=r.name[len(INFLATE_PREFIX):]) for r in inflate_rows]
         ordered.append(("Zero-Inflation Component", stripped))
 
     width = max(
@@ -181,20 +175,21 @@ def render_fit_json(result: FitResult) -> str:
 
 def render_hotspot_csv(dataset: Dataset, result: HotspotResult) -> str:
     lines = ["id,z,class"]
-    for obs, z, cls in zip(dataset.observations, result.z, result.classes):
-        lines.append(f"{obs.id},{float(z)!r},{cls.value}")
+    for obs_id, z, cls in zip(dataset.ids, result.z.tolist(), result.classes):
+        lines.append(f"{obs_id},{z!r},{cls.value}")
     return "\n".join(lines) + "\n"
 
 
 def render_hotspot_geojson(dataset: Dataset, result: HotspotResult) -> str:
     features = []
-    for obs, z, cls in zip(dataset.observations, result.z, result.classes):
-        lat, lon = obs.centroid
+    for obs_id, (lat, lon), z, cls in zip(
+        dataset.ids, dataset.centroids().tolist(), result.z.tolist(), result.classes
+    ):
         features.append(
             {
                 "type": "Feature",
                 "geometry": {"type": "Point", "coordinates": [lon, lat]},
-                "properties": {"id": obs.id, "z": float(z), "class": cls.value},
+                "properties": {"id": obs_id, "z": z, "class": cls.value},
             }
         )
     doc = {"type": "FeatureCollection", "features": features}
@@ -250,7 +245,7 @@ def cmd_hotspot(config: RunConfig) -> int:
     weights = build_weights(dataset.centroids(), scheme)
     islands = weights.summary().islands
     if islands:
-        shown = ", ".join(dataset.observations[i].id for i in islands[:_ISLANDS_SHOWN])
+        shown = ", ".join(dataset.ids[i] for i in islands[:_ISLANDS_SHOWN])
         more = ", ..." if len(islands) > _ISLANDS_SHOWN else ""
         print(
             f"hotspot: warning: {len(islands)} of {weights.n} units have no neighbor "
@@ -289,8 +284,7 @@ def cmd_simulate(config: RunConfig) -> int:
 
 def cmd_report(config: RunConfig) -> int:
     config.require("input")
-    with open(config.input, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+    payload = _load_json(config.input, "report: fit result")
     try:
         result = FitResult.from_dict(payload)
     except (KeyError, TypeError, ValueError) as exc:
@@ -362,11 +356,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_json(path: str, what: str):
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
+            raise InvalidSpec(f"{what} {path!r} is not valid JSON: {exc}") from None
+
+
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+    doc = _load_json(path, "config file")
     if not isinstance(doc, dict):
         raise InvalidSpec("config file must be a JSON object")
     return doc
@@ -382,6 +383,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             return file_values[key]
         return default
 
+    def names(key):
+        flag_value = getattr(args, key, None)
+        if flag_value is not None:
+            return _split_names(flag_value)
+        return tuple(file_values.get(key) or ())
+
     command = args.command
     band_km, k = None, None
     weights_text = pick(getattr(args, "weights", None), "weights")
@@ -394,26 +401,14 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         getattr(args, "input", None) or getattr(args, "spec", None) or getattr(args, "fit", None),
         "input",
     )
-    covariates = getattr(args, "covariates", None)
-    if covariates is not None:
-        covariates = _split_names(covariates)
-    file_cov = file_values.get("covariates")
-    if covariates is None and file_cov is not None:
-        covariates = tuple(file_cov)
-    inflation = getattr(args, "inflation_covariates", None)
-    if inflation is not None:
-        inflation = _split_names(inflation)
-    file_inf = file_values.get("inflation_covariates")
-    if inflation is None and file_inf is not None:
-        inflation = tuple(file_inf)
 
     return RunConfig(
         command=command,
         input=input_path,
         output=pick(getattr(args, "out", None), "output"),
         family=pick(getattr(args, "family", None), "family"),
-        covariates=covariates or (),
-        inflation_covariates=inflation or (),
+        covariates=names("covariates"),
+        inflation_covariates=names("inflation_covariates"),
         band_km=float(band_km) if band_km is not None else None,
         k=int(k) if k is not None else None,
         value_column=pick(getattr(args, "value_column", None), "value_column", "count"),
@@ -439,9 +434,6 @@ def main(argv=None) -> int:
         return _COMMANDS[config.command](config)
     except GeocountError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"IOError: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"IOError: {exc}", file=sys.stderr)

@@ -1,11 +1,13 @@
 """Core domain types: county observations, datasets, and design matrices.
 
-All types are immutable after construction and safe to share across threads.
+A :class:`Dataset` stores its table as read-only numpy columns; a
+:class:`CountyObservation` is one row of such a table.  All types are
+immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,11 +17,39 @@ from .exceptions import (
     DuplicateCovariate,
     DuplicateId,
     EmptySelection,
+    InvalidCoordinate,
+    NegativeCount,
     UnknownCovariate,
 )
 
 #: A column is treated as constant when max - min falls below this value.
 CONSTANT_COLUMN_TOL = 1e-12
+
+
+def _check_rows(latlon: np.ndarray, counts: np.ndarray, covariates: np.ndarray) -> None:
+    """Validate every row at once; the error names the first bad 1-based row."""
+    lat_ok = np.abs(latlon[:, 0]) <= 90.0
+    lon_ok = np.abs(latlon[:, 1]) <= 180.0
+    count_ok = counts >= 0
+    covariates_ok = np.isfinite(covariates).all(axis=1)
+    bad = np.flatnonzero(~(lat_ok & lon_ok & count_ok & covariates_ok))
+    if bad.size == 0:
+        return
+    i = int(bad[0])
+    row = i + 1
+    if not lat_ok[i]:
+        raise InvalidCoordinate(row, f"latitude {float(latlon[i, 0])} outside [-90, 90]")
+    if not lon_ok[i]:
+        raise InvalidCoordinate(row, f"longitude {float(latlon[i, 1])} outside [-180, 180]")
+    if not count_ok[i]:
+        raise NegativeCount(row)
+    raise ValueError(f"row {row}: covariates must be finite")
+
+
+def reject_duplicates(values, error) -> None:
+    """Raise ``error(value)`` for the first value that occurs more than once."""
+    if len(set(values)) != len(values):
+        raise error(next(value for value, n in Counter(values).items() if n > 1))
 
 
 @dataclass(frozen=True)
@@ -44,69 +74,100 @@ class CountyObservation:
     covariates: tuple[float, ...] = ()
 
     def __post_init__(self):
-        lat, lon = self.centroid
-        if not (-90.0 <= lat <= 90.0):
-            raise ValueError(f"latitude {lat} outside [-90, 90]")
-        if not (-180.0 <= lon <= 180.0):
-            raise ValueError(f"longitude {lon} outside [-180, 180]")
-        if isinstance(self.count, bool) or int(self.count) != self.count or self.count < 0:
+        if isinstance(self.count, bool) or int(self.count) != self.count:
             raise ValueError(f"count must be a nonnegative integer, got {self.count!r}")
         object.__setattr__(self, "count", int(self.count))
-        vals = tuple(float(v) for v in self.covariates)
-        if not all(map(math.isfinite, vals)):
-            raise ValueError(f"observation {self.id!r} has non-finite covariates")
-        object.__setattr__(self, "covariates", vals)
+        object.__setattr__(self, "covariates", tuple(float(v) for v in self.covariates))
+        _check_rows(
+            np.array([self.centroid], dtype=np.float64),
+            np.array([self.count]),
+            np.array([self.covariates], dtype=np.float64),
+        )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """A validated collection of observations plus the covariate schema.
+    """A validated county table stored as read-only numpy columns.
 
+    ``ids`` holds one identifier per unit, ``latlon`` the (n, 2) centroids
+    (latitude, longitude) in degrees, ``y`` the int64 count outcomes and
+    ``covariates`` the (n, k) matrix whose columns follow ``schema``.
     ``standardization`` records the (mean, stddev) applied to each covariate
     when the dataset was standardized at ingestion; empty otherwise.
     """
 
     schema: tuple[str, ...]
-    observations: tuple[CountyObservation, ...]
+    ids: tuple[str, ...]
+    latlon: np.ndarray
+    y: np.ndarray
+    covariates: np.ndarray
     standardization: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "schema", tuple(self.schema))
-        object.__setattr__(self, "observations", tuple(self.observations))
-        names = set()
-        for name in self.schema:
-            if name in names:
-                raise DuplicateCovariate(name)
-            names.add(name)
-        seen = set()
-        k = len(self.schema)
-        for obs in self.observations:
-            if obs.id in seen:
-                raise DuplicateId(obs.id)
-            seen.add(obs.id)
-            if len(obs.covariates) != k:
-                raise ValueError(
-                    f"observation {obs.id!r} has {len(obs.covariates)} covariates, "
-                    f"schema has {k}"
-                )
+        object.__setattr__(self, "ids", tuple(self.ids))
+        for name, dtype in (("latlon", np.float64), ("y", np.int64), ("covariates", np.float64)):
+            # a copy, so the caller's array stays writable; float counts are refused
+            column = np.asarray(getattr(self, name)).astype(dtype, casting="same_kind")
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        reject_duplicates(self.schema, DuplicateCovariate)
+        reject_duplicates(self.ids, DuplicateId)
+        n, k = len(self.ids), len(self.schema)
+        shapes = (self.latlon.shape, self.y.shape, self.covariates.shape)
+        if shapes != ((n, 2), (n,), (n, k)):
+            raise ValueError(f"column shapes {shapes} do not fit {n} ids and {k} covariates")
+        _check_rows(self.latlon, self.y, self.covariates)
+
+    @classmethod
+    def from_observations(cls, schema, observations, standardization=None) -> "Dataset":
+        """Assemble a dataset from :class:`CountyObservation` rows."""
+        schema, rows = tuple(schema), tuple(observations)
+        return cls(
+            schema=schema,
+            ids=[obs.id for obs in rows],
+            latlon=np.reshape([obs.centroid for obs in rows], (-1, 2)),
+            y=np.array([obs.count for obs in rows], dtype=np.int64),
+            covariates=np.reshape([obs.covariates for obs in rows], (len(rows), len(schema))),
+            standardization=standardization or {},
+        )
+
+    @property
+    def observations(self) -> tuple[CountyObservation, ...]:
+        """The rows as :class:`CountyObservation` objects, built on each access."""
+        return tuple(
+            CountyObservation(id=i, centroid=tuple(c), count=k, covariates=tuple(v))
+            for i, c, k, v in zip(
+                self.ids, self.latlon.tolist(), self.y.tolist(), self.covariates.tolist()
+            )
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (self.schema, self.ids, self.standardization) == (
+            other.schema, other.ids, other.standardization
+        ) and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("latlon", "y", "covariates")
+        )
 
     def __len__(self):
-        return len(self.observations)
+        return len(self.ids)
 
     def counts(self) -> np.ndarray:
         """Count outcomes in observation order."""
-        return np.array([obs.count for obs in self.observations], dtype=np.int64)
+        return self.y
 
     def centroids(self) -> np.ndarray:
         """(n, 2) array of (latitude, longitude) in observation order."""
-        return np.array([obs.centroid for obs in self.observations], dtype=np.float64)
+        return self.latlon
 
     def covariate_values(self, name: str) -> np.ndarray:
         """Values of a single named covariate in observation order."""
         if name not in self.schema:
             raise UnknownCovariate(name)
-        j = self.schema.index(name)
-        return np.array([obs.covariates[j] for obs in self.observations], dtype=np.float64)
+        return self.covariates[:, self.schema.index(name)]
 
 
 @dataclass(frozen=True)
@@ -153,30 +214,22 @@ def build_design(dataset: Dataset, covariate_names, add_intercept: bool) -> Desi
     observation order.  Duplicate selections are rejected outright to keep
     rank-deficient designs from forming silently.
     """
-    covariate_names = list(covariate_names)
-    seen = set()
-    for name in covariate_names:
-        if name in seen:
-            raise DuplicateCovariate(name)
-        seen.add(name)
+    covariate_names = tuple(covariate_names)
+    reject_duplicates(covariate_names, DuplicateCovariate)
     for name in covariate_names:
         if name not in dataset.schema:
             raise UnknownCovariate(name)
     if not covariate_names and not add_intercept:
         raise EmptySelection()
 
-    n = len(dataset.observations)
-    idx = [dataset.schema.index(name) for name in covariate_names]
-    cols = []
-    names = []
+    n = len(dataset)
+    cols = [dataset.covariates[:, dataset.schema.index(name)] for name in covariate_names]
+    names = covariate_names
     if add_intercept:
-        cols.append(np.ones(n))
-        names.append("Intercept")
-    for name, j in zip(covariate_names, idx):
-        cols.append(np.array([obs.covariates[j] for obs in dataset.observations]))
-        names.append(name)
+        cols.insert(0, np.ones(n))
+        names = ("Intercept",) + names
     values = np.column_stack(cols) if cols else np.empty((n, 0))
-    return DesignMatrix(values=values, column_names=tuple(names), has_intercept=add_intercept)
+    return DesignMatrix(values=values, column_names=names, has_intercept=add_intercept)
 
 
 def binarize_counts(dataset: Dataset) -> np.ndarray:

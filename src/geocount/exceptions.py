@@ -57,7 +57,7 @@ class NonNumericCell(GeocountError):
         self.column = column
 
 
-class NegativeCount(GeocountError):
+class NegativeCount(GeocountError, ValueError):
     def __init__(self, row=None):
         where = f"row {row}: " if row is not None else ""
         super().__init__(f"{where}count outcome must be a nonnegative integer")
@@ -77,6 +77,12 @@ class DuplicateId(GeocountError):
         self.id = id
 
 
+class InvalidCoordinate(GeocountError, ValueError):
+    def __init__(self, row, message):
+        super().__init__(f"row {row}: {message}")
+        self.row = row
+
+
 # ---------------------------------------------------------------------------
 # likelihoods / fitting
 
@@ -86,6 +92,10 @@ class DimensionMismatch(GeocountError):
 
 
 class DomainError(GeocountError):
+    pass
+
+
+class DegenerateOutcome(GeocountError, ValueError):
     pass
 
 
@@ -140,5 +150,5 @@ class KTooLarge(GeocountError):
 # simulation / configuration
 
 
-class InvalidSpec(GeocountError):
+class InvalidSpec(GeocountError, ValueError):
     pass

@@ -19,6 +19,7 @@ from scipy.stats import norm
 
 from .data import Dataset, DesignMatrix, binarize_counts, build_design
 from .exceptions import (
+    DegenerateOutcome,
     DimensionMismatch,
     NonFiniteObjective,
     RankDeficientDesign,
@@ -37,7 +38,8 @@ from .likelihoods import (
     zip_loglik,
 )
 
-_INFLATE_PREFIX = "inflate:"
+#: Name prefix of the ZIP inflation-component coefficients.
+INFLATE_PREFIX = "inflate:"
 
 
 @dataclass(frozen=True)
@@ -293,10 +295,10 @@ def fit(model: ModelSpec, dataset: Dataset, options: OptimOptions = OptimOptions
     the optimum.
     """
     if len(dataset) < 2:
-        raise ValueError("at least 2 observations are required for a fit")
+        raise DegenerateOutcome("at least 2 observations are required for a fit")
     counts = dataset.counts()
     if not np.any(counts > 0):
-        raise ValueError("all counts are zero; likelihood is degenerate")
+        raise DegenerateOutcome("all counts are zero; likelihood is degenerate")
 
     X = build_design(dataset, model.count_covariates, model.add_intercept)
     _check_full_rank(X)
@@ -329,7 +331,7 @@ def fit(model: ModelSpec, dataset: Dataset, options: OptimOptions = OptimOptions
             init[kx] = _logit_of(zero_fraction)
         objective = lambda th: zip_loglik(th[:kx], th[kx:], X, Z, y)
         score = lambda th: zip_grad(th[:kx], th[kx:], X, Z, y)
-        names = X.column_names + tuple(_INFLATE_PREFIX + c for c in Z.column_names)
+        names = X.column_names + tuple(INFLATE_PREFIX + c for c in Z.column_names)
 
     result = maximize(objective, score, init, options)
 

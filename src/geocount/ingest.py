@@ -14,13 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CountyObservation, Dataset
+from .data import Dataset, reject_duplicates
 from .exceptions import (
     ConstantColumn,
     DuplicateCovariate,
-    DuplicateId,
     MissingColumn,
-    NegativeCount,
     NonNumericCell,
     ZeroDenominator,
 )
@@ -51,12 +49,7 @@ class IngestConfig:
         object.__setattr__(self, "ratio_specs", tuple(tuple(s) for s in self.ratio_specs))
         if self.rate_specs and self.population_column is None:
             raise ValueError("rate_specs require a population_column")
-        derived = [d for _, d in self.rate_specs] + [d for _, _, d in self.ratio_specs]
-        seen = set()
-        for name in derived:
-            if name in seen:
-                raise DuplicateCovariate(name)
-            seen.add(name)
+        reject_duplicates(self.derived_names, DuplicateCovariate)
 
     @property
     def derived_names(self) -> tuple[str, ...]:
@@ -68,16 +61,11 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _open_source(source):
-    if hasattr(source, "read"):
-        return source, False
-    return open(os.fspath(source), "r", encoding="utf-8", newline=""), True
-
-
-def _open_sink(sink):
-    if hasattr(sink, "write"):
-        return sink, False
-    return open(os.fspath(sink), "w", encoding="utf-8", newline=""), True
+def _open(target, mode: str):
+    """(file object, owned): a path is opened in ``mode``; an open file is used as is."""
+    if isinstance(target, (str, os.PathLike)):
+        return open(target, mode, encoding="utf-8", newline=""), True
+    return target, False
 
 
 def _parse_float(cell: str, row: int, column: str) -> float:
@@ -103,7 +91,7 @@ def read_dataset(csv_source, config: IngestConfig) -> Dataset:
     change n and all downstream inference.  Row indices in errors are 1-based
     data rows (the header is row 0).
     """
-    handle, owned = _open_source(csv_source)
+    handle, owned = _open(csv_source, "r")
     try:
         reader = csv.reader(handle)
         try:
@@ -125,18 +113,11 @@ def read_dataset(csv_source, config: IngestConfig) -> Dataset:
             if name in col_index:
                 raise DuplicateCovariate(name)
 
-        special = {config.id_column, config.lat_column, config.lon_column, config.count_column}
-        if config.population_column is not None:
-            special.add(config.population_column)
-        consumed = {raw for raw, _ in config.rate_specs}
-        consumed |= {num for num, _, _ in config.ratio_specs}
-        consumed |= {den for _, den, _ in config.ratio_specs}
-        passthrough = [c for c in header if c not in special and c not in consumed]
+        passthrough = [c for c in header if c not in required]
         schema = tuple(passthrough) + config.derived_names
 
         ids: list[str] = []
-        seen_ids: set[str] = set()
-        centroids: list[tuple[float, float]] = []
+        latlon: list[tuple[float, float]] = []
         counts: list[int] = []
         rows: list[list[float]] = []
 
@@ -144,20 +125,12 @@ def read_dataset(csv_source, config: IngestConfig) -> Dataset:
             if len(cells) != len(header):
                 raise NonNumericCell(rownum, header[min(len(cells), len(header) - 1)])
             rec = dict(zip(header, cells))
-            obs_id = rec[config.id_column]
-            if obs_id in seen_ids:
-                raise DuplicateId(obs_id)
-            seen_ids.add(obs_id)
-
             lat = _parse_float(rec[config.lat_column], rownum, config.lat_column)
             lon = _parse_float(rec[config.lon_column], rownum, config.lon_column)
-            raw_count = rec[config.count_column]
             try:
-                count = int(raw_count)
+                count = int(rec[config.count_column])
             except (TypeError, ValueError):
                 raise NonNumericCell(rownum, config.count_column) from None
-            if count < 0:
-                raise NegativeCount(rownum)
 
             values = [_parse_float(rec[c], rownum, c) for c in passthrough]
             if config.rate_specs:
@@ -176,17 +149,17 @@ def read_dataset(csv_source, config: IngestConfig) -> Dataset:
                     raise ZeroDenominator(rownum, den)
                 values.append(numerator / denominator)
 
-            ids.append(obs_id)
-            centroids.append((lat, lon))
+            ids.append(rec[config.id_column])
+            latlon.append((lat, lon))
             counts.append(count)
             rows.append(values)
     finally:
         if owned:
             handle.close()
 
+    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), len(schema))
     standardization: dict[str, tuple[float, float]] = {}
     if config.standardize and rows:
-        matrix = np.array(rows, dtype=np.float64)
         derived = set(config.derived_names)
         for j, name in enumerate(schema):
             if name in derived:
@@ -200,13 +173,15 @@ def read_dataset(csv_source, config: IngestConfig) -> Dataset:
                 raise ConstantColumn(name)
             matrix[:, j] = (col - mean) / std
             standardization[name] = (mean, std)
-        rows = matrix.tolist()
 
-    observations = tuple(
-        CountyObservation(id=i, centroid=c, count=k, covariates=tuple(v))
-        for i, c, k, v in zip(ids, centroids, counts, rows)
+    return Dataset(
+        schema=schema,
+        ids=ids,
+        latlon=np.reshape(latlon, (-1, 2)),
+        y=np.array(counts, dtype=np.int64),
+        covariates=matrix,
+        standardization=standardization,
     )
-    return Dataset(schema=schema, observations=observations, standardization=standardization)
 
 
 def write_dataset(dataset: Dataset, sink) -> None:
@@ -215,15 +190,19 @@ def write_dataset(dataset: Dataset, sink) -> None:
     Reading the output back with a plain :class:`IngestConfig` reproduces the
     dataset up to float formatting.
     """
-    handle, owned = _open_sink(sink)
+    handle, owned = _open(sink, "w")
     try:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["id", "latitude", "longitude", "count", *dataset.schema])
-        for obs in dataset.observations:
-            lat, lon = obs.centroid
+        for obs_id, (lat, lon), count, values in zip(
+            dataset.ids,
+            dataset.centroids().tolist(),
+            dataset.counts().tolist(),
+            dataset.covariates.tolist(),
+        ):
             writer.writerow(
-                [obs.id, _format_float(lat), _format_float(lon), str(obs.count)]
-                + [_format_float(v) for v in obs.covariates]
+                [obs_id, _format_float(lat), _format_float(lon), str(count)]
+                + [_format_float(v) for v in values]
             )
     finally:
         if owned:

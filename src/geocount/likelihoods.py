@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import expit, gammaln
 
 from .data import DesignMatrix
-from .exceptions import DimensionMismatch, DomainError, NegativeCount
+from .exceptions import DimensionMismatch, DomainError, InvalidSpec, NegativeCount
 
 
 class Family(str, Enum):
@@ -62,7 +62,7 @@ class ModelSpec:
         object.__setattr__(self, "count_covariates", tuple(self.count_covariates))
         object.__setattr__(self, "inflation_covariates", tuple(self.inflation_covariates))
         if self.inflation_covariates and self.family is not Family.ZIP:
-            raise ValueError("inflation_covariates are only meaningful for the ZIP family")
+            raise InvalidSpec("inflation_covariates are only meaningful for the ZIP family")
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def _check_xy(X: np.ndarray, coef: np.ndarray, y: np.ndarray):
 
 
 def _check_counts(y: np.ndarray):
-    if np.any(y < 0) or not np.allclose(y, np.round(y)):
+    if np.any(y < 0) or np.any(y != np.round(y)):
         raise NegativeCount()
 
 
@@ -181,7 +181,7 @@ def zip_pmf(p: float, lam: float, y) -> float | np.ndarray:
     if not lam > 0.0:
         raise DomainError(f"lambda={lam} must be positive")
     y_arr = np.asarray(y, dtype=np.float64)
-    if np.any(y_arr < 0) or not np.allclose(y_arr, np.round(y_arr)):
+    if np.any(y_arr < 0) or np.any(y_arr != np.round(y_arr)):
         raise DomainError("y must be a nonnegative integer")
     poisson = np.exp(y_arr * np.log(lam) - lam - gammaln(y_arr + 1.0))
     out = np.where(y_arr == 0, p + (1.0 - p) * poisson, (1.0 - p) * poisson)
@@ -265,16 +265,37 @@ def zip_moments(p: float, lam: float) -> tuple[float, float]:
     return mean, variance
 
 
-def loglik(family: Family, params: Params, X, Z=None, y=None) -> float:
-    """Family-dispatched log-likelihood."""
+def _zip_predict(beta, gamma, X, Z) -> ZipPrediction:
+    Zv = _values(Z)
+    if gamma.shape[0] != Zv.shape[1]:
+        raise DimensionMismatch("gamma length does not match inflation design width")
+    lam = np.exp(_values(X) @ beta)
+    p = expit(Zv @ gamma)
+    return ZipPrediction(mean=(1.0 - p) * lam, inflation_probability=p)
+
+
+# family -> (loglik, grad, predict); the ZIP entries also take gamma and Z.
+_FAMILIES = {
+    Family.LOGIT: (logit_loglik, logit_grad, lambda beta, X: expit(_values(X) @ beta)),
+    Family.POISSON: (poisson_loglik, poisson_grad, lambda beta, X: np.exp(_values(X) @ beta)),
+    Family.ZIP: (zip_loglik, zip_grad, _zip_predict),
+}
+
+
+def _dispatch(family: Family, params: Params, X, Z):
+    """The family's table entry and the leading arguments its functions take."""
     family = Family(family)
-    if family is Family.LOGIT:
-        return logit_loglik(params.beta, X, y)
-    if family is Family.POISSON:
-        return poisson_loglik(params.beta, X, y)
+    if family is not Family.ZIP:
+        return _FAMILIES[family], (params.beta, X)
     if params.gamma is None or Z is None:
         raise DimensionMismatch("ZIP requires gamma and an inflation design matrix")
-    return zip_loglik(params.beta, params.gamma, X, Z, y)
+    return _FAMILIES[family], (params.beta, params.gamma, X, Z)
+
+
+def loglik(family: Family, params: Params, X, Z=None, y=None) -> float:
+    """Family-dispatched log-likelihood."""
+    (kernel, _, _), args = _dispatch(family, params, X, Z)
+    return kernel(*args, y)
 
 
 def grad_loglik(family: Family, params: Params, X, Z=None, y=None) -> np.ndarray:
@@ -283,14 +304,8 @@ def grad_loglik(family: Family, params: Params, X, Z=None, y=None) -> np.ndarray
     Returned with respect to the concatenated parameter vector: beta,
     followed by gamma for ZIP.
     """
-    family = Family(family)
-    if family is Family.LOGIT:
-        return logit_grad(params.beta, X, y)
-    if family is Family.POISSON:
-        return poisson_grad(params.beta, X, y)
-    if params.gamma is None or Z is None:
-        raise DimensionMismatch("ZIP requires gamma and an inflation design matrix")
-    return zip_grad(params.beta, params.gamma, X, Z, y)
+    (_, kernel, _), args = _dispatch(family, params, X, Z)
+    return kernel(*args, y)
 
 
 def predict(family: Family, params: Params, X, Z=None):
@@ -299,19 +314,7 @@ def predict(family: Family, params: Params, X, Z=None):
     logit: P(y=1); poisson: lambda; zip: mixture mean (1-p) lambda with the
     structural-zero probability reported alongside.
     """
-    family = Family(family)
-    Xv = _values(X)
-    if params.beta.shape[0] != Xv.shape[1]:
+    (_, _, kernel), args = _dispatch(family, params, X, Z)
+    if params.beta.shape[0] != _values(X).shape[1]:
         raise DimensionMismatch("beta length does not match design width")
-    if family is Family.LOGIT:
-        return expit(Xv @ params.beta)
-    if family is Family.POISSON:
-        return np.exp(Xv @ params.beta)
-    if params.gamma is None or Z is None:
-        raise DimensionMismatch("ZIP requires gamma and an inflation design matrix")
-    Zv = _values(Z)
-    if params.gamma.shape[0] != Zv.shape[1]:
-        raise DimensionMismatch("gamma length does not match inflation design width")
-    lam = np.exp(Xv @ params.beta)
-    p = expit(Zv @ params.gamma)
-    return ZipPrediction(mean=(1.0 - p) * lam, inflation_probability=p)
+    return kernel(*args)

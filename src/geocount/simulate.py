@@ -22,9 +22,9 @@ from typing import Union
 import numpy as np
 from scipy.optimize import brentq
 
-from .data import CountyObservation, Dataset
+from .data import Dataset
 from .exceptions import InvalidSpec
-from .fitting import FitResult, OptimOptions, fit
+from .fitting import INFLATE_PREFIX, FitResult, OptimOptions, fit
 from .likelihoods import Family, ModelSpec
 from .spatial import EARTH_RADIUS_KM
 
@@ -160,13 +160,15 @@ def generate(spec: DgpSpec) -> Dataset:
     gamma = spec.gamma
     k = len(spec.covariates)
     width = len(str(spec.n - 1)) if spec.n > 1 else 1
+    covariates = np.empty((spec.n, k))
+    latlon = np.empty((spec.n, 2))
+    counts = np.empty(spec.n, dtype=np.int64)
     seed_sequence = np.random.SeedSequence
     default_rng = np.random.default_rng
-    observations = []
     for i in range(spec.n):
         rng = default_rng(seed_sequence(entropy=spec.seed, spawn_key=(i,)))
-        covs = tuple(_draw_covariate(rng, dist) for _, dist in spec.covariates)
-        centroid = _draw_centroid(rng, spec.layout)
+        covs = [_draw_covariate(rng, dist) for _, dist in spec.covariates]
+        latlon[i] = _draw_centroid(rng, spec.layout)
         eta = beta[0]
         psi = gamma[0]
         for j in range(k):
@@ -177,13 +179,15 @@ def generate(spec: DgpSpec) -> Dataset:
         except OverflowError:
             raise InvalidSpec(f"lambda overflow at unit {i}: beta too large for covariates")
         structural_zero = rng.random() < _sigmoid(psi)
-        count = 0 if structural_zero else int(rng.poisson(lam))
-        observations.append(
-            CountyObservation(
-                id=f"u{i:0{width}d}", centroid=centroid, count=count, covariates=covs
-            )
-        )
-    return Dataset(schema=spec.covariate_names, observations=tuple(observations))
+        counts[i] = 0 if structural_zero else rng.poisson(lam)
+        covariates[i] = covs
+    return Dataset(
+        schema=spec.covariate_names,
+        ids=[f"u{i:0{width}d}" for i in range(spec.n)],
+        latlon=latlon,
+        y=counts,
+        covariates=covariates,
+    )
 
 
 def paper_scale_spec(seed: int = 0) -> DgpSpec:
@@ -350,9 +354,9 @@ def recovery_trial(
     truths = {"Intercept": spec.beta[0]}
     for j, name in enumerate(spec.covariate_names):
         truths[name] = spec.beta[j + 1]
-    truths["inflate:Intercept"] = spec.gamma[0]
+    truths[INFLATE_PREFIX + "Intercept"] = spec.gamma[0]
     for j, name in enumerate(spec.covariate_names):
-        truths["inflate:" + name] = spec.gamma[j + 1]
+        truths[INFLATE_PREFIX + name] = spec.gamma[j + 1]
 
     dataset = generate(spec)
     result = fit(model, dataset, options)

@@ -165,7 +165,7 @@ def _intercept_dataset(counts):
         CountyObservation(id=f"c{i}", centroid=(40.0, -90.0 + 1e-4 * i), count=int(c))
         for i, c in enumerate(counts)
     )
-    return Dataset(schema=(), observations=obs)
+    return Dataset.from_observations((), obs)
 
 
 def test_criterion_5_zip_parameter_recovery():

@@ -223,9 +223,7 @@ class TestCmdHotspot:
         assert rc == 1
         assert capsys.readouterr().err.startswith("MissingColumn:")
 
-    @pytest.mark.parametrize(
-        "weights", ["band:nan", "band:inf", "band:-5", "band:0", "knn:0", "knn:-3", "knn:2.5"]
-    )
+    @pytest.mark.parametrize("weights", ["band:inf", "band:-5", "band:0", "knn:-3", "knn:2.5"])
     def test_bad_weights_scheme_exits_1(self, tmp_path, capsys, weights):
         out = tmp_path / "hot.csv"
         rc = cli.main(["hotspot", "--input", SMOKE_CSV, "--weights", weights, "--out", str(out)])
@@ -328,6 +326,77 @@ class TestCmdSimulate:
         rc = cli.main(["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("InvalidSpec:")
+
+
+COORDINATE_CSV = "id,latitude,longitude,count\na,40.0,-90.0,1\nb,{lat},{lon},2\n"
+
+
+class TestInvalidInput:
+    """Every rejected input ends as one ``Code: message`` line and exit code 1."""
+
+    @pytest.mark.parametrize(
+        "argv, text, expected",
+        [
+            pytest.param(
+                ["fit", "--input", "{src}", "--family", "logit", "--out", "{out}"],
+                COORDINATE_CSV.format(lat=95.0, lon=-90.0),
+                "InvalidCoordinate: row 2: latitude 95.0 outside [-90, 90]",
+                id="fit-latitude",
+            ),
+            pytest.param(
+                ["hotspot", "--input", "{src}", "--weights", "knn:1", "--out", "{out}"],
+                COORDINATE_CSV.format(lat=41.0, lon=-190.0),
+                "InvalidCoordinate: row 2: longitude -190.0 outside [-180, 180]",
+                id="hotspot-longitude",
+            ),
+            pytest.param(
+                ["fit", "--input", "{src}", "--family", "poisson", "--out", "{out}"],
+                "id,latitude,longitude,count\na,40.0,-90.0,0\nb,41.0,-91.0,0\n",
+                "DegenerateOutcome: ",
+                id="fit-all-zero",
+            ),
+            pytest.param(
+                ["fit", "--input", "{src}", "--family", "poisson", "--out", "{out}"],
+                "id,latitude,longitude,count\na,40.0,-90.0,3\n",
+                "DegenerateOutcome: ",
+                id="fit-one-row",
+            ),
+            pytest.param(
+                ["fit", "--input", SMOKE_CSV, "--family", "poisson",
+                 "--inflation-covariates", "banks_per_10k", "--out", "{out}"],
+                None,
+                "InvalidSpec: ",
+                id="inflation-without-zip",
+            ),
+            pytest.param(["report", "--fit", "{src}"], "not json", "InvalidSpec: ", id="report-fit"),
+            pytest.param(
+                ["fit", "--config", "{src}", "--out", "{out}"], "{", "InvalidSpec: ", id="config"
+            ),
+            pytest.param(
+                ["hotspot", "--input", SMOKE_CSV, "--weights", "band:nan", "--out", "{out}"],
+                None,
+                "InvalidSpec: ",
+                id="band:nan",
+            ),
+            pytest.param(
+                ["hotspot", "--input", SMOKE_CSV, "--weights", "knn:0", "--out", "{out}"],
+                None,
+                "InvalidSpec: ",
+                id="knn:0",
+            ),
+        ],
+    )
+    def test_exits_1_with_one_line(self, tmp_path, capsys, argv, text, expected):
+        src, out = tmp_path / "input", tmp_path / "output"
+        if text is not None:
+            src.write_text(text, encoding="utf-8")
+        rc = cli.main([arg.format(src=src, out=out) for arg in argv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith(expected)
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestCmdReport:

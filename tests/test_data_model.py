@@ -31,7 +31,7 @@ def make_dataset(counts, covariates=None, schema=()):
         )
         for i, (c, v) in enumerate(zip(counts, covariates))
     )
-    return Dataset(schema=tuple(schema), observations=obs)
+    return Dataset.from_observations(tuple(schema), obs)
 
 
 class TestCountyObservation:
@@ -63,12 +63,12 @@ class TestDataset:
             CountyObservation(id="a", centroid=(1.0, 1.0), count=1),
         )
         with pytest.raises(DuplicateId):
-            Dataset(schema=(), observations=obs)
+            Dataset.from_observations((), obs)
 
     def test_schema_conformity(self):
         obs = (CountyObservation(id="a", centroid=(0.0, 0.0), count=0, covariates=(1.0,)),)
         with pytest.raises(ValueError):
-            Dataset(schema=("x", "y"), observations=obs)
+            Dataset.from_observations(("x", "y"), obs)
 
     def test_accessors(self):
         ds = make_dataset([0, 3, 1], covariates=[(1.0,), (2.0,), (3.0,)], schema=("a",))

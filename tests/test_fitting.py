@@ -42,7 +42,7 @@ def dataset_from_arrays(counts, columns=None, schema=()):
         )
         for i, (c, row) in enumerate(zip(counts, columns))
     )
-    return Dataset(schema=tuple(schema), observations=obs)
+    return Dataset.from_observations(tuple(schema), obs)
 
 
 class TestMaximize:

@@ -179,7 +179,7 @@ def random_dataset(rng, n=None, k=None):
                 covariates=tuple(float(v) for v in rng.normal(scale=100.0, size=k)),
             )
         )
-    return Dataset(schema=schema, observations=tuple(obs))
+    return Dataset.from_observations(schema, obs)
 
 
 class TestWriteDataset:

@@ -116,9 +116,10 @@ class TestPoissonLoglik:
         y = rng.poisson(3.1, size=200_000).astype(float)
         assert y.mean() == pytest.approx(y.var(), rel=0.02)
 
-    def test_negative_count(self):
+    @pytest.mark.parametrize("y", [[1, -1], [2.0000000001, 1.0]], ids=["negative", "non-integer"])
+    def test_negative_count(self, y):
         with pytest.raises(NegativeCount):
-            poisson_loglik(np.zeros(1), np.ones((2, 1)), np.array([1, -1]))
+            poisson_loglik(np.zeros(1), np.ones((2, 1)), np.array(y))
 
     def test_large_count_uses_log_gamma(self):
         value = poisson_loglik(np.array([math.log(5.0)]), np.array([[1.0]]), np.array([400]))
@@ -150,10 +151,14 @@ class TestZipPmf:
                 total = zip_pmf(float(p), float(lam), y).sum()
                 assert total == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("p,lam", [(-0.1, 1.0), (1.1, 1.0), (0.5, 0.0), (0.5, -2.0)])
-    def test_domain_errors(self, p, lam):
+    @pytest.mark.parametrize(
+        "p,lam,y",
+        [(-0.1, 1.0, 0), (1.1, 1.0, 0), (0.5, 0.0, 0), (0.5, -2.0, 0), (0.5, 1.0, 2.0000000001)],
+        ids=["-0.1-1.0", "1.1-1.0", "0.5-0.0", "0.5--2.0", "non-integer-y"],
+    )
+    def test_domain_errors(self, p, lam, y):
         with pytest.raises(DomainError):
-            zip_pmf(p, lam, 0)
+            zip_pmf(p, lam, y)
 
 
 class TestZipLoglik:
