@@ -270,8 +270,7 @@ def cmd_hotspot(config: RunConfig) -> int:
 
 def cmd_simulate(config: RunConfig) -> int:
     config.require("input", "output")
-    with open(config.input, "r", encoding="utf-8") as handle:
-        spec = dgp_spec_from_json(handle.read())
+    spec = dgp_spec_from_json(_read_text(config.input, "simulate: spec"))
     if config.seed is not None:
         spec = dataclasses.replace(spec, seed=config.seed)
     dataset = generate(spec)
@@ -324,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit a logit, Poisson, or ZIP model to a CSV table")
     p_fit.add_argument("--input", help="input dataset CSV")
-    p_fit.add_argument("--family", choices=[f.value for f in Family])
+    p_fit.add_argument("--family", choices=_FAMILY_NAMES)
     p_fit.add_argument("--covariates", help="comma-separated covariate names")
     p_fit.add_argument("--inflation-covariates", help="ZIP inflation covariates")
     p_fit.add_argument(
@@ -356,12 +355,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_json(path: str, what: str):
+def _read_text(path: str, what: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
-        except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
-            raise InvalidSpec(f"{what} {path!r} is not valid JSON: {exc}") from None
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidSpec(f"{what} {path!r} is not UTF-8 text: {exc}") from None
+
+
+def _load_json(path: str, what: str):
+    try:
+        return json.loads(_read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise InvalidSpec(f"{what} {path!r} is not valid JSON: {exc}") from None
+
+
+def _is_string(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+_FAMILY_NAMES = tuple(f.value for f in Family)
+
+#: Config-file keys, each with its type check and the type's name for errors.
+_CONFIG_TYPES = {
+    "input": (_is_string, "a string"),
+    "output": (_is_string, "a string"),
+    "family": (lambda v: v in _FAMILY_NAMES, f"one of {list(_FAMILY_NAMES)}"),
+    "covariates": (_is_names, "a list of names"),
+    "inflation_covariates": (_is_names, "a list of names"),
+    "weights": (_is_string, "a string"),
+    "band_km": (_is_number, "a number"),
+    "k": (_is_integer, "an integer"),
+    "value_column": (_is_string, "a string"),
+    "standardize": (lambda v: isinstance(v, bool), "true or false"),
+    "seed": (_is_integer, "an integer"),
+    "format": (_is_string, "a string"),
+}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -370,6 +411,11 @@ def _load_config_file(path: str | None) -> dict:
     doc = _load_json(path, "config file")
     if not isinstance(doc, dict):
         raise InvalidSpec("config file must be a JSON object")
+    for key, value in doc.items():
+        if key in _CONFIG_TYPES and value is not None:
+            check, expected = _CONFIG_TYPES[key]
+            if not check(value):
+                raise InvalidSpec(f"config file: {key!r} must be {expected}, got {value!r}")
     return doc
 
 

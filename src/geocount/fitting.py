@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .data import Dataset, DesignMatrix, binarize_counts, build_design
 from .exceptions import (
@@ -252,7 +252,7 @@ def wald_inference(names, estimates, covariance) -> tuple[CoefficientRow, ...]:
         if se == 0.0:
             raise ZeroStandardError(name)
         z = float(estimates[j]) / se
-        p = float(2.0 * norm.sf(abs(z)))
+        p = float(2.0 * ndtr(-abs(z)))  # bit-identical to scipy.stats.norm.sf(|z|)
         rows.append(CoefficientRow(name, float(estimates[j]), se, z, p, _stars(p)))
     return tuple(rows)
 

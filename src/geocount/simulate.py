@@ -6,21 +6,26 @@ when not structurally zero, a Poisson(lambda_i) count with
 lambda_i = exp(x_i'beta).
 
 Reproducibility contract: unit i consumes draws only from its own substream,
-``SeedSequence(entropy=seed, spawn_key=(i,))``, in a fixed documented order
-(covariates in declared order, centroid, structural indicator, count).
-Because units never share a stream, generating units in parallel or in any
-order yields exactly the serial output.
+``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``, in a fixed
+documented order (covariates in declared order, centroid, structural
+indicator, count).  Because units never share a stream, generating units in
+parallel or in any order yields exactly the serial output.  The streams'
+PCG64 seed words are computed for all units at once (:func:`_unit_seed_states`)
+rather than through one ``SeedSequence`` object per unit; the words, and so
+the draws, are the same.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.optimize import brentq
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .data import Dataset
 from .exceptions import InvalidSpec
@@ -82,6 +87,10 @@ _BASE_LAT = 39.0
 _BASE_LON = -98.0
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DgpSpec:
     """Complete description of one synthetic data-generating process."""
@@ -99,8 +108,15 @@ class DgpSpec:
         )
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
         object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
-        if self.n < 1:
-            raise InvalidSpec(f"n must be at least 1, got {self.n}")
+        if not _is_integer(self.n) or self.n < 1:
+            raise InvalidSpec(f"n must be an integer of at least 1, got {self.n!r}")
+        if self.n >= 2**32:
+            # each unit index is a one-word (uint32) SeedSequence spawn key
+            raise InvalidSpec(f"n must be below 2**32, got {self.n}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise InvalidSpec(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "seed", int(self.seed))
         k = len(self.covariates) + 1
         if len(self.beta) != k or len(self.gamma) != k:
             raise InvalidSpec(
@@ -147,6 +163,82 @@ def _draw_centroid(rng: np.random.Generator, layout: Layout) -> tuple[float, flo
     return _clip(lat, -90.0, 90.0), _clip(lon, -180.0, 180.0)
 
 
+# SeedSequence hash constants (O'Neill's seed_seq design as adopted by numpy).
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_STATE_WORDS = 8  # PCG64 seeds itself from 4 uint64 = 8 uint32 words
+
+
+def _unit_seed_states(seed: int, n: int) -> np.ndarray:
+    """PCG64 seed words of every unit's stream, as an (n, 4) uint64 array.
+
+    Row i equals ``SeedSequence(entropy=seed, spawn_key=(i,))
+    .generate_state(4, np.uint64)``: the same uint32 hash, run over columns
+    of units instead of one SeedSequence object per unit.  Needs
+    ``seed >= 0`` and ``n < 2**32`` (both checked by :class:`DgpSpec`).
+    """
+    words = []  # seed as little-endian uint32 words, padded to the pool size
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.full(n, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(n, dtype=np.uint32))  # the spawn key
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ (result >> np.uint32(16))
+
+    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    state = np.empty((n, _STATE_WORDS), dtype=np.uint32)
+    hash_const = _INIT_B
+    for j in range(_STATE_WORDS):
+        value = pool[j % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, j] = value ^ (value >> np.uint32(16))
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _Words(ISeedSequence):
+    """Seed source that hands PCG64 one unit's precomputed state words.
+
+    PCG64 asks only for ``generate_state(4, np.uint64)``, which these words are.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def _sigmoid(t: float) -> float:
     if t >= 0.0:
         return 1.0 / (1.0 + math.exp(-t))
@@ -163,10 +255,9 @@ def generate(spec: DgpSpec) -> Dataset:
     covariates = np.empty((spec.n, k))
     latlon = np.empty((spec.n, 2))
     counts = np.empty(spec.n, dtype=np.int64)
-    seed_sequence = np.random.SeedSequence
-    default_rng = np.random.default_rng
+    states = _unit_seed_states(spec.seed, spec.n)
     for i in range(spec.n):
-        rng = default_rng(seed_sequence(entropy=spec.seed, spawn_key=(i,)))
+        rng = Generator(PCG64(_Words(states[i])))
         covs = [_draw_covariate(rng, dist) for _, dist in spec.covariates]
         latlon[i] = _draw_centroid(rng, spec.layout)
         eta = beta[0]
@@ -196,6 +287,8 @@ def paper_scale_spec(seed: int = 0) -> DgpSpec:
     n = 2947 units; intercepts are solved so the expected zero share is
     0.505 and the mean count among nonzero draws is 2.
     """
+    from scipy.optimize import brentq  # imported here to keep `import geocount` light
+
     lam = brentq(
         lambda v: v / (1.0 - np.exp(-v)) - PAPER_SCALE_MEAN_POSITIVE, 1e-9, 50.0
     )
@@ -293,19 +386,19 @@ def dgp_spec_from_json(text: str) -> DgpSpec:
     if "preset" in doc:
         if doc["preset"] != PAPER_SCALE_PRESET:
             raise InvalidSpec(f"unknown preset {doc['preset']!r}")
-        return paper_scale_spec(seed=int(doc.get("seed", 0)))
+        return paper_scale_spec(seed=doc.get("seed", 0))
     try:
         covariates = tuple(
             (entry["name"], _distribution_from_json(entry["distribution"]))
             for entry in doc["covariates"]
         )
         return DgpSpec(
-            n=int(doc["n"]),
+            n=doc["n"],
             covariates=covariates,
             beta=tuple(doc["beta"]),
             gamma=tuple(doc["gamma"]),
             layout=_layout_from_json(doc["layout"]),
-            seed=int(doc["seed"]),
+            seed=doc["seed"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InvalidSpec):

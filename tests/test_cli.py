@@ -384,11 +384,82 @@ class TestInvalidInput:
                 "InvalidSpec: ",
                 id="knn:0",
             ),
+            pytest.param(
+                ["simulate", "--spec", "{src}", "--out", "{out}"],
+                '{"preset": "paper-scale", "seed": -1}',
+                "InvalidSpec: seed must be a non-negative integer, got -1",
+                id="spec-negative-seed",
+            ),
+            pytest.param(
+                ["simulate", "--spec", "{src}", "--out", "{out}", "--seed", "-1"],
+                '{"preset": "paper-scale", "seed": 0}',
+                "InvalidSpec: seed must be a non-negative integer, got -1",
+                id="flag-negative-seed",
+            ),
+            pytest.param(
+                ["simulate", "--spec", "{src}", "--out", "{out}"],
+                '{"preset": "paper-scale", "seed": 2.5}',
+                "InvalidSpec: seed must be a non-negative integer, got 2.5",
+                id="spec-non-integer-seed",
+            ),
+            pytest.param(
+                ["simulate", "--spec", "{src}", "--out", "{out}"],
+                '{"n": 4294967296, "covariates": [], "beta": [0.1], "gamma": [0.1],'
+                ' "layout": {"type": "uniform_square", "side_km": 10}, "seed": 1}',
+                "InvalidSpec: n must be below 2**32",
+                id="spec-n-too-large",
+            ),
+            pytest.param(
+                ["simulate", "--spec", "{src}", "--out", "{out}"],
+                b"\xff\xfe\x00",
+                "InvalidSpec: simulate: spec ",
+                id="spec-not-utf8",
+            ),
+            pytest.param(
+                ["hotspot", "--input", SMOKE_CSV, "--config", "{src}", "--out", "{out}"],
+                '{"band_km": "abc"}',
+                "InvalidSpec: config file: 'band_km' must be a number",
+                id="config-band_km-string",
+            ),
+            pytest.param(
+                ["hotspot", "--input", SMOKE_CSV, "--config", "{src}", "--out", "{out}"],
+                '{"k": 2.5}',
+                "InvalidSpec: config file: 'k' must be an integer",
+                id="config-k-non-integer",
+            ),
+            pytest.param(
+                ["fit", "--input", SMOKE_CSV, "--family", "poisson",
+                 "--config", "{src}", "--out", "{out}"],
+                '{"covariates": "banks_per_10k"}',
+                "InvalidSpec: config file: 'covariates' must be a list of names",
+                id="config-covariates-not-list",
+            ),
+            pytest.param(
+                ["simulate", "--config", "{src}", "--out", "{out}"],
+                '{"input": "spec.json", "seed": 1.5}',
+                "InvalidSpec: config file: 'seed' must be an integer",
+                id="config-seed-non-integer",
+            ),
+            pytest.param(
+                ["fit", "--input", SMOKE_CSV, "--config", "{src}", "--out", "{out}"],
+                '{"family": "nope"}',
+                "InvalidSpec: config file: 'family' must be one of",
+                id="config-unknown-family",
+            ),
+            pytest.param(
+                ["fit", "--input", SMOKE_CSV, "--family", "poisson",
+                 "--config", "{src}", "--out", "{out}"],
+                '{"standardize": "no"}',
+                "InvalidSpec: config file: 'standardize' must be true or false",
+                id="config-standardize-string",
+            ),
         ],
     )
     def test_exits_1_with_one_line(self, tmp_path, capsys, argv, text, expected):
         src, out = tmp_path / "input", tmp_path / "output"
-        if text is not None:
+        if isinstance(text, bytes):
+            src.write_bytes(text)
+        elif text is not None:
             src.write_text(text, encoding="utf-8")
         rc = cli.main([arg.format(src=src, out=out) for arg in argv])
         captured = capsys.readouterr()

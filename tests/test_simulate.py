@@ -157,6 +157,8 @@ class TestSpecJson:
             '{"n": 10, "covariates": [{"name": "x", "distribution": {"type": "cauchy"}}],'
             ' "beta": [0.1, 0.2], "gamma": [0.1, 0.2],'
             ' "layout": {"type": "uniform_square", "side_km": 10}, "seed": 1}',
+            '{"n": 2.5, "covariates": [], "beta": [0.1], "gamma": [0.1],'
+            ' "layout": {"type": "uniform_square", "side_km": 10}, "seed": 1}',
         ],
     )
     def test_bad_documents(self, text):
@@ -178,6 +180,36 @@ class TestDgpSpecValidation:
                 gamma=(0.1, 0.2),
                 layout=UniformSquare(100.0),
                 seed=0,
+            )
+
+    @pytest.mark.parametrize("n", [2.5, 10.0, "10", True])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(InvalidSpec, match="n must be an integer"):
+            intercept_only_spec(0.0, 0.0, n=n)
+
+    def test_n_below_two_to_the_32(self):
+        with pytest.raises(InvalidSpec, match="n must be below 2\\*\\*32"):
+            intercept_only_spec(0.0, 0.0, n=2**32)
+        assert intercept_only_spec(0.0, 0.0, n=2**32 - 1).n == 2**32 - 1
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, 2.0, "3", True, None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(InvalidSpec, match="seed must be a non-negative integer"):
+            intercept_only_spec(0.0, 0.0, n=10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**200, np.int64(5), np.uint64(2**64 - 1)])
+    def test_integer_seeds_accepted(self, seed):
+        spec = intercept_only_spec(0.0, 0.0, n=10, seed=seed)
+        assert type(spec.seed) is int and spec.seed == seed
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5", '"3"'])
+    def test_bad_seed_in_json(self, seed):
+        with pytest.raises(InvalidSpec, match="seed must be a non-negative integer"):
+            dgp_spec_from_json('{"preset": "paper-scale", "seed": %s}' % seed)
+        with pytest.raises(InvalidSpec, match="seed must be a non-negative integer"):
+            dgp_spec_from_json(
+                '{"n": 10, "covariates": [], "beta": [0.1], "gamma": [0.1],'
+                ' "layout": {"type": "uniform_square", "side_km": 10}, "seed": %s}' % seed
             )
 
     def test_duplicate_covariate_names(self):
