@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 on any domain or I/O error (reported as a single
 (the result is still written).  stdout carries only the report or summary;
 diagnostics go to stderr.
 
-Flag values override config-file values, which override defaults; the
-optional ``--config`` JSON file mirrors :class:`RunConfig` field names.
+Flag values override config-file values, which override defaults.  The
+optional ``--config`` JSON file is keyed by the options' names (``--out`` is
+``output``; ``--spec`` and ``--fit`` are ``input``); see ``_CONFIG_TYPES``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,29 +79,6 @@ _STAR_LEGEND = (
 
 #: Island ids listed in the hotspot warning before it is cut short.
 _ISLANDS_SHOWN = 5
-
-
-@dataclass
-class RunConfig:
-    """Resolved options for one command invocation."""
-
-    command: str
-    input: str | None = None
-    output: str | None = None
-    family: str | None = None
-    covariates: tuple[str, ...] = ()
-    inflation_covariates: tuple[str, ...] = ()
-    band_km: float | None = None
-    k: int | None = None
-    value_column: str = "count"
-    standardize: bool = False
-    seed: int | None = None
-    format: str | None = None
-
-    def require(self, *fields):
-        for name in fields:
-            if getattr(self, name) in (None, ""):
-                raise InvalidSpec(f"{self.command}: required option {name!r} is missing")
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +177,15 @@ def render_hotspot_geojson(dataset: Dataset, result: HotspotResult) -> str:
 # commands
 
 
-def cmd_fit(config: RunConfig) -> int:
-    config.require("input", "output", "family")
-    ingest_config = IngestConfig(standardize=config.standardize)
-    dataset = read_dataset(config.input, ingest_config)
+def _require(config: argparse.Namespace, *names) -> None:
+    for name in names:
+        if getattr(config, name) in (None, ""):
+            raise InvalidSpec(f"{config.command}: required option {name!r} is missing")
+
+
+def cmd_fit(config: argparse.Namespace) -> int:
+    _require(config, "input", "output", "family")
+    dataset = read_dataset(config.input, IngestConfig(standardize=config.standardize))
     model = ModelSpec(
         family=Family(config.family),
         count_covariates=config.covariates,
@@ -211,15 +193,11 @@ def cmd_fit(config: RunConfig) -> int:
         add_intercept=True,
     )
     result = fit(model, dataset)
+    renderers = {"text": render_fit_text, "csv": render_fit_csv, "json": render_fit_json}
     fmt = config.format or "text"
-    if fmt == "text":
-        rendered = render_fit_text(result)
-    elif fmt == "csv":
-        rendered = render_fit_csv(result)
-    elif fmt == "json":
-        rendered = render_fit_json(result)
-    else:
+    if fmt not in renderers:
         raise InvalidSpec(f"fit: unknown format {fmt!r}")
+    rendered = renderers[fmt](result)
     with open(config.output, "w", encoding="utf-8") as handle:
         handle.write(rendered)
     print(
@@ -232,16 +210,32 @@ def cmd_fit(config: RunConfig) -> int:
     return 0
 
 
-def cmd_hotspot(config: RunConfig) -> int:
-    config.require("input", "output")
-    if config.band_km is None and config.k is None:
-        raise InvalidSpec("hotspot: a weights scheme (band:KM or knn:K) is required")
+def _scheme(config: argparse.Namespace) -> DistanceBand | KNearest:
+    """The weights scheme: ``weights`` (flag or file) first, then ``band_km``, then ``k``."""
+    if config.weights is not None:
+        kind, _, value = config.weights.partition(":")
+        try:
+            number = {"band": float, "knn": int}[kind](value)
+        except (KeyError, ValueError):
+            raise InvalidSpec(
+                f"bad weights scheme {config.weights!r}; expected band:KM or knn:K"
+            ) from None
+        return DistanceBand(number) if kind == "band" else KNearest(number)
+    if config.band_km is not None:
+        return DistanceBand(float(config.band_km))
+    if config.k is not None:
+        return KNearest(config.k)
+    raise InvalidSpec("hotspot: a weights scheme (band:KM or knn:K) is required")
+
+
+def cmd_hotspot(config: argparse.Namespace) -> int:
+    _require(config, "input", "output")
+    scheme = _scheme(config)
     dataset = read_dataset(config.input, IngestConfig())
     if config.value_column == "count":
         values = dataset.counts().astype(float)
     else:
         values = dataset.covariate_values(config.value_column)
-    scheme = DistanceBand(config.band_km) if config.band_km is not None else KNearest(config.k)
     weights = build_weights(dataset.centroids(), scheme)
     islands = weights.summary().islands
     if islands:
@@ -253,13 +247,11 @@ def cmd_hotspot(config: RunConfig) -> int:
             file=sys.stderr,
         )
     result = getis_ord_gstar(values, weights)
+    renderers = {"csv": render_hotspot_csv, "geojson": render_hotspot_geojson}
     fmt = config.format or "csv"
-    if fmt == "csv":
-        rendered = render_hotspot_csv(dataset, result)
-    elif fmt == "geojson":
-        rendered = render_hotspot_geojson(dataset, result)
-    else:
+    if fmt not in renderers:
         raise InvalidSpec(f"hotspot: unknown format {fmt!r}")
+    rendered = renderers[fmt](dataset, result)
     with open(config.output, "w", encoding="utf-8") as handle:
         handle.write(rendered)
     n_hot = sum(1 for c in result.classes if c.value.startswith("Hot"))
@@ -268,8 +260,8 @@ def cmd_hotspot(config: RunConfig) -> int:
     return 0
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    config.require("input", "output")
+def cmd_simulate(config: argparse.Namespace) -> int:
+    _require(config, "input", "output")
     spec = dgp_spec_from_json(_read_text(config.input, "simulate: spec"))
     if config.seed is not None:
         spec = dataclasses.replace(spec, seed=config.seed)
@@ -281,8 +273,8 @@ def cmd_simulate(config: RunConfig) -> int:
     return 0
 
 
-def cmd_report(config: RunConfig) -> int:
-    config.require("input")
+def cmd_report(config: argparse.Namespace) -> int:
+    _require(config, "input")
     payload = _load_json(config.input, "report: fit result")
     try:
         result = FitResult.from_dict(payload)
@@ -296,22 +288,8 @@ def cmd_report(config: RunConfig) -> int:
 # argument parsing and config-file merge
 
 
-def _parse_weights(text: str) -> tuple[float | None, int | None]:
-    kind, _, value = text.partition(":")
-    try:
-        if kind == "band":
-            return float(value), None
-        if kind == "knn":
-            return None, int(value)
-    except ValueError:
-        pass
-    raise InvalidSpec(f"bad weights scheme {text!r}; expected band:KM or knn:K")
-
-
-def _split_names(text: str | None) -> tuple[str, ...]:
-    if not text:
-        return ()
-    return tuple(s.strip() for s in text.split(",") if s.strip())
+def _name_list(text: str) -> list[str]:
+    return [s.strip() for s in text.split(",") if s.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,34 +302,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit a logit, Poisson, or ZIP model to a CSV table")
     p_fit.add_argument("--input", help="input dataset CSV")
     p_fit.add_argument("--family", choices=_FAMILY_NAMES)
-    p_fit.add_argument("--covariates", help="comma-separated covariate names")
-    p_fit.add_argument("--inflation-covariates", help="ZIP inflation covariates")
-    p_fit.add_argument(
-        "--standardize", action=argparse.BooleanOptionalAction, default=None
-    )
-    p_fit.add_argument("--out", help="output path for the coefficient table")
+    p_fit.add_argument("--covariates", type=_name_list, help="comma-separated covariate names")
+    p_fit.add_argument("--inflation-covariates", type=_name_list, help="ZIP inflation covariates")
+    p_fit.add_argument("--standardize", action=argparse.BooleanOptionalAction)
+    p_fit.add_argument("--out", dest="output", help="output path for the coefficient table")
     p_fit.add_argument("--format", choices=["text", "csv", "json"])
-    p_fit.add_argument("--config", help="JSON config file mirroring RunConfig fields")
 
     p_hot = sub.add_parser("hotspot", help="Getis-Ord hot/cold-spot z-scores")
     p_hot.add_argument("--input", help="input dataset CSV")
-    p_hot.add_argument("--value-column", dest="value_column")
+    p_hot.add_argument("--value-column")
     p_hot.add_argument("--weights", help="band:KM or knn:K")
-    p_hot.add_argument("--out")
+    p_hot.add_argument("--out", dest="output")
     p_hot.add_argument("--format", choices=["csv", "geojson"])
-    p_hot.add_argument("--config")
 
     p_sim = sub.add_parser("simulate", help="draw a synthetic dataset from a DGP spec")
-    p_sim.add_argument("--spec", help="DgpSpec JSON document")
-    p_sim.add_argument("--out", help="output dataset CSV")
+    p_sim.add_argument("--spec", dest="input", metavar="SPEC", help="DgpSpec JSON document")
+    p_sim.add_argument("--out", dest="output", help="output dataset CSV")
     p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--config")
 
     p_rep = sub.add_parser("report", help="render a saved fit result")
-    p_rep.add_argument("--fit", help="fit result JSON produced by fit --format json")
+    p_rep.add_argument(
+        "--fit", dest="input", metavar="FIT", help="fit result JSON produced by fit --format json"
+    )
     p_rep.add_argument("--format", choices=["text"])
-    p_rep.add_argument("--config")
 
+    for p in (p_fit, p_hot, p_sim, p_rep):
+        p.add_argument("--config", help="JSON config file keyed by the option names")
     return parser
 
 
@@ -419,49 +395,22 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    file_values = _load_config_file(getattr(args, "config", None))
+#: Values of the options that neither a flag nor the config file sets.
+_DEFAULTS = {
+    "covariates": (),
+    "inflation_covariates": (),
+    "value_column": "count",
+    "standardize": False,
+}
 
-    def pick(flag_value, key, default=None):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values and file_values[key] is not None:
-            return file_values[key]
-        return default
 
-    def names(key):
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            return _split_names(flag_value)
-        return tuple(file_values.get(key) or ())
-
-    command = args.command
-    band_km, k = None, None
-    weights_text = pick(getattr(args, "weights", None), "weights")
-    if weights_text is not None:
-        band_km, k = _parse_weights(weights_text)
-    band_km = pick(band_km, "band_km")
-    k = pick(k, "k")
-
-    input_path = pick(
-        getattr(args, "input", None) or getattr(args, "spec", None) or getattr(args, "fit", None),
-        "input",
-    )
-
-    return RunConfig(
-        command=command,
-        input=input_path,
-        output=pick(getattr(args, "out", None), "output"),
-        family=pick(getattr(args, "family", None), "family"),
-        covariates=names("covariates"),
-        inflation_covariates=names("inflation_covariates"),
-        band_km=float(band_km) if band_km is not None else None,
-        k=int(k) if k is not None else None,
-        value_column=pick(getattr(args, "value_column", None), "value_column", "count"),
-        standardize=bool(pick(getattr(args, "standardize", None), "standardize", False)),
-        seed=pick(getattr(args, "seed", None), "seed"),
-        format=pick(getattr(args, "format", None), "format"),
-    )
+def _fill_from_config_file(config: argparse.Namespace) -> None:
+    """Set every option no flag set from the ``--config`` file, else its default."""
+    file_values = _load_config_file(config.config)
+    for key in _CONFIG_TYPES:
+        if getattr(config, key, None) is None:
+            value = file_values.get(key)
+            setattr(config, key, _DEFAULTS.get(key) if value is None else value)
 
 
 _COMMANDS = {
@@ -473,10 +422,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    config = build_parser().parse_args(argv)
     try:
-        config = _resolve(args)
+        _fill_from_config_file(config)
         return _COMMANDS[config.command](config)
     except GeocountError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)

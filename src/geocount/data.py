@@ -19,6 +19,7 @@ from .exceptions import (
     EmptySelection,
     InvalidCoordinate,
     NegativeCount,
+    NonFiniteCovariate,
     UnknownCovariate,
 )
 
@@ -43,7 +44,7 @@ def _check_rows(latlon: np.ndarray, counts: np.ndarray, covariates: np.ndarray) 
         raise InvalidCoordinate(row, f"longitude {float(latlon[i, 1])} outside [-180, 180]")
     if not count_ok[i]:
         raise NegativeCount(row)
-    raise ValueError(f"row {row}: covariates must be finite")
+    raise NonFiniteCovariate(row)
 
 
 def reject_duplicates(values, error) -> None:

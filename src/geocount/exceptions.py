@@ -64,6 +64,12 @@ class NegativeCount(GeocountError, ValueError):
         self.row = row
 
 
+class NonFiniteCovariate(GeocountError, ValueError):
+    def __init__(self, row):
+        super().__init__(f"row {row}: covariates must be finite")
+        self.row = row
+
+
 class ZeroDenominator(GeocountError):
     def __init__(self, row, column):
         super().__init__(f"row {row}: zero denominator in column {column!r}")

@@ -106,36 +106,19 @@ class FitResult:
             "converged": self.converged,
             "iterations": self.iterations,
             "log_likelihood": self.log_likelihood,
-            "coefficients": [
-                {
-                    "name": row.name,
-                    "estimate": row.estimate,
-                    "std_error": row.std_error,
-                    "z_stat": row.z_stat,
-                    "p_value": row.p_value,
-                    "stars": row.stars,
-                }
-                for row in self.coefficients
-            ],
+            "coefficients": [row._asdict() for row in self.coefficients],
             "covariance": self.covariance.tolist(),
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FitResult":
-        rows = tuple(
-            CoefficientRow(
-                name=c["name"],
-                estimate=float(c["estimate"]),
-                std_error=float(c["std_error"]),
-                z_stat=float(c["z_stat"]),
-                p_value=float(c["p_value"]),
-                stars=c["stars"],
-            )
-            for c in payload["coefficients"]
-        )
+        rows = []
+        for c in payload["coefficients"]:
+            name, *numbers, stars = (c[field] for field in CoefficientRow._fields)
+            rows.append(CoefficientRow(name, *map(float, numbers), stars))
         return cls(
             family=Family(payload["family"]),
-            coefficients=rows,
+            coefficients=tuple(rows),
             log_likelihood=float(payload["log_likelihood"]),
             iterations=int(payload["iterations"]),
             converged=bool(payload["converged"]),

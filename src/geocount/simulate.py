@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -42,22 +42,65 @@ PAPER_SCALE_ZERO_SHARE = 0.505
 # Mean count among nonzero draws; a calibration constant, not an observed target.
 PAPER_SCALE_MEAN_POSITIVE = 2.0
 
+_BASE_LAT = 39.0
+_BASE_LON = -98.0
+
+
+def _check_floats(descriptor, **rules) -> None:
+    """Store each named field of a frozen descriptor as a float that passes its rule.
+
+    ``rules`` maps a field name to (predicate, wording of the rule).
+    """
+    for name, (ok, rule) in rules.items():
+        raw = getattr(descriptor, name)
+        try:
+            value = float(raw)
+        except (TypeError, ValueError):
+            value = math.nan  # fails every rule
+        if not ok(value):
+            raise InvalidSpec(f"{type(descriptor).__name__} {name} must be {rule}, got {raw!r}")
+        object.__setattr__(descriptor, name, value)
+
+
+_FINITE = (math.isfinite, "a finite number")
+_SCALE = (lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+
 
 @dataclass(frozen=True)
 class Normal:
     mu: float
     sigma: float
 
+    def __post_init__(self):
+        _check_floats(self, mu=_FINITE, sigma=_SCALE)
+
+    def draw(self, rng: np.random.Generator) -> float:
+        return float(rng.normal(self.mu, self.sigma))
+
 
 @dataclass(frozen=True)
 class Bernoulli:
     q: float
+
+    def __post_init__(self):
+        _check_floats(self, q=(lambda v: 0.0 <= v <= 1.0, "within [0, 1]"))
+
+    def draw(self, rng: np.random.Generator) -> float:
+        return float(rng.random() < self.q)
 
 
 @dataclass(frozen=True)
 class Uniform:
     a: float
     b: float
+
+    def __post_init__(self):
+        # numpy's uniform needs b - a to be a finite number >= 0
+        at_least_a = (lambda v: 0.0 <= v - self.a < math.inf, "a finite number >= a")
+        _check_floats(self, a=_FINITE, b=at_least_a)
+
+    def draw(self, rng: np.random.Generator) -> float:
+        return float(rng.uniform(self.a, self.b))
 
 
 Distribution = Union[Normal, Bernoulli, Uniform]
@@ -69,6 +112,14 @@ class UniformSquare:
 
     side_km: float
 
+    def __post_init__(self):
+        _check_floats(self, side_km=_SCALE)
+
+    def offset(self, rng: np.random.Generator) -> tuple[float, float, float, float]:
+        """(base latitude, base longitude, north km, east km) of one centroid."""
+        half = self.side_km / 2.0
+        return _BASE_LAT, _BASE_LON, rng.uniform(-half, half), rng.uniform(-half, half)
+
 
 @dataclass(frozen=True)
 class Clustered:
@@ -78,13 +129,29 @@ class Clustered:
     spread_km: float
 
     def __post_init__(self):
-        object.__setattr__(self, "centers", tuple(tuple(c) for c in self.centers))
+        try:
+            centers = tuple((float(lat), float(lon)) for lat, lon in self.centers)
+        except (TypeError, ValueError):
+            centers = ()
+        if not centers or not all(abs(lat) <= 90.0 and abs(lon) <= 180.0 for lat, lon in centers):
+            raise InvalidSpec(
+                "Clustered centers must be one or more (lat, lon) pairs within "
+                f"[-90, 90] x [-180, 180], got {self.centers!r}"
+            )
+        object.__setattr__(self, "centers", centers)
+        _check_floats(self, spread_km=_SCALE)
+
+    def offset(self, rng: np.random.Generator) -> tuple[float, float, float, float]:
+        """(base latitude, base longitude, north km, east km) of one centroid."""
+        base_lat, base_lon = self.centers[int(rng.integers(len(self.centers)))]
+        return base_lat, base_lon, rng.normal(0.0, self.spread_km), rng.normal(0.0, self.spread_km)
 
 
 Layout = Union[UniformSquare, Clustered]
 
-_BASE_LAT = 39.0
-_BASE_LON = -98.0
+#: The JSON ``type`` name of each descriptor class, one table per kind.
+_DISTRIBUTIONS = {"normal": Normal, "bernoulli": Bernoulli, "uniform": Uniform}
+_LAYOUTS = {"uniform_square": UniformSquare, "clustered": Clustered}
 
 
 def _is_integer(value) -> bool:
@@ -123,44 +190,32 @@ class DgpSpec:
                 f"beta and gamma must have length {k} (intercept + covariates); "
                 f"got {len(self.beta)} and {len(self.gamma)}"
             )
+        if not all(math.isfinite(c) for c in self.beta + self.gamma):
+            raise InvalidSpec("beta and gamma must be finite numbers")
         names = [n for n, _ in self.covariates]
         if len(set(names)) != len(names):
             raise InvalidSpec("covariate names must be unique")
+        if not all(type(d) in _DISTRIBUTIONS.values() for _, d in self.covariates):
+            raise InvalidSpec(f"covariate distributions must be one of {list(_DISTRIBUTIONS)}")
+        if type(self.layout) not in _LAYOUTS.values():
+            raise InvalidSpec(f"layout must be one of {list(_LAYOUTS)}, got {self.layout!r}")
 
     @property
     def covariate_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.covariates)
 
 
-def _draw_covariate(rng: np.random.Generator, dist: Distribution) -> float:
-    if isinstance(dist, Normal):
-        return float(rng.normal(dist.mu, dist.sigma))
-    if isinstance(dist, Bernoulli):
-        return float(rng.random() < dist.q)
-    if isinstance(dist, Uniform):
-        return float(rng.uniform(dist.a, dist.b))
-    raise InvalidSpec(f"unknown distribution descriptor {dist!r}")
-
-
-def _clip(value: float, lo: float, hi: float) -> float:
-    return lo if value < lo else hi if value > hi else value
-
-
 def _draw_centroid(rng: np.random.Generator, layout: Layout) -> tuple[float, float]:
-    if isinstance(layout, UniformSquare):
-        half = layout.side_km / 2.0
-        dlat_km = rng.uniform(-half, half)
-        dlon_km = rng.uniform(-half, half)
-        base_lat, base_lon = _BASE_LAT, _BASE_LON
-    elif isinstance(layout, Clustered):
-        base_lat, base_lon = layout.centers[int(rng.integers(len(layout.centers)))]
-        dlat_km = rng.normal(0.0, layout.spread_km)
-        dlon_km = rng.normal(0.0, layout.spread_km)
-    else:
-        raise InvalidSpec(f"unknown spatial layout {layout!r}")
+    """One centroid: latitude clipped to the poles, longitude wrapped into [-180, 180].
+
+    Only an out-of-range longitude moves, by whole turns, so in-range draws keep their bits.
+    """
+    base_lat, base_lon, dlat_km, dlon_km = layout.offset(rng)
     lat = base_lat + dlat_km / KM_PER_DEGREE
     lon = base_lon + dlon_km / (KM_PER_DEGREE * math.cos(math.radians(base_lat)))
-    return _clip(lat, -90.0, 90.0), _clip(lon, -180.0, 180.0)
+    if not -180.0 <= lon <= 180.0:
+        lon -= 360.0 * math.floor((lon + 180.0) / 360.0)
+    return min(max(lat, -90.0), 90.0), lon
 
 
 # SeedSequence hash constants (O'Neill's seed_seq design as adopted by numpy).
@@ -256,9 +311,10 @@ def generate(spec: DgpSpec) -> Dataset:
     latlon = np.empty((spec.n, 2))
     counts = np.empty(spec.n, dtype=np.int64)
     states = _unit_seed_states(spec.seed, spec.n)
+    draws = [dist.draw for _, dist in spec.covariates]
     for i in range(spec.n):
         rng = Generator(PCG64(_Words(states[i])))
-        covs = [_draw_covariate(rng, dist) for _, dist in spec.covariates]
+        covs = [draw(rng) for draw in draws]
         latlon[i] = _draw_centroid(rng, spec.layout)
         eta = beta[0]
         psi = gamma[0]
@@ -307,65 +363,29 @@ def paper_scale_spec(seed: int = 0) -> DgpSpec:
 # JSON serialization (field names mirror DgpSpec exactly)
 
 
-def _distribution_to_json(dist: Distribution) -> dict:
-    if isinstance(dist, Normal):
-        return {"type": "normal", "mu": dist.mu, "sigma": dist.sigma}
-    if isinstance(dist, Bernoulli):
-        return {"type": "bernoulli", "q": dist.q}
-    if isinstance(dist, Uniform):
-        return {"type": "uniform", "a": dist.a, "b": dist.b}
-    raise InvalidSpec(f"unknown distribution descriptor {dist!r}")
+def _descriptor_to_json(descriptor, table: dict) -> dict:
+    kind = next(name for name, cls in table.items() if type(descriptor) is cls)
+    return {"type": kind, **asdict(descriptor)}
 
 
-def _distribution_from_json(payload: dict) -> Distribution:
+def _descriptor_from_json(payload, table: dict):
     try:
-        kind = payload["type"]
-        if kind == "normal":
-            return Normal(mu=float(payload["mu"]), sigma=float(payload["sigma"]))
-        if kind == "bernoulli":
-            return Bernoulli(q=float(payload["q"]))
-        if kind == "uniform":
-            return Uniform(a=float(payload["a"]), b=float(payload["b"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidSpec(f"bad distribution descriptor: {payload!r}") from exc
-    raise InvalidSpec(f"unknown distribution type {kind!r}")
-
-
-def _layout_to_json(layout: Layout) -> dict:
-    if isinstance(layout, UniformSquare):
-        return {"type": "uniform_square", "side_km": layout.side_km}
-    if isinstance(layout, Clustered):
-        return {
-            "type": "clustered",
-            "centers": [list(c) for c in layout.centers],
-            "spread_km": layout.spread_km,
-        }
-    raise InvalidSpec(f"unknown spatial layout {layout!r}")
-
-
-def _layout_from_json(payload: dict) -> Layout:
-    try:
-        kind = payload["type"]
-        if kind == "uniform_square":
-            return UniformSquare(side_km=float(payload["side_km"]))
-        if kind == "clustered":
-            centers = tuple((float(c[0]), float(c[1])) for c in payload["centers"])
-            return Clustered(centers=centers, spread_km=float(payload["spread_km"]))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise InvalidSpec(f"bad spatial layout: {payload!r}") from exc
-    raise InvalidSpec(f"unknown layout type {kind!r}")
+        cls = table[payload["type"]]
+    except (KeyError, TypeError):
+        raise InvalidSpec(f"descriptor {payload!r} needs a type out of {list(table)}") from None
+    return cls(**{f.name: payload[f.name] for f in fields(cls)})
 
 
 def dgp_spec_to_json(spec: DgpSpec) -> str:
     doc = {
         "n": spec.n,
         "covariates": [
-            {"name": name, "distribution": _distribution_to_json(dist)}
+            {"name": name, "distribution": _descriptor_to_json(dist, _DISTRIBUTIONS)}
             for name, dist in spec.covariates
         ],
         "beta": list(spec.beta),
         "gamma": list(spec.gamma),
-        "layout": _layout_to_json(spec.layout),
+        "layout": _descriptor_to_json(spec.layout, _LAYOUTS),
         "seed": spec.seed,
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -389,7 +409,7 @@ def dgp_spec_from_json(text: str) -> DgpSpec:
         return paper_scale_spec(seed=doc.get("seed", 0))
     try:
         covariates = tuple(
-            (entry["name"], _distribution_from_json(entry["distribution"]))
+            (entry["name"], _descriptor_from_json(entry["distribution"], _DISTRIBUTIONS))
             for entry in doc["covariates"]
         )
         return DgpSpec(
@@ -397,7 +417,7 @@ def dgp_spec_from_json(text: str) -> DgpSpec:
             covariates=covariates,
             beta=tuple(doc["beta"]),
             gamma=tuple(doc["gamma"]),
-            layout=_layout_from_json(doc["layout"]),
+            layout=_descriptor_from_json(doc["layout"], _LAYOUTS),
             seed=doc["seed"],
         )
     except (KeyError, TypeError, ValueError) as exc:

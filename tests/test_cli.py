@@ -3,11 +3,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geocount
 import geocount.cli as cli
 from geocount import CoefficientRow, Family, FitResult
 
@@ -331,6 +335,26 @@ class TestCmdSimulate:
 COORDINATE_CSV = "id,latitude,longitude,count\na,40.0,-90.0,1\nb,{lat},{lon},2\n"
 
 
+def spec_text(n=10, layout=None, distribution=None, beta=0.1):
+    """A DgpSpec document, with one covariate when a distribution is given."""
+    doc = {
+        "n": n,
+        "covariates": [],
+        "beta": [beta],
+        "gamma": [0.1],
+        "layout": layout or {"type": "uniform_square", "side_km": 10},
+        "seed": 1,
+    }
+    if distribution:
+        doc["covariates"].append({"name": "x", "distribution": distribution})
+        doc["beta"].append(0.2)
+        doc["gamma"].append(0.2)
+    return json.dumps(doc)  # writes NaN and Infinity, which Python's json reads back
+
+
+SIMULATE = ["simulate", "--spec", "{src}", "--out", "{out}"]
+
+
 class TestInvalidInput:
     """Every rejected input ends as one ``Code: message`` line and exit code 1."""
 
@@ -453,6 +477,54 @@ class TestInvalidInput:
                 "InvalidSpec: config file: 'standardize' must be true or false",
                 id="config-standardize-string",
             ),
+            pytest.param(
+                SIMULATE,
+                spec_text(distribution={"type": "normal", "mu": 0, "sigma": -1}),
+                "InvalidSpec: Normal sigma must be a finite number >= 0, got -1",
+                id="spec-normal-negative-sigma",
+            ),
+            pytest.param(
+                SIMULATE,
+                spec_text(distribution={"type": "uniform", "a": 0, "b": math.inf}),
+                "InvalidSpec: Uniform b must be a finite number >= a, got inf",
+                id="spec-uniform-infinite-b",
+            ),
+            pytest.param(
+                SIMULATE,
+                spec_text(beta=math.nan),
+                "InvalidSpec: beta and gamma must be finite numbers",
+                id="spec-beta-nan",
+            ),
+            pytest.param(
+                SIMULATE,
+                spec_text(layout={"type": "clustered", "centers": [], "spread_km": 50}),
+                "InvalidSpec: Clustered centers must be one or more (lat, lon) pairs",
+                id="spec-clustered-no-centers",
+            ),
+            pytest.param(
+                SIMULATE,
+                spec_text(layout={"type": "clustered", "centers": [[40, -100]], "spread_km": -5}),
+                "InvalidSpec: Clustered spread_km must be a finite number >= 0, got -5",
+                id="spec-clustered-negative-spread",
+            ),
+            pytest.param(
+                SIMULATE,
+                spec_text(layout={"type": "uniform_square", "side_km": math.nan}),
+                "InvalidSpec: UniformSquare side_km must be a finite number >= 0, got nan",
+                id="spec-square-nan-side",
+            ),
+            pytest.param(
+                SIMULATE,
+                spec_text(distribution={"type": "bernoulli", "q": 2.0}),
+                "InvalidSpec: Bernoulli q must be within [0, 1], got 2.0",
+                id="spec-bernoulli-q-above-1",
+            ),
+            pytest.param(
+                SIMULATE,
+                spec_text(layout={"type": "clustered", "centers": [[200, -100]], "spread_km": 50}),
+                "InvalidSpec: Clustered centers must be one or more (lat, lon) pairs",
+                id="spec-clustered-latitude-200",
+            ),
         ],
     )
     def test_exits_1_with_one_line(self, tmp_path, capsys, argv, text, expected):
@@ -511,6 +583,29 @@ class TestConfigFile:
         ) == 0
         assert json.loads(out_b.read_text())["family"] == "logit"
 
+    @pytest.mark.parametrize(
+        "flags, config",
+        [
+            (["--weights", "knn:5"], {"band_km": 100}),
+            (["--weights", "knn:5"], {"weights": "band:100", "k": 3}),
+            ([], {"weights": "knn:5", "band_km": 100}),
+            ([], {"k": 5}),
+        ],
+        ids=["flag-over-file-band", "flag-over-file-weights", "file-weights-first", "file-k"],
+    )
+    def test_weights_precedence(self, tmp_path, capsys, flags, config):
+        spec, data = tmp_path / "spec.json", tmp_path / "data.csv"
+        spec.write_text(spec_text(n=300, layout={"type": "uniform_square", "side_km": 4000}))
+        assert cli.main(["simulate", "--spec", str(spec), "--out", str(data)]) == 0
+        hotspot = ["hotspot", "--input", str(data)]
+        flag_only, merged = tmp_path / "flag_only.csv", tmp_path / "merged.csv"
+        assert cli.main([*hotspot, "--weights", "knn:5", "--out", str(flag_only)]) == 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert cli.main([*hotspot, *flags, "--config", str(cfg_path), "--out", str(merged)]) == 0
+        assert merged.read_bytes() == flag_only.read_bytes()
+        assert capsys.readouterr().err == ""
+
     def test_missing_required_field(self, tmp_path, capsys):
         rc = cli.main(["fit", "--input", SMOKE_CSV, "--family", "logit"])
         assert rc == 1
@@ -523,3 +618,16 @@ class TestConfigFile:
         )
         assert rc == 1
         assert capsys.readouterr().err.startswith("IOError:")
+
+
+def test_cli_import_loads_neither_scipy_stats_nor_optimize():
+    # the CLI's cold start stays light: p-values use scipy.special.ndtr and
+    # paper_scale_spec imports brentq only when it runs
+    code = "import sys, geocount.cli; print(' '.join(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(geocount.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    loaded = set(result.stdout.split())
+    assert "scipy.special" in loaded  # the probe sees the modules the import loads
+    assert "scipy.stats" not in loaded and "scipy.optimize" not in loaded

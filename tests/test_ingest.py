@@ -19,6 +19,7 @@ from geocount.exceptions import (
     DuplicateId,
     MissingColumn,
     NegativeCount,
+    NonFiniteCovariate,
     NonNumericCell,
     ZeroDenominator,
 )
@@ -81,6 +82,21 @@ class TestReadDataset:
         with pytest.raises(ZeroDenominator) as err:
             read_text(text, IngestConfig(ratio_specs=(("p", "q", "ratio"),)))
         assert err.value.column == "q"
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            IngestConfig(ratio_specs=(("p", "q", "ratio"),)),
+            IngestConfig(population_column="q", rate_specs=(("p", "per10k"),)),
+        ],
+        ids=["ratio", "rate"],
+    )
+    def test_derived_covariate_overflow(self, config):
+        # each cell is finite; the derived value overflows to inf
+        text = "id,latitude,longitude,count,p,q\na,40.0,-90.0,1,3,1\nb,41.0,-91.0,0,1e308,1e-10\n"
+        with pytest.raises(NonFiniteCovariate, match="row 2: covariates must be finite") as err:
+            read_text(text, config)
+        assert err.value.row == 2
 
     def test_standardize_hand_example(self):
         # values {1,2,3}: sample (n-1) stddev is exactly 1, so output is {-1,0,1}

@@ -27,7 +27,6 @@ from geocount import (
 from geocount.simulate import (
     KM_PER_DEGREE,
     _draw_centroid,
-    _draw_covariate,
     _sigmoid,
     _unit_seed_states,
 )
@@ -50,7 +49,7 @@ def per_unit_generate(spec: DgpSpec) -> Dataset:
     counts = np.empty(spec.n, dtype=np.int64)
     for i in range(spec.n):
         rng = unit_rng(spec.seed, i)
-        covs = [_draw_covariate(rng, dist) for _, dist in spec.covariates]
+        covs = [dist.draw(rng) for _, dist in spec.covariates]
         latlon[i] = _draw_centroid(rng, spec.layout)
         eta, psi = spec.beta[0], spec.gamma[0]
         for j in range(k):
@@ -172,3 +171,30 @@ class TestOneUnitInDocumentedOrder:
             lon0 + dlon_km / (KM_PER_DEGREE * math.cos(math.radians(lat0))),
         ]
         assert data.y[i] == count
+
+
+class TestLongitudeWrap:
+    """A unit drawn across the antimeridian moves by one whole turn; every
+    other unit keeps its bits."""
+
+    @pytest.mark.parametrize("center_lon", [179.5, -179.5])
+    @pytest.mark.parametrize("i", [0, 1, 2, 3])
+    def test_clustered_layout_across_the_antimeridian(self, i, center_lon):
+        layout = Clustered(centers=((45.0, center_lon),), spread_km=100.0)
+        spec = spec_with(layout, seed=9)
+        rng = unit_rng(spec.seed, i)
+        covs = [rng.normal(0.3, 1.5), float(rng.random() < 0.4), rng.uniform(-2.0, 1.0)]
+        assert rng.integers(1) == 0  # the one center
+        dlat_km, dlon_km = rng.normal(0.0, 100.0), rng.normal(0.0, 100.0)
+        lon = center_lon + dlon_km / (KM_PER_DEGREE * math.cos(math.radians(45.0)))
+        if lon > 180.0:
+            lon -= 360.0
+        elif lon < -180.0:
+            lon += 360.0
+
+        data = generate(spec)
+        assert data.covariates[i].tolist() == covs
+        assert data.latlon[i].tolist() == [45.0 + dlat_km / KM_PER_DEGREE, lon]
+        lons = data.latlon[:, 1]
+        assert np.all(np.abs(lons) < 180.0)  # none piled on the antimeridian
+        assert np.sum(np.sign(lons) != np.sign(center_lon)) > 0.2 * spec.n

@@ -212,6 +212,47 @@ class TestDgpSpecValidation:
                 ' "layout": {"type": "uniform_square", "side_km": 10}, "seed": %s}' % seed
             )
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Normal("abc", 1.0),
+            lambda: Normal(0.0, math.inf),
+            lambda: Bernoulli(-0.1),
+            lambda: Uniform(2.0, 1.0),
+            lambda: Uniform(-1e308, 1e308),
+            lambda: UniformSquare(-1.0),
+            lambda: Clustered(centers=((40.0,),), spread_km=1.0),
+            lambda: Clustered(centers=((40.0, 190.0),), spread_km=1.0),
+            lambda: Clustered(centers=(("north", -100.0),), spread_km=1.0),
+        ],
+        ids=[
+            "normal-mu-text", "normal-sigma-inf", "bernoulli-negative", "uniform-reversed",
+            "uniform-range-overflow", "square-negative", "center-one-number",
+            "center-longitude-190", "center-text",
+        ],
+    )
+    def test_descriptor_domains(self, make):
+        # numpy would raise or clip for each of these
+        with pytest.raises(InvalidSpec):
+            make()
+
+    def test_descriptor_fields_are_floats(self):
+        assert Uniform(0, 3) == Uniform(0.0, 3.0) and type(Uniform(0, 3).b) is float
+        assert Clustered(centers=[[40, -100]], spread_km=5).centers == ((40.0, -100.0),)
+        assert '"b": 3.0' in dgp_spec_to_json(
+            DgpSpec(10, (("u", Uniform(0, 3)),), (0.1, 0.2), (0.1, 0.2), UniformSquare(1), 0)
+        )
+
+    @pytest.mark.parametrize(
+        "covariates, layout",
+        [((("x", "normal"),), UniformSquare(1.0)), ((), (40.0, -100.0))],
+        ids=["distribution", "layout"],
+    )
+    def test_descriptor_types(self, covariates, layout):
+        k = len(covariates) + 1
+        with pytest.raises(InvalidSpec, match="must be one of"):
+            DgpSpec(10, covariates, (0.1,) * k, (0.1,) * k, layout, seed=0)
+
     def test_duplicate_covariate_names(self):
         with pytest.raises(InvalidSpec):
             DgpSpec(
