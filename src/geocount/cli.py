@@ -157,20 +157,43 @@ def render_hotspot_csv(dataset: Dataset, result: HotspotResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: One feature of ``json.dumps(doc, indent=2)`` for the GeoJSON document:
+#: longitude, latitude, then the JSON text of the id, z and class label.
+_GEOJSON_FEATURE = """\
+    {
+      "type": "Feature",
+      "geometry": {
+        "type": "Point",
+        "coordinates": [
+          %r,
+          %r
+        ]
+      },
+      "properties": {
+        "id": %s,
+        "z": %s,
+        "class": %s
+      }
+    }"""
+
+
 def render_hotspot_geojson(dataset: Dataset, result: HotspotResult) -> str:
-    features = []
-    for obs_id, (lat, lon), z, cls in zip(
-        dataset.ids, dataset.centroids().tolist(), result.z.tolist(), result.classes
-    ):
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {"type": "Point", "coordinates": [lon, lat]},
-                "properties": {"id": obs_id, "z": z, "class": cls.value},
-            }
+    """RFC 7946 points, the text ``json.dumps(doc, indent=2)`` gives.
+
+    Centroids are validated finite, so ``repr`` writes them as ``json`` does.
+    The z column goes through one ``json.dumps`` call: a value column near the
+    float limit can overflow G* to a NaN z, which ``json`` spells ``NaN``.
+    """
+    labels = {cls: json.dumps(cls.value) for cls in set(result.classes)}
+    z_text = json.dumps(result.z.tolist())[1:-1].split(", ")
+    features = ",\n".join(
+        _GEOJSON_FEATURE % (lon, lat, json.dumps(obs_id), z, labels[cls])
+        for obs_id, (lat, lon), z, cls in zip(
+            dataset.ids, dataset.centroids().tolist(), z_text, result.classes
         )
-    doc = {"type": "FeatureCollection", "features": features}
-    return json.dumps(doc, indent=2) + "\n"
+    )
+    body = f"\n{features}\n  " if features else ""
+    return f'{{\n  "type": "FeatureCollection",\n  "features": [{body}]\n}}\n'
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,12 @@ class MissingColumn(GeocountError):
         self.name = name
 
 
+class DuplicateColumn(GeocountError):
+    def __init__(self, name):
+        super().__init__(f"column {name!r} appears more than once in the header")
+        self.name = name
+
+
 class NonNumericCell(GeocountError):
     def __init__(self, row, column):
         super().__init__(f"row {row}: cell in column {column!r} is not numeric")

@@ -282,6 +282,8 @@ def fit(model: ModelSpec, dataset: Dataset, options: OptimOptions = OptimOptions
     counts = dataset.counts()
     if not np.any(counts > 0):
         raise DegenerateOutcome("all counts are zero; likelihood is degenerate")
+    if model.family is Family.ZIP and np.all(counts > 0):
+        raise DegenerateOutcome("no zero counts; the zero-inflation part is not identified")
 
     X = build_design(dataset, model.count_covariates, model.add_intercept)
     _check_full_rank(X)

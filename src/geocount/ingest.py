@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -17,7 +19,9 @@ import numpy as np
 from .data import Dataset, reject_duplicates
 from .exceptions import (
     ConstantColumn,
+    DuplicateColumn,
     DuplicateCovariate,
+    InvalidSpec,
     MissingColumn,
     NonNumericCell,
     ZeroDenominator,
@@ -48,17 +52,12 @@ class IngestConfig:
         object.__setattr__(self, "rate_specs", tuple(tuple(s) for s in self.rate_specs))
         object.__setattr__(self, "ratio_specs", tuple(tuple(s) for s in self.ratio_specs))
         if self.rate_specs and self.population_column is None:
-            raise ValueError("rate_specs require a population_column")
+            raise InvalidSpec("rate_specs require a population_column")
         reject_duplicates(self.derived_names, DuplicateCovariate)
 
     @property
     def derived_names(self) -> tuple[str, ...]:
         return tuple(d for _, d in self.rate_specs) + tuple(d for _, _, d in self.ratio_specs)
-
-
-def _format_float(x: float) -> str:
-    # repr() of a float is the shortest string that round-trips (<= 17 sig digits)
-    return repr(float(x))
 
 
 def _open(target, mode: str):
@@ -68,19 +67,77 @@ def _open(target, mode: str):
     return target, False
 
 
-def _parse_float(cell: str, row: int, column: str) -> float:
-    try:
-        value = float(cell)
-    except (TypeError, ValueError):
-        raise NonNumericCell(row, column) from None
-    if not np.isfinite(value):
-        raise NonNumericCell(row, column)
-    return value
-
-
 def _is_binary(values: np.ndarray) -> bool:
     distinct = np.unique(values)
     return distinct.size == 2 and set(distinct.tolist()) <= {0.0, 1.0}
+
+
+#: Data rows parsed per block; only one block's cells are held as strings at once.
+BLOCK_ROWS = 4096
+
+# Kinds of checked cell: a finite float, a finite nonzero float, an integer.
+_FLOAT, _DENOMINATOR, _COUNT = "float", "denominator", "count"
+
+
+def _cell_checks(config: IngestConfig, passthrough) -> list[tuple[str, str]]:
+    """(column, kind) for every cell a row is checked on, in the order checked."""
+    checks = [
+        (config.lat_column, _FLOAT),
+        (config.lon_column, _FLOAT),
+        (config.count_column, _COUNT),
+    ]
+    checks += [(name, _FLOAT) for name in passthrough]
+    if config.rate_specs:
+        checks.append((config.population_column, _DENOMINATOR))
+        checks += [(raw, _FLOAT) for raw, _ in config.rate_specs]
+    for num, den, _ in config.ratio_specs:
+        checks += [(num, _FLOAT), (den, _DENOMINATOR)]
+    return checks
+
+
+def _parse_block(block, header, checks) -> tuple[dict, dict[str, np.ndarray]] | None:
+    """(cells, parsed): the block's cells by column, and each checked column as an array.
+
+    None if a row has the wrong width or a cell fails its check.
+    """
+    if any(len(row) != len(header) for row in block):
+        return None
+    cells = dict(zip(header, zip(*block)))
+    parsed: dict[str, np.ndarray] = {}
+    for name, kind in checks:
+        if name not in parsed:
+            parse, dtype = (int, np.int64) if kind == _COUNT else (float, np.float64)
+            try:
+                parsed[name] = np.fromiter(map(parse, cells[name]), dtype, len(block))
+            except ValueError:
+                return None
+        values = parsed[name]
+        if kind != _COUNT and not np.isfinite(values).all():
+            return None
+        if kind == _DENOMINATOR and not values.all():
+            return None
+    return cells, parsed
+
+
+def _raise_first_bad_cell(block, first_row: int, header, checks) -> None:
+    """Raise the error of a block's first bad cell, checking row by row.
+
+    Called only on a block that failed a column check, so one cell is bad.
+    """
+    width = len(header)
+    index = {name: i for i, name in enumerate(header)}
+    for row, cells in enumerate(block, start=first_row):
+        if len(cells) != width:
+            raise NonNumericCell(row, header[min(len(cells), width - 1)])
+        for name, kind in checks:
+            try:
+                value = (int if kind == _COUNT else float)(cells[index[name]])
+            except ValueError:
+                raise NonNumericCell(row, name) from None
+            if kind != _COUNT and not math.isfinite(value):
+                raise NonNumericCell(row, name)
+            if kind == _DENOMINATOR and value == 0.0:
+                raise ZeroDenominator(row, name)
 
 
 def read_dataset(csv_source, config: IngestConfig) -> Dataset:
@@ -90,6 +147,11 @@ def read_dataset(csv_source, config: IngestConfig) -> Dataset:
     rejected with a row-indexed error rather than skipped, since silent drops
     change n and all downstream inference.  Row indices in errors are 1-based
     data rows (the header is row 0).
+
+    Rows are parsed a column at a time in blocks of :data:`BLOCK_ROWS`; a
+    block with a bad cell is checked again row by row, so the error names the
+    first bad row and, within it, the first bad cell in the order a row is
+    checked: latitude, longitude, count, the other columns, then derivations.
     """
     handle, owned = _open(csv_source, "r")
     try:
@@ -98,6 +160,7 @@ def read_dataset(csv_source, config: IngestConfig) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise MissingColumn(config.id_column) from None
+        reject_duplicates(header, DuplicateColumn)
 
         required = [config.id_column, config.lat_column, config.lon_column, config.count_column]
         if config.population_column is not None:
@@ -105,61 +168,46 @@ def read_dataset(csv_source, config: IngestConfig) -> Dataset:
         required += [raw for raw, _ in config.rate_specs]
         required += [num for num, _, _ in config.ratio_specs]
         required += [den for _, den, _ in config.ratio_specs]
-        col_index = {name: i for i, name in enumerate(header)}
         for name in required:
-            if name not in col_index:
+            if name not in header:
                 raise MissingColumn(name)
         for name in config.derived_names:
-            if name in col_index:
+            if name in header:
                 raise DuplicateCovariate(name)
 
         passthrough = [c for c in header if c not in required]
         schema = tuple(passthrough) + config.derived_names
+        checks = _cell_checks(config, passthrough)
 
         ids: list[str] = []
-        latlon: list[tuple[float, float]] = []
-        counts: list[int] = []
-        rows: list[list[float]] = []
-
-        for rownum, cells in enumerate(reader, start=1):
-            if len(cells) != len(header):
-                raise NonNumericCell(rownum, header[min(len(cells), len(header) - 1)])
-            rec = dict(zip(header, cells))
-            lat = _parse_float(rec[config.lat_column], rownum, config.lat_column)
-            lon = _parse_float(rec[config.lon_column], rownum, config.lon_column)
-            try:
-                count = int(rec[config.count_column])
-            except (TypeError, ValueError):
-                raise NonNumericCell(rownum, config.count_column) from None
-
-            values = [_parse_float(rec[c], rownum, c) for c in passthrough]
-            if config.rate_specs:
-                population = _parse_float(
-                    rec[config.population_column], rownum, config.population_column
-                )
-                if population == 0.0:
-                    raise ZeroDenominator(rownum, config.population_column)
-                for raw, _derived in config.rate_specs:
-                    raw_value = _parse_float(rec[raw], rownum, raw)
-                    values.append(raw_value / population * 10000.0)
-            for num, den, _derived in config.ratio_specs:
-                numerator = _parse_float(rec[num], rownum, num)
-                denominator = _parse_float(rec[den], rownum, den)
-                if denominator == 0.0:
-                    raise ZeroDenominator(rownum, den)
-                values.append(numerator / denominator)
-
-            ids.append(rec[config.id_column])
-            latlon.append((lat, lon))
-            counts.append(count)
-            rows.append(values)
+        latlon = [np.empty((0, 2))]
+        counts = [np.empty(0, dtype=np.int64)]
+        covariates = [np.empty((0, len(schema)))]
+        first_row = 1
+        while block := list(itertools.islice(reader, BLOCK_ROWS)):
+            size = len(block)
+            parsed_block = _parse_block(block, header, checks)
+            if parsed_block is None:
+                _raise_first_bad_cell(block, first_row, header, checks)
+            cells, parsed = parsed_block
+            columns = [parsed[name] for name in passthrough]
+            with np.errstate(over="ignore"):  # an overflow to inf fails the dataset check
+                if config.rate_specs:
+                    population = parsed[config.population_column]
+                    columns += [parsed[raw] / population * 10000.0 for raw, _ in config.rate_specs]
+                columns += [parsed[num] / parsed[den] for num, den, _ in config.ratio_specs]
+            ids.extend(cells[config.id_column])
+            latlon.append(np.column_stack((parsed[config.lat_column], parsed[config.lon_column])))
+            counts.append(parsed[config.count_column])
+            covariates.append(np.column_stack(columns) if columns else np.empty((size, 0)))
+            first_row += size
     finally:
         if owned:
             handle.close()
 
-    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), len(schema))
+    matrix = np.concatenate(covariates)
     standardization: dict[str, tuple[float, float]] = {}
-    if config.standardize and rows:
+    if config.standardize and ids:
         derived = set(config.derived_names)
         for j, name in enumerate(schema):
             if name in derived:
@@ -177,8 +225,8 @@ def read_dataset(csv_source, config: IngestConfig) -> Dataset:
     return Dataset(
         schema=schema,
         ids=ids,
-        latlon=np.reshape(latlon, (-1, 2)),
-        y=np.array(counts, dtype=np.int64),
+        latlon=np.concatenate(latlon),
+        y=np.concatenate(counts),
         covariates=matrix,
         standardization=standardization,
     )
@@ -194,16 +242,13 @@ def write_dataset(dataset: Dataset, sink) -> None:
     try:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["id", "latitude", "longitude", "count", *dataset.schema])
-        for obs_id, (lat, lon), count, values in zip(
+        columns = [
             dataset.ids,
-            dataset.centroids().tolist(),
-            dataset.counts().tolist(),
-            dataset.covariates.tolist(),
-        ):
-            writer.writerow(
-                [obs_id, _format_float(lat), _format_float(lon), str(count)]
-                + [_format_float(v) for v in values]
-            )
+            *(map(repr, column) for column in dataset.centroids().T.tolist()),
+            map(str, dataset.counts().tolist()),
+            *(map(repr, column) for column in dataset.covariates.T.tolist()),
+        ]
+        writer.writerows(zip(*columns))
     finally:
         if owned:
             handle.close()

@@ -35,6 +35,10 @@ from .spatial import EARTH_RADIUS_KM
 
 KM_PER_DEGREE = np.pi * EARTH_RADIUS_KM / 180.0
 
+#: Largest lambda ``Generator.poisson`` accepts (numpy's ``POISSON_LAM_MAX``,
+#: int64 max - 10 sqrt(int64 max)); it refuses larger values and NaN.
+POISSON_LAM_MAX = 9.223372006484771e18
+
 #: Preset name accepted by :func:`dgp_spec_from_json`.
 PAPER_SCALE_PRESET = "paper-scale"
 PAPER_SCALE_N = 2947
@@ -325,8 +329,14 @@ def generate(spec: DgpSpec) -> Dataset:
             lam = math.exp(eta)
         except OverflowError:
             raise InvalidSpec(f"lambda overflow at unit {i}: beta too large for covariates")
-        structural_zero = rng.random() < _sigmoid(psi)
-        counts[i] = 0 if structural_zero else rng.poisson(lam)
+        if rng.random() < _sigmoid(psi):
+            counts[i] = 0
+        elif not lam <= POISSON_LAM_MAX:
+            raise InvalidSpec(
+                f"lambda {lam} at unit {i} is NaN or above the Poisson limit {POISSON_LAM_MAX}"
+            )
+        else:
+            counts[i] = rng.poisson(lam)
         covariates[i] = covs
     return Dataset(
         schema=spec.covariate_names,

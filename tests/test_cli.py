@@ -10,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geocount
 import geocount.cli as cli
-from geocount import CoefficientRow, Family, FitResult
+from geocount import CoefficientRow, Dataset, Family, FitResult
+from geocount.spatial import HotspotResult, classify
 
 DATA_DIR = Path(__file__).parent / "data"
 SMOKE_CSV = str(DATA_DIR / "smoke.csv")
@@ -293,6 +296,69 @@ class TestCmdHotspot:
         assert rc == 0
 
 
+def oracle_geojson(dataset, result):
+    """The ``json.dumps`` document the templated GeoJSON renderer replaced."""
+    features = []
+    for obs_id, (lat, lon), z, cls in zip(
+        dataset.ids, dataset.latlon.tolist(), result.z.tolist(), result.classes
+    ):
+        features.append(
+            {
+                "type": "Feature",
+                "geometry": {"type": "Point", "coordinates": [lon, lat]},
+                "properties": {"id": obs_id, "z": z, "class": cls.value},
+            }
+        )
+    return json.dumps({"type": "FeatureCollection", "features": features}, indent=2) + "\n"
+
+
+#: Ids that need CSV quoting or JSON escaping.
+ODD_IDS = ("a,b", 'q"uote', "line\nbreak", "back\\slash", "caf\u00e9", "tab\tbell\x07", "\u2028")
+
+
+@st.composite
+def hotspot_outputs(draw):
+    """(dataset, result) with any ids, valid centroids and any z, NaN and infinities too."""
+    n = draw(st.integers(0, 10))
+    ids = draw(st.lists(st.sampled_from(ODD_IDS) | st.text(max_size=6), min_size=n, max_size=n,
+                        unique=True))
+    lat = draw(st.lists(st.floats(-90, 90), min_size=n, max_size=n))
+    lon = draw(st.lists(st.floats(-180, 180), min_size=n, max_size=n))
+    z = draw(st.lists(st.floats(), min_size=n, max_size=n))
+    dataset = Dataset(
+        schema=(),
+        ids=ids,
+        latlon=np.reshape(list(zip(lat, lon)), (-1, 2)),
+        y=np.zeros(n, dtype=np.int64),
+        covariates=np.empty((n, 0)),
+    )
+    result = HotspotResult(z=np.array(z), classes=tuple(map(classify, z)), mean=0.0, scale=1.0)
+    return dataset, result
+
+
+class TestGeojsonOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(output=hotspot_outputs())
+    def test_template_matches_json_dumps(self, output):
+        assert cli.render_hotspot_geojson(*output) == oracle_geojson(*output)
+
+    def test_cli_output_matches_json_dumps(self, tmp_path):
+        src, out = tmp_path / "ids.csv", tmp_path / "hot.geojson"
+        lines = ["id,latitude,longitude,count"]
+        for i, obs_id in enumerate(ODD_IDS):
+            quoted = '"' + obs_id.replace('"', '""') + '"'
+            lines.append(f"{quoted},{40 + 0.01 * i!r},{-90 - 0.01 * i!r},{i % 3}")
+        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["hotspot", "--input", str(src), "--weights", "knn:2", "--out", str(out),
+                "--format", "geojson"]
+        assert cli.main(argv) == 0
+        dataset = geocount.read_dataset(src, geocount.IngestConfig())
+        weights = geocount.build_weights(dataset.latlon, geocount.KNearest(2))
+        result = geocount.getis_ord_gstar(dataset.counts().astype(float), weights)
+        assert dataset.ids == ODD_IDS
+        assert out.read_text(encoding="utf-8") == oracle_geojson(dataset, result)
+
+
 class TestCmdSimulate:
     def test_paper_scale_preset_summary(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -353,6 +419,15 @@ def spec_text(n=10, layout=None, distribution=None, beta=0.1):
 
 
 SIMULATE = ["simulate", "--spec", "{src}", "--out", "{out}"]
+
+
+def no_zero_counts_csv(n=300, seed=0):
+    """n units with Poisson(3) + 1 counts: no zeros for a ZIP fit to inflate."""
+    rng = np.random.default_rng(seed)
+    lines = ["id,latitude,longitude,count"]
+    for i, count in enumerate(rng.poisson(3.0, n) + 1):
+        lines.append(f"u{i},{rng.uniform(30, 45)!r},{rng.uniform(-100, -80)!r},{count}")
+    return "\n".join(lines) + "\n"
 
 
 class TestInvalidInput:
@@ -524,6 +599,35 @@ class TestInvalidInput:
                 spec_text(layout={"type": "clustered", "centers": [[200, -100]], "spread_km": 50}),
                 "InvalidSpec: Clustered centers must be one or more (lat, lon) pairs",
                 id="spec-clustered-latitude-200",
+            ),
+            pytest.param(
+                SIMULATE,
+                '{"n": 10, "covariates": [], "beta": [50.0], "gamma": [-5.0],'
+                ' "layout": {"type": "uniform_square", "side_km": 10}, "seed": 1}',
+                "InvalidSpec: lambda 5.184705528587072e+21 at unit 0 is NaN or above the "
+                "Poisson limit 9.223372006484771e+18",
+                id="spec-poisson-lambda-too-large",
+            ),
+            pytest.param(
+                SIMULATE,
+                '{"n": 50, "covariates": [{"name": "x", "distribution":'
+                ' {"type": "normal", "mu": 0, "sigma": 1e308}}], "beta": [0.1, 0.0],'
+                ' "gamma": [0.1, 0.2], "layout": {"type": "uniform_square", "side_km": 10},'
+                ' "seed": 1}',
+                "InvalidSpec: lambda nan at unit 3 is NaN or above the Poisson limit",
+                id="spec-poisson-lambda-nan",
+            ),
+            pytest.param(
+                ["fit", "--input", "{src}", "--family", "logit", "--out", "{out}"],
+                "id,latitude,longitude,count,latitude\na,40.0,-90.0,1,95.0\nb,41.0,-91.0,0,41.0\n",
+                "DuplicateColumn: column 'latitude' appears more than once in the header",
+                id="fit-duplicate-column",
+            ),
+            pytest.param(
+                ["fit", "--input", "{src}", "--family", "zip", "--out", "{out}"],
+                no_zero_counts_csv(),
+                "DegenerateOutcome: no zero counts; the zero-inflation part is not identified",
+                id="zip-no-zero-counts",
             ),
         ],
     )
