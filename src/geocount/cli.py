@@ -181,8 +181,8 @@ def render_hotspot_geojson(dataset: Dataset, result: HotspotResult) -> str:
     """RFC 7946 points, the text ``json.dumps(doc, indent=2)`` gives.
 
     Centroids are validated finite, so ``repr`` writes them as ``json`` does.
-    The z column goes through one ``json.dumps`` call: a value column near the
-    float limit can overflow G* to a NaN z, which ``json`` spells ``NaN``.
+    The z column goes through one ``json.dumps`` call, so a non-finite z in a
+    result built by hand is spelled as ``json`` spells it.
     """
     labels = {cls: json.dumps(cls.value) for cls in set(result.classes)}
     z_text = json.dumps(result.z.tolist())[1:-1].split(", ")

@@ -56,6 +56,12 @@ class DuplicateColumn(GeocountError):
         self.name = name
 
 
+class MalformedCsv(GeocountError):
+    def __init__(self, line, reason):
+        super().__init__(f"line {line}: not valid CSV: {reason}")
+        self.line = line
+
+
 class NonNumericCell(GeocountError):
     def __init__(self, row, column):
         super().__init__(f"row {row}: cell in column {column!r} is not numeric")

@@ -10,6 +10,8 @@ not decrease.  One maximizer serves all three families.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -21,25 +23,20 @@ from .data import Dataset, DesignMatrix, binarize_counts, build_design
 from .exceptions import (
     DegenerateOutcome,
     DimensionMismatch,
+    InvalidSpec,
     NonFiniteObjective,
     RankDeficientDesign,
     SeparationSuspected,
     SingularInformation,
     ZeroStandardError,
 )
-from .likelihoods import (
-    Family,
-    ModelSpec,
-    logit_grad,
-    logit_loglik,
-    poisson_grad,
-    poisson_loglik,
-    zip_grad,
-    zip_loglik,
-)
+from .likelihoods import INFLATE_PREFIX, FAMILIES, Family, ModelSpec
 
-#: Name prefix of the ZIP inflation-component coefficients.
-INFLATE_PREFIX = "inflate:"
+# fit calls the unchecked cores of FAMILIES.  The span tracer in
+# perfbench/spans.py patches the six checked kernels on this module, as it
+# patches fd_hessian and build_design, so they stay names of this module.
+from .likelihoods import logit_grad, logit_loglik, poisson_grad, poisson_loglik
+from .likelihoods import zip_grad, zip_loglik
 
 
 @dataclass(frozen=True)
@@ -50,13 +47,12 @@ class OptimOptions:
     ridge_floor: float = 1e-10
 
     def __post_init__(self):
-        if (
-            self.max_iterations <= 0
-            or self.gradient_tolerance <= 0
-            or self.step_halving_max <= 0
-            or self.ridge_floor <= 0
+        limits = (self.max_iterations, self.step_halving_max)
+        scales = (self.gradient_tolerance, self.ridge_floor)
+        if not all(isinstance(v, numbers.Integral) and v > 0 for v in limits) or not all(
+            isinstance(v, numbers.Real) and 0 < v < math.inf for v in scales
         ):
-            raise ValueError("all optimizer options must be positive")
+            raise InvalidSpec("iteration limits must be integers > 0, tolerances finite and > 0")
 
 
 class CoefficientRow(NamedTuple):
@@ -114,8 +110,8 @@ class FitResult:
     def from_dict(cls, payload: dict) -> "FitResult":
         rows = []
         for c in payload["coefficients"]:
-            name, *numbers, stars = (c[field] for field in CoefficientRow._fields)
-            rows.append(CoefficientRow(name, *map(float, numbers), stars))
+            name, *values, stars = (c[field] for field in CoefficientRow._fields)
+            rows.append(CoefficientRow(name, *map(float, values), stars))
         return cls(
             family=Family(payload["family"]),
             coefficients=tuple(rows),
@@ -264,70 +260,46 @@ def _check_full_rank(design: DesignMatrix):
         raise RankDeficientDesign(suspects)
 
 
-def _logit_of(q: float) -> float:
-    return float(np.log(q / (1.0 - q)))
-
-
 def fit(model: ModelSpec, dataset: Dataset, options: OptimOptions = OptimOptions()) -> FitResult:
     """Fit a model family to a dataset by maximum likelihood.
 
-    Initialization: all coefficients zero, except count-part intercepts start
-    at log(mean count + 0.01) (Poisson/ZIP) and the ZIP inflation intercept
-    at the logit of the zero fraction clamped to [0.01, 0.99].  The
-    covariance is the inverse of the negative finite-difference Hessian at
-    the optimum.
+    The inputs are checked once; the family's entry in ``FAMILIES`` supplies
+    the starting values (see ``FamilyModel.initial_values``), the coefficient
+    names and the unchecked cores the maximizer calls.  The covariance is the
+    inverse of the negative finite-difference Hessian at the optimum.
     """
     if len(dataset) < 2:
         raise DegenerateOutcome("at least 2 observations are required for a fit")
     counts = dataset.counts()
     if not np.any(counts > 0):
         raise DegenerateOutcome("all counts are zero; likelihood is degenerate")
-    if model.family is Family.ZIP and np.all(counts > 0):
+    family = FAMILIES[model.family]
+    if family.inflated and np.all(counts > 0):
         raise DegenerateOutcome("no zero counts; the zero-inflation part is not identified")
 
     X = build_design(dataset, model.count_covariates, model.add_intercept)
     _check_full_rank(X)
-    family = model.family
-
-    if family is Family.LOGIT:
-        y = binarize_counts(dataset)
-        init = np.zeros(X.k)
-        objective = lambda th: logit_loglik(th, X, y)
-        score = lambda th: logit_grad(th, X, y)
-        names = X.column_names
-    elif family is Family.POISSON:
-        y = counts
-        init = np.zeros(X.k)
-        if model.add_intercept:
-            init[0] = float(np.log(counts.mean() + 0.01))
-        objective = lambda th: poisson_loglik(th, X, y)
-        score = lambda th: poisson_grad(th, X, y)
-        names = X.column_names
-    else:
+    Z = None
+    if family.inflated:
         inflation = model.inflation_covariates or model.count_covariates
         Z = build_design(dataset, inflation, model.add_intercept)
         _check_full_rank(Z)
-        y = counts
-        kx = X.k
-        init = np.zeros(kx + Z.k)
-        if model.add_intercept:
-            init[0] = float(np.log(counts.mean() + 0.01))
-            zero_fraction = float(np.clip(np.mean(counts == 0), 0.01, 0.99))
-            init[kx] = _logit_of(zero_fraction)
-        objective = lambda th: zip_loglik(th[:kx], th[kx:], X, Z, y)
-        score = lambda th: zip_grad(th[:kx], th[kx:], X, Z, y)
-        names = X.column_names + tuple(INFLATE_PREFIX + c for c in Z.column_names)
+    data = family.prepare(X, Z, binarize_counts(dataset) if family.binary else counts)
+    kx = X.k
+    objective = lambda th: family.loglik(th[:kx], th[kx:], data)
+    score = lambda th: family.grad(th[:kx], th[kx:], data)
 
+    init = family.initial_values(counts, X, Z, model.add_intercept)
     result = maximize(objective, score, init, options)
 
-    if family is Family.LOGIT and not result.converged:
+    if family.binary and not result.converged:
         if float(np.max(np.abs(X.values @ result.theta))) > 30.0:
             raise SeparationSuspected()
 
     covariance = _observed_covariance(score, result.theta)
-    rows = wald_inference(names, result.theta, covariance)
+    rows = wald_inference(family.names(X, Z), result.theta, covariance)
     return FitResult(
-        family=family,
+        family=model.family,
         coefficients=rows,
         log_likelihood=result.value,
         iterations=result.iterations,

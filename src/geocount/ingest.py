@@ -22,6 +22,7 @@ from .exceptions import (
     DuplicateColumn,
     DuplicateCovariate,
     InvalidSpec,
+    MalformedCsv,
     MissingColumn,
     NonNumericCell,
     ZeroDenominator,
@@ -75,7 +76,7 @@ def _is_binary(values: np.ndarray) -> bool:
 #: Data rows parsed per block; only one block's cells are held as strings at once.
 BLOCK_ROWS = 4096
 
-# Kinds of checked cell: a finite float, a finite nonzero float, an integer.
+# Kinds of checked cell: a finite float, a finite nonzero float, an int64 integer.
 _FLOAT, _DENOMINATOR, _COUNT = "float", "denominator", "count"
 
 
@@ -109,7 +110,7 @@ def _parse_block(block, header, checks) -> tuple[dict, dict[str, np.ndarray]] | 
             parse, dtype = (int, np.int64) if kind == _COUNT else (float, np.float64)
             try:
                 parsed[name] = np.fromiter(map(parse, cells[name]), dtype, len(block))
-            except ValueError:
+            except (ValueError, OverflowError):  # OverflowError: an integer beyond int64
                 return None
         values = parsed[name]
         if kind != _COUNT and not np.isfinite(values).all():
@@ -134,7 +135,8 @@ def _raise_first_bad_cell(block, first_row: int, header, checks) -> None:
                 value = (int if kind == _COUNT else float)(cells[index[name]])
             except ValueError:
                 raise NonNumericCell(row, name) from None
-            if kind != _COUNT and not math.isfinite(value):
+            in_range = -(2**63) <= value < 2**63 if kind == _COUNT else math.isfinite(value)
+            if not in_range:
                 raise NonNumericCell(row, name)
             if kind == _DENOMINATOR and value == 0.0:
                 raise ZeroDenominator(row, name)
@@ -154,8 +156,8 @@ def read_dataset(csv_source, config: IngestConfig) -> Dataset:
     checked: latitude, longitude, count, the other columns, then derivations.
     """
     handle, owned = _open(csv_source, "r")
+    reader = csv.reader(handle)
     try:
-        reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
@@ -201,6 +203,8 @@ def read_dataset(csv_source, config: IngestConfig) -> Dataset:
             counts.append(parsed[config.count_column])
             covariates.append(np.column_stack(columns) if columns else np.empty((size, 0)))
             first_row += size
+    except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+        raise MalformedCsv(reader.line_num, exc) from None
     finally:
         if owned:
             handle.close()

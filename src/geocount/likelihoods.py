@@ -22,13 +22,17 @@ zip
 All likelihood terms are evaluated in log space with log-sum-exp so that
 extreme linear predictors (|x'beta| up to 1e4) neither overflow nor produce
 -inf from underflowing probabilities.
+
+Each family is declared once, in :data:`FAMILIES`.  The public functions
+check their inputs, then call the family's unchecked core; ``fit`` checks
+once and calls the cores inside its Newton loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import expit, gammaln
@@ -61,7 +65,7 @@ class ModelSpec:
         object.__setattr__(self, "family", Family(self.family))
         object.__setattr__(self, "count_covariates", tuple(self.count_covariates))
         object.__setattr__(self, "inflation_covariates", tuple(self.inflation_covariates))
-        if self.inflation_covariates and self.family is not Family.ZIP:
+        if self.inflation_covariates and not FAMILIES[self.family].inflated:
             raise InvalidSpec("inflation_covariates are only meaningful for the ZIP family")
 
 
@@ -75,12 +79,12 @@ class Params:
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=np.float64)
         if not np.all(np.isfinite(beta)):
-            raise ValueError("beta contains non-finite entries")
+            raise InvalidSpec("beta contains non-finite entries")
         object.__setattr__(self, "beta", beta)
         if self.gamma is not None:
             gamma = np.asarray(self.gamma, dtype=np.float64)
             if not np.all(np.isfinite(gamma)):
-                raise ValueError("gamma contains non-finite entries")
+                raise InvalidSpec("gamma contains non-finite entries")
             object.__setattr__(self, "gamma", gamma)
 
 
@@ -91,28 +95,43 @@ class ZipPrediction(NamedTuple):
     inflation_probability: np.ndarray
 
 
-def _values(X) -> np.ndarray:
-    if isinstance(X, DesignMatrix):
-        return X.values
-    return np.asarray(X, dtype=np.float64)
+#: Name prefix of the ZIP inflation-component coefficients.
+INFLATE_PREFIX = "inflate:"
 
 
-def _check_xy(X: np.ndarray, coef: np.ndarray, y: np.ndarray):
-    if X.ndim != 2:
+class Prepared(NamedTuple):
+    """Checked data, and what a family's cores derive from the outcome."""
+
+    X: np.ndarray
+    Z: np.ndarray | None  # None for a family without an inflation design
+    y: np.ndarray  # float64 outcome
+    zero: np.ndarray  # y == 0
+    log_y_factorial: np.ndarray  # gammaln(y + 1)
+
+
+def _design(D) -> np.ndarray:
+    D = D.values if isinstance(D, DesignMatrix) else np.asarray(D, dtype=np.float64)
+    if D.ndim != 2:
         raise DimensionMismatch("design matrix must be two-dimensional")
-    if coef.ndim != 1 or coef.shape[0] != X.shape[1]:
-        raise DimensionMismatch(
-            f"coefficient length {coef.shape} does not match design width {X.shape[1]}"
-        )
-    if y.shape[0] != X.shape[0]:
-        raise DimensionMismatch(
-            f"outcome length {y.shape[0]} does not match design rows {X.shape[0]}"
-        )
+    return D
 
 
-def _check_counts(y: np.ndarray):
-    if np.any(y < 0) or np.any(y != np.round(y)):
-        raise NegativeCount()
+def _coef(coef, D: np.ndarray) -> np.ndarray:
+    coef = np.asarray(coef, dtype=np.float64)
+    if coef.ndim != 1 or coef.shape[0] != D.shape[1]:
+        raise DimensionMismatch(
+            f"coefficient length {coef.shape} does not match design width {D.shape[1]}"
+        )
+    return coef
+
+
+def _coefficients(beta, gamma, X: np.ndarray, Z: np.ndarray | None):
+    """(beta, gamma) checked against the design widths; gamma is None without Z."""
+    if Z is None:
+        return _coef(beta, X), None
+    if gamma is None:
+        raise DimensionMismatch("ZIP requires gamma and an inflation design matrix")
+    return _coef(beta, X), _coef(gamma, Z)
 
 
 def log_sigmoid(t: np.ndarray) -> np.ndarray:
@@ -120,30 +139,128 @@ def log_sigmoid(t: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -np.asarray(t, dtype=np.float64))
 
 
+def _logit_loglik(beta, gamma, d: Prepared) -> float:
+    eta = d.X @ beta
+    # y=1 contributes log sigma(eta), y=0 contributes log sigma(-eta)
+    return float(np.sum(log_sigmoid(np.where(d.zero, -eta, eta))))
+
+
+def _logit_grad(beta, gamma, d: Prepared) -> np.ndarray:
+    return d.X.T @ (d.y - expit(d.X @ beta))
+
+
+def _poisson_loglik(beta, gamma, d: Prepared) -> float:
+    eta = d.X @ beta
+    return float(np.sum(-np.exp(eta) + d.y * eta - d.log_y_factorial))
+
+
+def _poisson_grad(beta, gamma, d: Prepared) -> np.ndarray:
+    return d.X.T @ (d.y - np.exp(d.X @ beta))
+
+
+def _zip_loglik(beta, gamma, d: Prepared) -> float:
+    eta = d.X @ beta
+    lam = np.exp(eta)
+    psi = d.Z @ gamma
+    log_one_minus_p = -np.logaddexp(0.0, psi)
+    terms = np.where(
+        d.zero,
+        np.logaddexp(psi, -lam) + log_one_minus_p,
+        log_one_minus_p + d.y * eta - lam - d.log_y_factorial,
+    )
+    return float(np.sum(terms))
+
+
+def _zip_grad(beta, gamma, d: Prepared) -> np.ndarray:
+    lam = np.exp(d.X @ beta)
+    psi = d.Z @ gamma
+    p = expit(psi)
+    # beta weights: y>0 gives (y - lambda); y=0 gives -lambda * (1-p)e^{-lam}/D
+    w_beta = np.where(d.zero, -lam * expit(-(psi + lam)), d.y - lam)
+    # gamma weights: y>0 gives -p; y=0 gives p(1-p)(1-e^{-lam})/D
+    w_gamma = np.where(d.zero, (1.0 - p) * (-np.expm1(-lam)) * expit(psi + lam), -p)
+    return np.concatenate([d.X.T @ w_beta, d.Z.T @ w_gamma])
+
+
+def _zip_predict(beta, gamma, X, Z) -> ZipPrediction:
+    lam = np.exp(X @ beta)
+    p = expit(Z @ gamma)
+    return ZipPrediction(mean=(1.0 - p) * lam, inflation_probability=p)
+
+
+@dataclass(frozen=True)
+class FamilyModel:
+    """Everything that differs between the families, stated once per family.
+
+    The unchecked cores ``loglik(beta, gamma, prepared)``, ``grad`` (same
+    arguments; the score in beta, then gamma) and ``predict(beta, gamma, X,
+    Z)`` trust their inputs.  gamma and Z are None unless ``inflated``.
+    """
+
+    loglik: Callable[..., float]
+    grad: Callable[..., np.ndarray]
+    predict: Callable
+    binary: bool = False  # outcome is 0/1 (count > 0), and every coefficient starts at 0
+    inflated: bool = False  # takes an inflation design Z and coefficients gamma
+
+    def prepare(self, X, Z, y) -> Prepared:
+        """Check the designs and the outcome once and derive what the cores need."""
+        Xv, Zv = _design(X), _design(Z) if self.inflated else None
+        y = np.asarray(y, dtype=np.float64)
+        for D in (Xv, Zv):
+            if D is not None and y.shape[0] != D.shape[0]:
+                raise DimensionMismatch(
+                    f"outcome length {y.shape[0]} does not match design rows {D.shape[0]}"
+                )
+        if self.binary and not np.all((y == 0) | (y == 1)):
+            raise DomainError("logit outcome must be a 0/1 vector")
+        if not self.binary and (np.any(y < 0) or np.any(y != np.round(y))):
+            raise NegativeCount()
+        return Prepared(Xv, Zv, y, y == 0, gammaln(y + 1.0))
+
+    def initial_values(self, counts: np.ndarray, X: DesignMatrix, Z, add_intercept: bool):
+        """Zeros; with an intercept, log(mean count + 0.01) for a count model's and
+        the logit of the zero fraction, clamped to [0.01, 0.99], for the inflation one."""
+        init = np.zeros(X.k + (Z.k if self.inflated else 0))
+        if add_intercept and not self.binary:
+            init[0] = float(np.log(counts.mean() + 0.01))
+        if add_intercept and self.inflated:
+            q = float(np.clip(np.mean(counts == 0), 0.01, 0.99))
+            init[X.k] = float(np.log(q / (1.0 - q)))
+        return init
+
+    def names(self, X: DesignMatrix, Z) -> tuple[str, ...]:
+        inflation = tuple(INFLATE_PREFIX + c for c in Z.column_names) if self.inflated else ()
+        return X.column_names + inflation
+
+
+FAMILIES = {
+    Family.LOGIT: FamilyModel(
+        _logit_loglik, _logit_grad, lambda b, g, X, Z: expit(X @ b), binary=True
+    ),
+    Family.POISSON: FamilyModel(_poisson_loglik, _poisson_grad, lambda b, g, X, Z: np.exp(X @ b)),
+    Family.ZIP: FamilyModel(_zip_loglik, _zip_grad, _zip_predict, inflated=True),
+}
+
+
+def _checked(family, core: str, beta, gamma, X, Z, y):
+    """Prepare the family's data, check the coefficients, then run one core."""
+    entry = FAMILIES[Family(family)]
+    data = entry.prepare(X, Z, y)
+    return getattr(entry, core)(*_coefficients(beta, gamma, data.X, data.Z), data)
+
+
 def logit_loglik(beta, X, y01) -> float:
     """Bernoulli log-likelihood with logistic link.
 
     Returns sum_i [ y_i log sigma(x_i'beta) + (1-y_i) log(1-sigma(x_i'beta)) ].
     """
-    Xv = _values(X)
-    beta = np.asarray(beta, dtype=np.float64)
-    y = np.asarray(y01)
-    _check_xy(Xv, beta, y)
-    if not np.all((y == 0) | (y == 1)):
-        raise DomainError("logit outcome must be a 0/1 vector")
-    eta = Xv @ beta
-    # y=1 contributes log sigma(eta), y=0 contributes log sigma(-eta)
-    signed = np.where(y == 1, eta, -eta)
-    return float(np.sum(log_sigmoid(signed)))
+    return _checked(Family.LOGIT, "loglik", beta, None, X, None, y01)
 
 
 def logit_grad(beta, X, y01) -> np.ndarray:
     """Score of :func:`logit_loglik`: X'(y - sigma(X beta))."""
-    Xv = _values(X)
-    beta = np.asarray(beta, dtype=np.float64)
-    y = np.asarray(y01, dtype=np.float64)
-    _check_xy(Xv, beta, y)
-    return Xv.T @ (y - expit(Xv @ beta))
+    return _checked(Family.LOGIT, "grad", beta, None, X, None, y01)
 
 
 def poisson_loglik(beta, X, y) -> float:
@@ -152,23 +269,12 @@ def poisson_loglik(beta, X, y) -> float:
     log(y!) is evaluated through the log-gamma function so large counts
     cannot overflow.
     """
-    Xv = _values(X)
-    beta = np.asarray(beta, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_xy(Xv, beta, y)
-    _check_counts(y)
-    eta = Xv @ beta
-    return float(np.sum(-np.exp(eta) + y * eta - gammaln(y + 1.0)))
+    return _checked(Family.POISSON, "loglik", beta, None, X, None, y)
 
 
 def poisson_grad(beta, X, y) -> np.ndarray:
     """Score of :func:`poisson_loglik`: X'(y - lambda)."""
-    Xv = _values(X)
-    beta = np.asarray(beta, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_xy(Xv, beta, y)
-    _check_counts(y)
-    return Xv.T @ (y - np.exp(Xv @ beta))
+    return _checked(Family.POISSON, "grad", beta, None, X, None, y)
 
 
 def zip_pmf(p: float, lam: float, y) -> float | np.ndarray:
@@ -201,24 +307,7 @@ def zip_loglik(beta, gamma, X, Z, y) -> float:
 
     which never underflows for p near 0 or 1.
     """
-    Xv, Zv = _values(X), _values(Z)
-    beta = np.asarray(beta, dtype=np.float64)
-    gamma = np.asarray(gamma, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_xy(Xv, beta, y)
-    _check_xy(Zv, gamma, y)
-    _check_counts(y)
-    eta = Xv @ beta
-    lam = np.exp(eta)
-    psi = Zv @ gamma
-    zero = y == 0
-    log_one_minus_p = -np.logaddexp(0.0, psi)
-    terms = np.where(
-        zero,
-        np.logaddexp(psi, -lam) - np.logaddexp(0.0, psi),
-        log_one_minus_p + y * eta - lam - gammaln(y + 1.0),
-    )
-    return float(np.sum(terms))
+    return _checked(Family.ZIP, "loglik", beta, gamma, X, Z, y)
 
 
 def zip_grad(beta, gamma, X, Z, y) -> np.ndarray:
@@ -230,24 +319,7 @@ def zip_grad(beta, gamma, X, Z, y) -> np.ndarray:
         (1-p) e^{-lambda} / D = sigma(-(psi + lambda))
         p / D                 = sigma(psi + lambda)
     """
-    Xv, Zv = _values(X), _values(Z)
-    beta = np.asarray(beta, dtype=np.float64)
-    gamma = np.asarray(gamma, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_xy(Xv, beta, y)
-    _check_xy(Zv, gamma, y)
-    _check_counts(y)
-    eta = Xv @ beta
-    lam = np.exp(eta)
-    psi = Zv @ gamma
-    p = expit(psi)
-    zero = y == 0
-
-    # beta weights: y>0 gives (y - lambda); y=0 gives -lambda * (1-p)e^{-lam}/D
-    w_beta = np.where(zero, -lam * expit(-(psi + lam)), y - lam)
-    # gamma weights: y>0 gives -p; y=0 gives p(1-p)(1-e^{-lam})/D
-    w_gamma = np.where(zero, (1.0 - p) * (-np.expm1(-lam)) * expit(psi + lam), -p)
-    return np.concatenate([Xv.T @ w_beta, Zv.T @ w_gamma])
+    return _checked(Family.ZIP, "grad", beta, gamma, X, Z, y)
 
 
 def zip_moments(p: float, lam: float) -> tuple[float, float]:
@@ -265,37 +337,9 @@ def zip_moments(p: float, lam: float) -> tuple[float, float]:
     return mean, variance
 
 
-def _zip_predict(beta, gamma, X, Z) -> ZipPrediction:
-    Zv = _values(Z)
-    if gamma.shape[0] != Zv.shape[1]:
-        raise DimensionMismatch("gamma length does not match inflation design width")
-    lam = np.exp(_values(X) @ beta)
-    p = expit(Zv @ gamma)
-    return ZipPrediction(mean=(1.0 - p) * lam, inflation_probability=p)
-
-
-# family -> (loglik, grad, predict); the ZIP entries also take gamma and Z.
-_FAMILIES = {
-    Family.LOGIT: (logit_loglik, logit_grad, lambda beta, X: expit(_values(X) @ beta)),
-    Family.POISSON: (poisson_loglik, poisson_grad, lambda beta, X: np.exp(_values(X) @ beta)),
-    Family.ZIP: (zip_loglik, zip_grad, _zip_predict),
-}
-
-
-def _dispatch(family: Family, params: Params, X, Z):
-    """The family's table entry and the leading arguments its functions take."""
-    family = Family(family)
-    if family is not Family.ZIP:
-        return _FAMILIES[family], (params.beta, X)
-    if params.gamma is None or Z is None:
-        raise DimensionMismatch("ZIP requires gamma and an inflation design matrix")
-    return _FAMILIES[family], (params.beta, params.gamma, X, Z)
-
-
 def loglik(family: Family, params: Params, X, Z=None, y=None) -> float:
     """Family-dispatched log-likelihood."""
-    (kernel, _, _), args = _dispatch(family, params, X, Z)
-    return kernel(*args, y)
+    return _checked(family, "loglik", params.beta, params.gamma, X, Z, y)
 
 
 def grad_loglik(family: Family, params: Params, X, Z=None, y=None) -> np.ndarray:
@@ -304,8 +348,7 @@ def grad_loglik(family: Family, params: Params, X, Z=None, y=None) -> np.ndarray
     Returned with respect to the concatenated parameter vector: beta,
     followed by gamma for ZIP.
     """
-    (_, kernel, _), args = _dispatch(family, params, X, Z)
-    return kernel(*args, y)
+    return _checked(family, "grad", params.beta, params.gamma, X, Z, y)
 
 
 def predict(family: Family, params: Params, X, Z=None):
@@ -314,7 +357,6 @@ def predict(family: Family, params: Params, X, Z=None):
     logit: P(y=1); poisson: lambda; zip: mixture mean (1-p) lambda with the
     structural-zero probability reported alongside.
     """
-    (_, _, kernel), args = _dispatch(family, params, X, Z)
-    if params.beta.shape[0] != _values(X).shape[1]:
-        raise DimensionMismatch("beta length does not match design width")
-    return kernel(*args)
+    entry = FAMILIES[Family(family)]
+    Xv, Zv = _design(X), _design(Z) if entry.inflated else None
+    return entry.predict(*_coefficients(params.beta, params.gamma, Xv, Zv), Xv, Zv)

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse
 import scipy.spatial
 
-from .exceptions import DegenerateGeometry, DimensionMismatch, InvalidSpec, KTooLarge
+from .exceptions import DegenerateGeometry, DimensionMismatch, DomainError, InvalidSpec, KTooLarge
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -286,14 +286,19 @@ def getis_ord_gstar(values, W: SpatialWeightsMatrix) -> HotspotResult:
 
     Units whose denominator degenerates (S = 0, or a weights row with zero
     bracketed variance term) score z = 0: total absence of neighborhood
-    information is treated as no evidence of clustering.
+    information is treated as no evidence of clustering.  Values whose sum of
+    squares is not a finite float raise :class:`DomainError`.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != W.n:
         raise DimensionMismatch(f"expected {W.n} values, got shape {x.shape}")
     n = W.n
+    with np.errstate(over="ignore"):
+        sum_sq = np.sum(x * x)
+    if not np.isfinite(sum_sq):
+        raise DomainError("values must be finite, and their sum of squares below the float limit")
     xbar = float(np.mean(x))
-    S = float(np.sqrt(max(np.sum(x * x) / n - xbar * xbar, 0.0)))
+    S = float(np.sqrt(max(sum_sq / n - xbar * xbar, 0.0)))
 
     wx = W.entries @ x
     w_sum = W.row_sums()

@@ -629,6 +629,26 @@ class TestInvalidInput:
                 "DegenerateOutcome: no zero counts; the zero-inflation part is not identified",
                 id="zip-no-zero-counts",
             ),
+            pytest.param(
+                ["fit", "--input", "{src}", "--family", "poisson", "--out", "{out}"],
+                "id,latitude,longitude,count\na,40.0,-90.0,1\nb,41.0,-91.0,99999999999999999999\n",
+                "NonNumericCell: row 2: cell in column 'count' is not numeric",
+                id="fit-count-beyond-int64",
+            ),
+            pytest.param(
+                ["hotspot", "--input", "{src}", "--value-column", "x", "--weights", "knn:1",
+                 "--out", "{out}"],
+                "id,latitude,longitude,count,x\n"
+                + "".join(f"u{i},{40 + i}.0,-90.0,1,{s}1e308\n" for i, s in enumerate("+-+-")),
+                "DomainError: values must be finite, and their sum of squares below the float limit",
+                id="hotspot-sum-of-squares-overflow",
+            ),
+            pytest.param(
+                ["fit", "--input", "{src}", "--family", "poisson", "--out", "{out}"],
+                "id,latitude,longitude,count\n" + "a" * 200_000 + ",40.0,-90.0,1\n",
+                "MalformedCsv: line 2: not valid CSV: field larger than field limit",
+                id="fit-cell-over-field-limit",
+            ),
         ],
     )
     def test_exits_1_with_one_line(self, tmp_path, capsys, argv, text, expected):

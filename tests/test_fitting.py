@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from geocount import (
     CountyObservation,
@@ -21,9 +23,18 @@ from geocount import (
     predict,
     wald_inference,
 )
-from geocount import Params
-from geocount.fitting import _stars
+from geocount import Params, binarize_counts, build_design
+from geocount.fitting import INFLATE_PREFIX, _observed_covariance, _stars
+from geocount.likelihoods import (
+    logit_grad,
+    logit_loglik,
+    poisson_grad,
+    poisson_loglik,
+    zip_grad,
+    zip_loglik,
+)
 from geocount.exceptions import (
+    GeocountError,
     NonFiniteObjective,
     RankDeficientDesign,
     SeparationSuspected,
@@ -115,6 +126,10 @@ class TestOptimOptions:
             {"gradient_tolerance": -1.0},
             {"step_halving_max": 0},
             {"ridge_floor": 0.0},
+            {"gradient_tolerance": float("nan")},
+            {"ridge_floor": float("inf")},
+            {"max_iterations": 2.5},
+            {"step_halving_max": 1.5},
         ],
     )
     def test_positivity(self, kwargs):
@@ -310,3 +325,86 @@ class TestFit:
         model = ModelSpec(family="logit", count_covariates=("x",), add_intercept=False)
         with pytest.raises(SeparationSuspected):
             fit(model, ds, OptimOptions(max_iterations=8))
+
+
+def closure_fit(model, dataset, options=OptimOptions()):
+    """Oracle for ``fit``: per-family closures over the checked public kernels.
+
+    This is how ``fit`` was written before the family table: one branch per
+    family builds the start, the names and the closures, and every kernel
+    call checks its inputs again.  Returns (maximize result, covariance, names).
+    """
+    counts = dataset.counts()
+    X = build_design(dataset, model.count_covariates, model.add_intercept)
+    family = model.family
+    if family is Family.LOGIT:
+        y = binarize_counts(dataset)
+        init = np.zeros(X.k)
+        objective = lambda th: logit_loglik(th, X, y)
+        score = lambda th: logit_grad(th, X, y)
+        names = X.column_names
+    elif family is Family.POISSON:
+        y = counts
+        init = np.zeros(X.k)
+        if model.add_intercept:
+            init[0] = float(np.log(counts.mean() + 0.01))
+        objective = lambda th: poisson_loglik(th, X, y)
+        score = lambda th: poisson_grad(th, X, y)
+        names = X.column_names
+    else:
+        inflation = model.inflation_covariates or model.count_covariates
+        Z = build_design(dataset, inflation, model.add_intercept)
+        y = counts
+        kx = X.k
+        init = np.zeros(kx + Z.k)
+        if model.add_intercept:
+            init[0] = float(np.log(counts.mean() + 0.01))
+            zero_fraction = float(np.clip(np.mean(counts == 0), 0.01, 0.99))
+            init[kx] = float(np.log(zero_fraction / (1.0 - zero_fraction)))
+        objective = lambda th: zip_loglik(th[:kx], th[kx:], X, Z, y)
+        score = lambda th: zip_grad(th[:kx], th[kx:], X, Z, y)
+        names = X.column_names + tuple(INFLATE_PREFIX + c for c in Z.column_names)
+
+    result = maximize(objective, score, init, options)
+    if family is Family.LOGIT and not result.converged:
+        if float(np.max(np.abs(X.values @ result.theta))) > 30.0:
+            raise SeparationSuspected()
+    return result, _observed_covariance(score, result.theta), names
+
+
+class TestFitMatchesClosureOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        family=st.sampled_from(list(Family)),
+        add_intercept=st.booleans(),
+        k=st.integers(0, 2),
+        n=st.integers(8, 40),
+        max_iterations=st.sampled_from([3, 200]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fit_is_bit_identical(self, family, add_intercept, k, n, max_iterations, seed):
+        rng = np.random.default_rng(seed)
+        k = max(k, int(not add_intercept))  # a design needs a column
+        columns = rng.standard_normal((n, k))
+        lam = np.exp(0.3 + columns @ rng.uniform(-0.6, 0.6, size=k))
+        counts = np.where(rng.random(n) < 0.3, 0, rng.poisson(lam))
+        counts[0], counts[1] = max(counts[0], 1), 0
+        names = tuple(f"x{j}" for j in range(k))
+        dataset = dataset_from_arrays(counts, columns, schema=names)
+        model = ModelSpec(family=family, count_covariates=names, add_intercept=add_intercept)
+        options = OptimOptions(max_iterations=max_iterations)
+        try:
+            expected, covariance, expected_names = closure_fit(model, dataset, options)
+        except GeocountError as error:
+            event(type(error).__name__)
+            with pytest.raises(type(error)):
+                fit(model, dataset, options)
+            return
+        result = fit(model, dataset, options)
+        event(f"converged={expected.converged}")
+        assert np.array_equal(result.estimates, expected.theta)
+        assert np.array_equal(result.covariance, covariance)
+        assert result.log_likelihood == expected.value
+        assert result.iterations == expected.iterations
+        assert result.converged == expected.converged
+        assert result.names == expected_names

@@ -25,6 +25,7 @@ from geocount.exceptions import (
     DuplicateId,
     GeocountError,
     InvalidSpec,
+    MalformedCsv,
     MissingColumn,
     NegativeCount,
     NonFiniteCovariate,
@@ -164,6 +165,19 @@ class TestReadDataset:
         with pytest.raises(MissingColumn) as err:
             read_text("id,longitude,count\na,-90.0,1\n")
         assert err.value.name == "latitude"
+
+    def test_count_beyond_int64(self):
+        # the block parse overflows int64 and the row check must name the cell
+        text = "id,latitude,longitude,count\na,40.0,-90.0,1\nb,41.0,-91.0,-99999999999999999999\n"
+        with pytest.raises(NonNumericCell) as err:
+            read_text(text)
+        assert err.value.row == 2 and err.value.column == "count"
+
+    def test_bare_carriage_return_in_a_cell_is_malformed(self):
+        # a stream that keeps "\r" inside a line: csv.reader refuses the unquoted cell
+        with pytest.raises(MalformedCsv) as err:
+            read_text("id,latitude,longitude,count\nx\ry,40.0,-90.0,1\n")
+        assert err.value.line == 2
 
     def test_non_numeric_cell(self):
         text = "id,latitude,longitude,count,x\na,40.0,-90.0,1,oops\n"

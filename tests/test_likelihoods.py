@@ -9,7 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import expit, gammaln
 
 from geocount import (
     Family,
@@ -24,7 +27,8 @@ from geocount import (
     zip_moments,
     zip_pmf,
 )
-from geocount.exceptions import DimensionMismatch, DomainError, NegativeCount
+from geocount.exceptions import DimensionMismatch, DomainError, InvalidSpec, NegativeCount
+from geocount.likelihoods import FAMILIES, logit_grad, poisson_grad, zip_grad
 
 
 def fd_gradient(f, theta, h=1e-6):
@@ -362,3 +366,87 @@ class TestDispatch:
     def test_zip_requires_gamma(self):
         with pytest.raises(DimensionMismatch):
             loglik(Family.ZIP, Params(beta=np.zeros(1)), np.ones((2, 1)), y=np.zeros(2))
+
+
+class TestParams:
+    @pytest.mark.parametrize(
+        "kwargs", [{"beta": [0.0, math.nan]}, {"beta": [0.0], "gamma": [math.inf]}]
+    )
+    def test_non_finite_coefficients(self, kwargs):
+        with pytest.raises(InvalidSpec):
+            Params(**kwargs)
+
+
+class TestKernelsAreCheckedCores:
+    """Each public function is its family's table core on the prepared inputs."""
+
+    KERNELS = {
+        "logit": (logit_loglik, logit_grad),
+        "poisson": (poisson_loglik, poisson_grad),
+        "zip": (zip_loglik, zip_grad),
+    }
+
+    @settings(max_examples=100, deadline=None)
+    @given(family=st.sampled_from(["logit", "poisson", "zip"]), seed=st.integers(0, 2**32 - 1))
+    def test_public_kernel_equals_core(self, family, seed):
+        X, Z, y, beta, gamma = random_instance(np.random.default_rng(seed), family)
+        entry = FAMILIES[Family(family)]
+        data = entry.prepare(X, Z, y)
+        value, score = entry.loglik(beta, gamma, data), entry.grad(beta, gamma, data)
+
+        kernel_loglik, kernel_grad = self.KERNELS[family]
+        args = (beta, gamma, X, Z, y) if family == "zip" else (beta, X, y)
+        assert kernel_loglik(*args) == value
+        assert np.array_equal(kernel_grad(*args), score)
+
+        params = Params(beta=beta, gamma=gamma)
+        assert loglik(family, params, X, Z, y) == value
+        assert np.array_equal(grad_loglik(family, params, X, Z, y), score)
+        expected = entry.predict(beta, gamma, X, Z)
+        assert np.array_equal(np.asarray(predict(family, params, X, Z)), np.asarray(expected))
+
+
+# The kernels' arithmetic as it was written before the family table, one
+# function per kernel, without the input checks.  The cores must keep every
+# floating-point operation, so the two agree bit for bit.
+
+
+def arithmetic_oracle(family, beta, gamma, X, Z, y):
+    """(loglik, score) evaluated as the pre-table kernels did."""
+    eta = X @ beta
+    if family == "logit":
+        signed = np.where(y == 1, eta, -eta)
+        return float(np.sum(-np.logaddexp(0.0, -signed))), X.T @ (y - expit(eta))
+    if family == "poisson":
+        value = float(np.sum(-np.exp(eta) + y * eta - gammaln(y + 1.0)))
+        return value, X.T @ (y - np.exp(eta))
+    lam = np.exp(eta)
+    psi = Z @ gamma
+    zero = y == 0
+    terms = np.where(
+        zero,
+        np.logaddexp(psi, -lam) - np.logaddexp(0.0, psi),
+        -np.logaddexp(0.0, psi) + y * eta - lam - gammaln(y + 1.0),
+    )
+    p = expit(psi)
+    w_beta = np.where(zero, -lam * expit(-(psi + lam)), y - lam)
+    w_gamma = np.where(zero, (1.0 - p) * (-np.expm1(-lam)) * expit(psi + lam), -p)
+    return float(np.sum(terms)), np.concatenate([X.T @ w_beta, Z.T @ w_gamma])
+
+
+class TestCoresKeepTheArithmetic:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        family=st.sampled_from(["logit", "poisson", "zip"]),
+        scale=st.sampled_from([1.0, 8.0, 40.0]),  # 40 reaches |x'beta| of a few hundred
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cores_equal_the_pre_table_kernels(self, family, scale, seed):
+        X, Z, y, beta, gamma = random_instance(np.random.default_rng(seed), family)
+        beta = beta * scale
+        entry = FAMILIES[Family(family)]
+        data = entry.prepare(X, Z, y)
+        value, score = arithmetic_oracle(family, beta, gamma, X, Z, y)
+        # exact comparison; an overflow to inf or NaN must match too
+        np.testing.assert_array_equal(entry.loglik(beta, gamma, data), value)
+        np.testing.assert_array_equal(entry.grad(beta, gamma, data), score)

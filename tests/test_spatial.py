@@ -5,6 +5,7 @@ z-score formula, and haversine distances on hand-placed coordinates.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from geocount import (
     getis_ord_gstar,
     haversine_km,
 )
-from geocount.exceptions import DegenerateGeometry, DimensionMismatch, InvalidSpec, KTooLarge
+from geocount.exceptions import (
+    DegenerateGeometry,
+    DimensionMismatch,
+    DomainError,
+    InvalidSpec,
+    KTooLarge,
+)
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -243,6 +250,25 @@ class TestGetisOrdGstar:
         W = build_weights(pts, DistanceBand(150.0))
         with pytest.raises(DimensionMismatch):
             getis_ord_gstar(np.zeros(3), W)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1e308, -1e308, 1e308, -1e308], [2e154, 0.0, 1.0, 2.0], [math.nan, 1.0, 2.0, 3.0]],
+        ids=["float-limit", "square-overflows", "nan"],
+    )
+    def test_non_finite_sum_of_squares_is_a_domain_error(self, values):
+        # before the check, S overflowed with a RuntimeWarning and every z read 0 or NaN
+        W = build_weights(equator_line(0.0, 100.0, 200.0, 300.0), KNearest(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                getis_ord_gstar(np.array(values), W)
+
+    def test_large_finite_values_keep_the_formula(self):
+        W = build_weights(equator_line(0.0, 100.0, 200.0, 300.0), KNearest(1))
+        values = [1e153, -1e153, 3e153, 0.0]
+        res = getis_ord_gstar(np.array(values), W)
+        np.testing.assert_allclose(res.z, gstar_oracle(values, W.entries.toarray().tolist()))
 
 
 def planted_grid(side=10, block=3, high=10.0, spacing_deg=0.09):
