@@ -1,13 +1,15 @@
 """Command-line interface: fit, hotspot, simulate, report.
 
-Exit codes: 0 success, 1 on any domain or I/O error (reported as a single
-``Code: message`` line on stderr), 2 when a fit ran but did not converge
-(the result is still written).  stdout carries only the report or summary;
-diagnostics go to stderr.
+Exit codes: 0 success, 1 on any domain, I/O or command-line error (reported
+as a single ``Code: message`` line on stderr), 2 when a fit ran but did not
+converge (the result is still written).  stdout carries only the report or
+summary; diagnostics go to stderr.
 
 Flag values override config-file values, which override defaults.  The
 optional ``--config`` JSON file is keyed by the options' names (``--out`` is
-``output``; ``--spec`` and ``--fit`` are ``input``); see ``_CONFIG_TYPES``.
+``output``; ``--spec`` and ``--fit`` are ``input``); a key outside
+``_CONFIG_TYPES`` is refused.  CSV output quotes ids and names with
+:func:`geocount.ingest.csv_field`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .data import Dataset
 from .exceptions import GeocountError, InvalidSpec
 from .fitting import INFLATE_PREFIX, FitResult, fit
-from .ingest import IngestConfig, read_dataset, write_dataset
+from .ingest import IngestConfig, csv_field, read_dataset, write_dataset
 from .likelihoods import Family, ModelSpec
 from .simulate import dgp_spec_from_json, generate
 from .spatial import DistanceBand, HotspotResult, KNearest, build_weights, getis_ord_gstar
@@ -140,9 +142,8 @@ def render_fit_text(result: FitResult) -> str:
 def render_fit_csv(result: FitResult) -> str:
     lines = ["name,estimate,std_error,z_stat,p_value,stars"]
     for r in result.coefficients:
-        lines.append(
-            f"{r.name},{r.estimate!r},{r.std_error!r},{r.z_stat!r},{r.p_value!r},{r.stars}"
-        )
+        numbers = ",".join(map(repr, (r.estimate, r.std_error, r.z_stat, r.p_value)))
+        lines.append(f"{csv_field(r.name)},{numbers},{r.stars}")
     return "\n".join(lines) + "\n"
 
 
@@ -153,7 +154,7 @@ def render_fit_json(result: FitResult) -> str:
 def render_hotspot_csv(dataset: Dataset, result: HotspotResult) -> str:
     lines = ["id,z,class"]
     for obs_id, z, cls in zip(dataset.ids, result.z.tolist(), result.classes):
-        lines.append(f"{obs_id},{z!r},{cls.value}")
+        lines.append(f"{csv_field(obs_id)},{z!r},{cls.value}")
     return "\n".join(lines) + "\n"
 
 
@@ -206,6 +207,16 @@ def _require(config: argparse.Namespace, *names) -> None:
             raise InvalidSpec(f"{config.command}: required option {name!r} is missing")
 
 
+def _write_output(config: argparse.Namespace, renderers: dict, *args) -> None:
+    """Write ``output`` with the renderer ``format`` names; the first one is the default."""
+    fmt = config.format or next(iter(renderers))
+    if fmt not in renderers:
+        raise InvalidSpec(f"{config.command}: unknown format {fmt!r}")
+    rendered = renderers[fmt](*args)
+    with open(config.output, "w", encoding="utf-8") as handle:
+        handle.write(rendered)
+
+
 def cmd_fit(config: argparse.Namespace) -> int:
     _require(config, "input", "output", "family")
     dataset = read_dataset(config.input, IngestConfig(standardize=config.standardize))
@@ -217,12 +228,7 @@ def cmd_fit(config: argparse.Namespace) -> int:
     )
     result = fit(model, dataset)
     renderers = {"text": render_fit_text, "csv": render_fit_csv, "json": render_fit_json}
-    fmt = config.format or "text"
-    if fmt not in renderers:
-        raise InvalidSpec(f"fit: unknown format {fmt!r}")
-    rendered = renderers[fmt](result)
-    with open(config.output, "w", encoding="utf-8") as handle:
-        handle.write(rendered)
+    _write_output(config, renderers, result)
     print(
         f"fit {result.family.value}: converged={'yes' if result.converged else 'no'} "
         f"loglik={result.log_likelihood:.6f} -> {config.output}"
@@ -233,27 +239,20 @@ def cmd_fit(config: argparse.Namespace) -> int:
     return 0
 
 
-def _scheme(config: argparse.Namespace) -> DistanceBand | KNearest:
-    """The weights scheme: ``weights`` (flag or file) first, then ``band_km``, then ``k``."""
-    if config.weights is not None:
-        kind, _, value = config.weights.partition(":")
-        try:
-            number = {"band": float, "knn": int}[kind](value)
-        except (KeyError, ValueError):
-            raise InvalidSpec(
-                f"bad weights scheme {config.weights!r}; expected band:KM or knn:K"
-            ) from None
-        return DistanceBand(number) if kind == "band" else KNearest(number)
-    if config.band_km is not None:
-        return DistanceBand(float(config.band_km))
-    if config.k is not None:
-        return KNearest(config.k)
-    raise InvalidSpec("hotspot: a weights scheme (band:KM or knn:K) is required")
+def _scheme(weights: str) -> DistanceBand | KNearest:
+    """The weights scheme ``band:KM`` or ``knn:K`` that ``weights`` names."""
+    kind, _, value = weights.partition(":")
+    try:
+        number = {"band": float, "knn": int}[kind](value)
+    except (KeyError, ValueError):
+        message = f"bad weights scheme {weights!r}; expected band:KM or knn:K"
+        raise InvalidSpec(message) from None
+    return DistanceBand(number) if kind == "band" else KNearest(number)
 
 
 def cmd_hotspot(config: argparse.Namespace) -> int:
-    _require(config, "input", "output")
-    scheme = _scheme(config)
+    _require(config, "input", "output", "weights")
+    scheme = _scheme(config.weights)
     dataset = read_dataset(config.input, IngestConfig())
     if config.value_column == "count":
         values = dataset.counts().astype(float)
@@ -271,12 +270,7 @@ def cmd_hotspot(config: argparse.Namespace) -> int:
         )
     result = getis_ord_gstar(values, weights)
     renderers = {"csv": render_hotspot_csv, "geojson": render_hotspot_geojson}
-    fmt = config.format or "csv"
-    if fmt not in renderers:
-        raise InvalidSpec(f"hotspot: unknown format {fmt!r}")
-    rendered = renderers[fmt](dataset, result)
-    with open(config.output, "w", encoding="utf-8") as handle:
-        handle.write(rendered)
+    _write_output(config, renderers, dataset, result)
     n_hot = sum(1 for c in result.classes if c.value.startswith("Hot"))
     n_cold = sum(1 for c in result.classes if c.value.startswith("Cold"))
     print(f"hotspot: n={weights.n} hot={n_hot} cold={n_cold} -> {config.output}")
@@ -315,8 +309,15 @@ def _name_list(text: str) -> list[str]:
     return [s.strip() for s in text.split(",") if s.strip()]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Ends a bad command line with ``InvalidSpec``, not argparse's usage text and exit code 2."""
+
+    def error(self, message):
+        raise InvalidSpec(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geocount",
         description="Count-data location models and hot-spot analysis for geo-tagged counties.",
     )
@@ -369,38 +370,22 @@ def _load_json(path: str, what: str):
         raise InvalidSpec(f"{what} {path!r} is not valid JSON: {exc}") from None
 
 
-def _is_string(value) -> bool:
-    return isinstance(value, str)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_names(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
 _FAMILY_NAMES = tuple(f.value for f in Family)
+_STRING = (lambda v: isinstance(v, str), "a string")
+_NAMES = (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v), "a list of names")
 
 #: Config-file keys, each with its type check and the type's name for errors.
 _CONFIG_TYPES = {
-    "input": (_is_string, "a string"),
-    "output": (_is_string, "a string"),
+    "input": _STRING,
+    "output": _STRING,
     "family": (lambda v: v in _FAMILY_NAMES, f"one of {list(_FAMILY_NAMES)}"),
-    "covariates": (_is_names, "a list of names"),
-    "inflation_covariates": (_is_names, "a list of names"),
-    "weights": (_is_string, "a string"),
-    "band_km": (_is_number, "a number"),
-    "k": (_is_integer, "an integer"),
-    "value_column": (_is_string, "a string"),
+    "covariates": _NAMES,
+    "inflation_covariates": _NAMES,
+    "weights": _STRING,
+    "value_column": _STRING,
     "standardize": (lambda v: isinstance(v, bool), "true or false"),
-    "seed": (_is_integer, "an integer"),
-    "format": (_is_string, "a string"),
+    "seed": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "format": _STRING,
 }
 
 
@@ -411,10 +396,11 @@ def _load_config_file(path: str | None) -> dict:
     if not isinstance(doc, dict):
         raise InvalidSpec("config file must be a JSON object")
     for key, value in doc.items():
-        if key in _CONFIG_TYPES and value is not None:
-            check, expected = _CONFIG_TYPES[key]
-            if not check(value):
-                raise InvalidSpec(f"config file: {key!r} must be {expected}, got {value!r}")
+        if key not in _CONFIG_TYPES:
+            raise InvalidSpec(f"config file: unknown key {key!r}")
+        check, expected = _CONFIG_TYPES[key]
+        if value is not None and not check(value):
+            raise InvalidSpec(f"config file: {key!r} must be {expected}, got {value!r}")
     return doc
 
 
@@ -445,8 +431,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    config = build_parser().parse_args(argv)
     try:
+        config = build_parser().parse_args(argv)
         _fill_from_config_file(config)
         return _COMMANDS[config.command](config)
     except GeocountError as exc:

@@ -2,7 +2,8 @@
 
 Input and output dialect is RFC-4180 CSV, UTF-8, header row required,
 '.' decimal separator.  Floats are written with up to 17 significant digits
-(shortest representation that round-trips).
+(shortest representation that round-trips); text fields are quoted by
+:func:`csv_field`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import io
 import itertools
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +68,20 @@ def _open(target, mode: str):
     if isinstance(target, (str, os.PathLike)):
         return open(target, mode, encoding="utf-8", newline=""), True
     return target, False
+
+
+#: A field holding one of these characters is written in double quotes.
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def csv_field(text: str) -> str:
+    """``text`` as a CSV field: quoted, each ``"`` doubled, if it holds a comma, quote, CR or LF.
+
+    That is RFC 4180 plus the bare CR, which a ``csv.writer`` ending lines in LF leaves unquoted.
+    """
+    if _NEEDS_QUOTES.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _is_binary(values: np.ndarray) -> bool:
@@ -182,40 +198,36 @@ def read_dataset(csv_source, config: IngestConfig) -> Dataset:
         checks = _cell_checks(config, passthrough)
 
         ids: list[str] = []
-        latlon = [np.empty((0, 2))]
-        counts = [np.empty(0, dtype=np.int64)]
-        covariates = [np.empty((0, len(schema)))]
+        blocks: dict[str, list[np.ndarray]] = {}  # typed empty starts, for a table with no rows
+        for name, kind in checks:
+            blocks.setdefault(name, [np.empty(0, np.int64 if kind == _COUNT else np.float64)])
         first_row = 1
         while block := list(itertools.islice(reader, BLOCK_ROWS)):
-            size = len(block)
             parsed_block = _parse_block(block, header, checks)
             if parsed_block is None:
                 _raise_first_bad_cell(block, first_row, header, checks)
             cells, parsed = parsed_block
-            columns = [parsed[name] for name in passthrough]
-            with np.errstate(over="ignore"):  # an overflow to inf fails the dataset check
-                if config.rate_specs:
-                    population = parsed[config.population_column]
-                    columns += [parsed[raw] / population * 10000.0 for raw, _ in config.rate_specs]
-                columns += [parsed[num] / parsed[den] for num, den, _ in config.ratio_specs]
             ids.extend(cells[config.id_column])
-            latlon.append(np.column_stack((parsed[config.lat_column], parsed[config.lon_column])))
-            counts.append(parsed[config.count_column])
-            covariates.append(np.column_stack(columns) if columns else np.empty((size, 0)))
-            first_row += size
+            for name, values in parsed.items():
+                blocks[name].append(values)
+            first_row += len(block)
     except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
         raise MalformedCsv(reader.line_num, exc) from None
     finally:
         if owned:
             handle.close()
 
-    matrix = np.concatenate(covariates)
+    column = {name: np.concatenate(parts) for name, parts in blocks.items()}
+    covariates = [column[name] for name in passthrough]
+    with np.errstate(over="ignore"):  # an overflow to inf fails the dataset check
+        if config.rate_specs:
+            population = column[config.population_column]
+            covariates += [column[raw] / population * 10000.0 for raw, _ in config.rate_specs]
+        covariates += [column[num] / column[den] for num, den, _ in config.ratio_specs]
+    matrix = np.column_stack(covariates) if covariates else np.empty((len(ids), 0))
     standardization: dict[str, tuple[float, float]] = {}
     if config.standardize and ids:
-        derived = set(config.derived_names)
-        for j, name in enumerate(schema):
-            if name in derived:
-                continue
+        for j, name in enumerate(passthrough):
             col = matrix[:, j]
             if _is_binary(col):
                 continue
@@ -229,8 +241,8 @@ def read_dataset(csv_source, config: IngestConfig) -> Dataset:
     return Dataset(
         schema=schema,
         ids=ids,
-        latlon=np.concatenate(latlon),
-        y=np.concatenate(counts),
+        latlon=np.column_stack((column[config.lat_column], column[config.lon_column])),
+        y=column[config.count_column],
         covariates=matrix,
         standardization=standardization,
     )
@@ -239,20 +251,20 @@ def read_dataset(csv_source, config: IngestConfig) -> Dataset:
 def write_dataset(dataset: Dataset, sink) -> None:
     """Write a dataset as CSV: id, latitude, longitude, count, then covariates.
 
-    Reading the output back with a plain :class:`IngestConfig` reproduces the
-    dataset up to float formatting.
+    Ids and names are quoted by :func:`csv_field`; reading the output back with
+    a plain :class:`IngestConfig` gives the same ids, names and values.
     """
     handle, owned = _open(sink, "w")
     try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "latitude", "longitude", "count", *dataset.schema])
+        header = ["id", "latitude", "longitude", "count", *dataset.schema]
         columns = [
-            dataset.ids,
+            map(csv_field, dataset.ids),
             *(map(repr, column) for column in dataset.centroids().T.tolist()),
             map(str, dataset.counts().tolist()),
             *(map(repr, column) for column in dataset.covariates.T.tolist()),
         ]
-        writer.writerows(zip(*columns))
+        handle.write(",".join(map(csv_field, header)) + "\n")
+        handle.writelines(row + "\n" for row in map(",".join, zip(*columns)))
     finally:
         if owned:
             handle.close()

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, formats, determinism, config handling."""
 
+import csv
 import hashlib
 import json
 import math
@@ -359,6 +360,44 @@ class TestGeojsonOracle:
         assert out.read_text(encoding="utf-8") == oracle_geojson(dataset, result)
 
 
+class TestCsvQuoting:
+    """CSV output quotes ids and names, so every row parses back to its fields."""
+
+    def test_hotspot_ids_with_commas(self, tmp_path):
+        ids = ["Dallas, TX", "Tarrant, TX", 'Harris "Houston", TX', "Travis,\r\nTX", "Bexar"]
+        src, out = tmp_path / "ids.csv", tmp_path / "hot.csv"
+        with src.open("w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle).writerows(
+                [["id", "latitude", "longitude", "count"]]
+                + [[obs_id, 30 + 0.1 * i, -97 - 0.1 * i, i % 3] for i, obs_id in enumerate(ids)]
+            )
+        argv = ["hotspot", "--input", str(src), "--weights", "knn:2", "--out", str(out),
+                "--format", "csv"]
+        assert cli.main(argv) == 0
+        with out.open(encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert {len(row) for row in rows} == {3}
+        assert [row[0] for row in rows] == ["id", *ids]
+
+    def test_fit_covariate_name_with_comma_and_quote(self, tmp_path):
+        name = 'a,"b"'
+        rng = np.random.default_rng(5)
+        src, cfg, out = tmp_path / "data.csv", tmp_path / "cfg.json", tmp_path / "fit.csv"
+        with src.open("w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle).writerows(
+                [["id", "latitude", "longitude", "count", name]]
+                + [[f"u{i}", 40.0, -90 + 0.01 * i, rng.poisson(2), rng.normal()] for i in range(40)]
+            )
+        cfg.write_text(json.dumps({"covariates": [name]}), encoding="utf-8")
+        argv = ["fit", "--input", str(src), "--family", "poisson", "--config", str(cfg),
+                "--out", str(out), "--format", "csv"]
+        assert cli.main(argv) == 0
+        with out.open(encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert {len(row) for row in rows} == {6}
+        assert [row[0] for row in rows] == ["name", "Intercept", name]
+
+
 class TestCmdSimulate:
     def test_paper_scale_preset_summary(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -517,14 +556,50 @@ class TestInvalidInput:
             pytest.param(
                 ["hotspot", "--input", SMOKE_CSV, "--config", "{src}", "--out", "{out}"],
                 '{"band_km": "abc"}',
-                "InvalidSpec: config file: 'band_km' must be a number",
+                "InvalidSpec: config file: unknown key 'band_km'",
                 id="config-band_km-string",
             ),
             pytest.param(
                 ["hotspot", "--input", SMOKE_CSV, "--config", "{src}", "--out", "{out}"],
                 '{"k": 2.5}',
-                "InvalidSpec: config file: 'k' must be an integer",
+                "InvalidSpec: config file: unknown key 'k'",
                 id="config-k-non-integer",
+            ),
+            pytest.param(
+                ["fit", "--input", SMOKE_CSV, "--family", "poisson",
+                 "--config", "{src}", "--out", "{out}"],
+                '{"standardise": true}',
+                "InvalidSpec: config file: unknown key 'standardise'",
+                id="config-unknown-key",
+            ),
+            pytest.param(
+                ["hotspot", "--input", SMOKE_CSV, "--weights", "knn:2", "--bogus", "1",
+                 "--out", "{out}"],
+                None,
+                "InvalidSpec: unrecognized arguments: --bogus 1",
+                id="unknown-flag",
+            ),
+            pytest.param(
+                ["fit", "--input", SMOKE_CSV, "--family", "foo", "--out", "{out}"],
+                None,
+                "InvalidSpec: argument --family: invalid choice: 'foo'",
+                id="flag-bad-choice",
+            ),
+            pytest.param(
+                ["simulate", "--spec", "{src}", "--out", "{out}", "--seed", "x"],
+                '{"preset": "paper-scale", "seed": 0}',
+                "InvalidSpec: argument --seed: invalid int value: 'x'",
+                id="flag-seed-not-int",
+            ),
+            pytest.param(
+                ["fit", "--family", "logit", "--out", "{out}", "--input"],
+                None,
+                "InvalidSpec: argument --input: expected one argument",
+                id="flag-missing-value",
+            ),
+            pytest.param(
+                [], None, "InvalidSpec: the following arguments are required: command",
+                id="no-subcommand",
             ),
             pytest.param(
                 ["fit", "--input", SMOKE_CSV, "--family", "poisson",
@@ -665,6 +740,25 @@ class TestInvalidInput:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["--help"], ["hotspot", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: geocount") and captured.err == ""
+
+    def test_bad_flag_exits_1_from_the_shell(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(geocount.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-m", "geocount.cli", "fit", "--family", "foo"],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("InvalidSpec: argument --family: invalid choice: 'foo'")
+        assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+
 
 class TestCmdReport:
     def test_report_renders_saved_fit(self, tmp_path, capsys):
@@ -710,12 +804,10 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "flags, config",
         [
-            (["--weights", "knn:5"], {"band_km": 100}),
-            (["--weights", "knn:5"], {"weights": "band:100", "k": 3}),
-            ([], {"weights": "knn:5", "band_km": 100}),
-            ([], {"k": 5}),
+            (["--weights", "knn:5"], {"weights": "band:100"}),
+            ([], {"weights": "knn:5"}),
         ],
-        ids=["flag-over-file-band", "flag-over-file-weights", "file-weights-first", "file-k"],
+        ids=["flag-over-file-weights", "file-weights"],
     )
     def test_weights_precedence(self, tmp_path, capsys, flags, config):
         spec, data = tmp_path / "spec.json", tmp_path / "data.csv"

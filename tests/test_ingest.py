@@ -497,3 +497,59 @@ class TestColumnOracle:
         dataset = read_text(text, CONFIGS[name])
         assert len(dataset) == 0 and dataset.covariates.shape == (0, len(dataset.schema))
         assert_same_outcome(text, CONFIGS[name], ingest.BLOCK_ROWS)
+
+
+#: Ids and names that need quoting; ``csv.writer`` ending lines in LF leaves a bare CR unquoted.
+QUOTED_TEXT = ODD_IDS + ("a\rb", "c,d", 'e"f', "g\nh", "\r\n", "")
+HEADER_NAMES = ("id", "latitude", "longitude", "count")
+
+
+@st.composite
+def datasets(draw):
+    """A valid dataset whose ids and covariate names are any text."""
+    text = st.sampled_from(QUOTED_TEXT) | st.text(max_size=6)
+    n = draw(st.integers(0, 8))
+    ids = draw(st.lists(text, min_size=n, max_size=n, unique=True))
+    schema = draw(st.lists(text.filter(lambda s: s not in HEADER_NAMES), max_size=3, unique=True))
+    latlon = draw(st.lists(st.tuples(st.floats(-90, 90), st.floats(-180, 180)),
+                           min_size=n, max_size=n))
+    counts = draw(st.lists(st.integers(0, 2**63 - 1), min_size=n, max_size=n))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=n * len(schema), max_size=n * len(schema)))
+    return Dataset(
+        schema=schema,
+        ids=ids,
+        latlon=np.reshape(latlon, (n, 2)),
+        y=np.array(counts, dtype=np.int64),
+        covariates=np.reshape(values, (n, len(schema))),
+    )
+
+
+class TestRoundTrip:
+    """``read_dataset`` reads back exactly what ``write_dataset`` wrote."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dataset=datasets())
+    def test_any_ids_and_names(self, dataset):
+        assert read_text(dataset_to_csv_text(dataset)) == dataset
+
+    def test_quoted_ids_through_a_file(self, tmp_path):
+        dataset = Dataset(
+            schema=('x,"y"',),
+            ids=("a\rb", "c,d", 'e"f', "g\nh"),
+            latlon=np.array([[40.0, -90.0], [41.0, -91.0], [42.0, -92.0], [43.0, -93.0]]),
+            y=np.array([0, 1, 2, 3]),
+            covariates=np.array([[0.5], [1.5], [2.5], [3.5]]),
+        )
+        path = tmp_path / "quoted.csv"
+        write_dataset(dataset, path)
+        assert path.read_bytes().startswith(b'id,latitude,longitude,count,"x,""y"""\n"a\rb",')
+        assert read_dataset(path, IngestConfig()) == dataset
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [("plain", "plain"), ("", ""), ("c,d", '"c,d"'), ('e"f', '"e""f"'), ("a\rb", '"a\rb"'),
+         ("g\nh", '"g\nh"'), ("tab\t", "tab\t")],
+    )
+    def test_csv_field(self, text, field):
+        assert ingest.csv_field(text) == field
