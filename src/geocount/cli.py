@@ -8,8 +8,8 @@ summary; diagnostics go to stderr.
 Flag values override config-file values, which override defaults.  The
 optional ``--config`` JSON file is keyed by the options' names (``--out`` is
 ``output``; ``--spec`` and ``--fit`` are ``input``); a key outside
-``_CONFIG_TYPES`` is refused.  CSV output quotes ids and names with
-:func:`geocount.ingest.csv_field`.
+``_CONFIG_TYPES``, or one the command has no option for, is refused.  CSV
+output quotes ids and names with :func:`geocount.ingest.csv_field`.
 """
 
 from __future__ import annotations
@@ -414,10 +414,15 @@ _DEFAULTS = {
 
 
 def _fill_from_config_file(config: argparse.Namespace) -> None:
-    """Set every option no flag set from the ``--config`` file, else its default."""
+    """Set every option of the command that no flag set from the ``--config``
+    file, else its default; a file key the command does not take is refused."""
     file_values = _load_config_file(config.config)
-    for key in _CONFIG_TYPES:
-        if getattr(config, key, None) is None:
+    options = vars(config)  # the command's own option names (its parser's dests)
+    for key in file_values:
+        if key not in options:
+            raise InvalidSpec(f"config file: {config.command} takes no option {key!r}")
+    for key in _CONFIG_TYPES.keys() & options.keys():
+        if options[key] is None:
             value = file_values.get(key)
             setattr(config, key, _DEFAULTS.get(key) if value is None else value)
 

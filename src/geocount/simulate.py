@@ -12,11 +12,16 @@ indicator, count).  Because units never share a stream, generating units in
 parallel or in any order yields exactly the serial output.  The streams'
 PCG64 seed words are computed for all units at once (:func:`_unit_seed_states`)
 rather than through one ``SeedSequence`` object per unit; the words, and so
-the draws, are the same.
+the draws, are the same.  Each unit draws every maximal run of uniform-type
+doubles (Uniform and Bernoulli covariates, square offsets, the structural-zero
+draw) in one ``rng.random(m)`` call, and the doubles become values afterwards
+in array expressions; numpy's ``uniform(a, b)`` is ``a + (b - a) * random()``,
+so the values are bit for bit those of one draw call each.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -69,42 +74,55 @@ def _check_floats(descriptor, **rules) -> None:
 _FINITE = (math.isfinite, "a finite number")
 _SCALE = (lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 
+# Each descriptor fills ``doubles + draws`` raw values of a unit.  Its
+# ``doubles`` are uniform doubles in [0, 1), drawn with its neighbours' in one
+# ``rng.random(m)`` call; ``draw(rng)`` returns its ``draws`` values of any
+# other kind and ends such a run.  A distribution's ``value`` maps its raw value
+# to the covariate, on a float or a column alike; a layout's ``offsets`` maps
+# its raw columns to the units' offsets from their base points.
+
 
 @dataclass(frozen=True)
 class Normal:
     mu: float
     sigma: float
+    doubles, draws = 0, 1
 
     def __post_init__(self):
         _check_floats(self, mu=_FINITE, sigma=_SCALE)
 
-    def draw(self, rng: np.random.Generator) -> float:
-        return float(rng.normal(self.mu, self.sigma))
+    def draw(self, rng: np.random.Generator) -> list:
+        return [rng.normal(self.mu, self.sigma)]
+
+    def value(self, x):
+        return x
 
 
 @dataclass(frozen=True)
 class Bernoulli:
     q: float
+    doubles, draws = 1, 0
 
     def __post_init__(self):
         _check_floats(self, q=(lambda v: 0.0 <= v <= 1.0, "within [0, 1]"))
 
-    def draw(self, rng: np.random.Generator) -> float:
-        return float(rng.random() < self.q)
+    def value(self, u):
+        return 1.0 * (u < self.q)
 
 
 @dataclass(frozen=True)
 class Uniform:
     a: float
     b: float
+    doubles, draws = 1, 0
 
     def __post_init__(self):
         # numpy's uniform needs b - a to be a finite number >= 0
         at_least_a = (lambda v: 0.0 <= v - self.a < math.inf, "a finite number >= a")
         _check_floats(self, a=_FINITE, b=at_least_a)
 
-    def draw(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.a, self.b))
+    def value(self, u):
+        return self.a + (self.b - self.a) * u  # numpy's uniform(a, b)
 
 
 Distribution = Union[Normal, Bernoulli, Uniform]
@@ -115,14 +133,16 @@ class UniformSquare:
     """Centroids uniform over a side_km square centred on the base point."""
 
     side_km: float
+    doubles, draws = 2, 0
 
     def __post_init__(self):
         _check_floats(self, side_km=_SCALE)
 
-    def offset(self, rng: np.random.Generator) -> tuple[float, float, float, float]:
-        """(base latitude, base longitude, north km, east km) of one centroid."""
+    def offsets(self, raw: np.ndarray) -> tuple:
+        """(base points, each unit's base, north km, east km) from the two doubles."""
         half = self.side_km / 2.0
-        return _BASE_LAT, _BASE_LON, rng.uniform(-half, half), rng.uniform(-half, half)
+        low, span = -half, half - (-half)  # numpy's uniform(-half, half)
+        return ((_BASE_LAT, _BASE_LON),), 0, low + span * raw[:, 0], low + span * raw[:, 1]
 
 
 @dataclass(frozen=True)
@@ -131,6 +151,7 @@ class Clustered:
 
     centers: tuple[tuple[float, float], ...]
     spread_km: float
+    doubles, draws = 0, 3
 
     def __post_init__(self):
         try:
@@ -145,10 +166,14 @@ class Clustered:
         object.__setattr__(self, "centers", centers)
         _check_floats(self, spread_km=_SCALE)
 
-    def offset(self, rng: np.random.Generator) -> tuple[float, float, float, float]:
-        """(base latitude, base longitude, north km, east km) of one centroid."""
-        base_lat, base_lon = self.centers[int(rng.integers(len(self.centers)))]
-        return base_lat, base_lon, rng.normal(0.0, self.spread_km), rng.normal(0.0, self.spread_km)
+    def draw(self, rng: np.random.Generator) -> list:
+        """Center index, north km, east km."""
+        spread = self.spread_km
+        return [rng.integers(len(self.centers)), rng.normal(0.0, spread), rng.normal(0.0, spread)]
+
+    def offsets(self, raw: np.ndarray) -> tuple:
+        """(base points, each unit's base, north km, east km) from the three draws."""
+        return self.centers, raw[:, 0].astype(np.intp), raw[:, 1], raw[:, 2]
 
 
 Layout = Union[UniformSquare, Clustered]
@@ -209,17 +234,24 @@ class DgpSpec:
         return tuple(n for n, _ in self.covariates)
 
 
-def _draw_centroid(rng: np.random.Generator, layout: Layout) -> tuple[float, float]:
-    """One centroid: latitude clipped to the poles, longitude wrapped into [-180, 180].
+def _centroids(layout: Layout, raw: np.ndarray) -> np.ndarray:
+    """(n, 2) centroids: latitude clipped to the poles, longitude wrapped into [-180, 180].
 
     Only an out-of-range longitude moves, by whole turns, so in-range draws keep their bits.
     """
-    base_lat, base_lon, dlat_km, dlon_km = layout.offset(rng)
-    lat = base_lat + dlat_km / KM_PER_DEGREE
-    lon = base_lon + dlon_km / (KM_PER_DEGREE * math.cos(math.radians(base_lat)))
-    if not -180.0 <= lon <= 180.0:
-        lon -= 360.0 * math.floor((lon + 180.0) / 360.0)
-    return min(max(lat, -90.0), 90.0), lon
+    bases, base, north_km, east_km = layout.offsets(raw)
+    base_lat, base_lon = np.array(bases).T
+    # libm's cos of each base latitude, as one unit at a time computes it; np.cos
+    # need not round the same
+    km_per_lon_degree = np.array([KM_PER_DEGREE * math.cos(math.radians(b)) for b in base_lat])
+    lat = base_lat[base] + north_km / KM_PER_DEGREE
+    # an east offset at a pole can overflow to inf, which wraps to NaN and the
+    # Dataset refuses as an InvalidCoordinate
+    with np.errstate(over="ignore", invalid="ignore"):
+        lon = base_lon[base] + east_km / km_per_lon_degree[base]
+        out = ~((-180.0 <= lon) & (lon <= 180.0))
+        lon[out] -= 360.0 * np.floor((lon[out] + 180.0) / 360.0)
+    return np.column_stack([np.clip(lat, -90.0, 90.0), lon])
 
 
 # SeedSequence hash constants (O'Neill's seed_seq design as adopted by numpy).
@@ -305,31 +337,62 @@ def _sigmoid(t: float) -> float:
     return e / (1.0 + e)
 
 
+def _run_plan(sources) -> list:
+    """A unit's draws as steps: one per ``draw`` and one per maximal run of
+    doubles, the last run ending with the structural-zero double.  Each step
+    takes the unit's Generator and returns the values it drew."""
+    steps, run = [], 0
+    for source in sources:
+        run += source.doubles
+        if source.draws:
+            if run:
+                steps.append(_doubles(run))
+            steps.append(source.draw)
+            run = 0
+    return steps + [_doubles(run + 1)]
+
+
+def _doubles(m: int):
+    return lambda rng: rng.random(m).tolist()
+
+
 def generate(spec: DgpSpec) -> Dataset:
-    """Draw a dataset from the spec, fully deterministic given its seed."""
-    beta = spec.beta
-    gamma = spec.gamma
-    k = len(spec.covariates)
-    width = len(str(spec.n - 1)) if spec.n > 1 else 1
-    covariates = np.empty((spec.n, k))
-    latlon = np.empty((spec.n, 2))
-    counts = np.empty(spec.n, dtype=np.int64)
-    states = _unit_seed_states(spec.seed, spec.n)
-    draws = [dist.draw for _, dist in spec.covariates]
-    for i in range(spec.n):
+    """Draw a dataset from the spec, fully deterministic given its seed.
+
+    Each unit draws its raw values (run by run, see :func:`_run_plan`), then
+    its structural-zero indicator and count; covariates and centroids are
+    computed from the raw values of all units at once.
+    """
+    n = spec.n
+    sources = [dist for _, dist in spec.covariates] + [spec.layout]
+    starts = list(itertools.accumulate((s.doubles + s.draws for s in sources), initial=0))
+    steps = _run_plan(sources)
+    zero = starts[-1]  # the structural-zero double follows the layout's values
+    terms = [
+        (start, dist.value, b, g)
+        for start, (_, dist), b, g in zip(starts, spec.covariates, spec.beta[1:], spec.gamma[1:])
+    ]
+    beta0, gamma0 = spec.beta[0], spec.gamma[0]
+    raw = np.empty((n, zero + 1))
+    counts = np.empty(n, dtype=np.int64)
+    states = _unit_seed_states(spec.seed, n)
+    for i in range(n):
         rng = Generator(PCG64(_Words(states[i])))
-        covs = [draw(rng) for draw in draws]
-        latlon[i] = _draw_centroid(rng, spec.layout)
-        eta = beta[0]
-        psi = gamma[0]
-        for j in range(k):
-            eta += beta[j + 1] * covs[j]
-            psi += gamma[j + 1] * covs[j]
+        row = []
+        for step in steps:
+            row += step(rng)
+        raw[i] = row
+        eta = beta0
+        psi = gamma0
+        for start, value, b, g in terms:
+            x = value(row[start])
+            eta += b * x
+            psi += g * x
         try:
             lam = math.exp(eta)
         except OverflowError:
             raise InvalidSpec(f"lambda overflow at unit {i}: beta too large for covariates")
-        if rng.random() < _sigmoid(psi):
+        if row[zero] < _sigmoid(psi):
             counts[i] = 0
         elif not lam <= POISSON_LAM_MAX:
             raise InvalidSpec(
@@ -337,11 +400,14 @@ def generate(spec: DgpSpec) -> Dataset:
             )
         else:
             counts[i] = rng.poisson(lam)
-        covariates[i] = covs
+    covariates = np.empty((n, len(spec.covariates)))
+    for j, (start, value, _, _) in enumerate(terms):
+        covariates[:, j] = value(raw[:, start])
+    width = len(str(n - 1)) if n > 1 else 1
     return Dataset(
         schema=spec.covariate_names,
-        ids=[f"u{i:0{width}d}" for i in range(spec.n)],
-        latlon=latlon,
+        ids=[f"u{i:0{width}d}" for i in range(n)],
+        latlon=_centroids(spec.layout, raw[:, starts[-2]:zero]),
         y=counts,
         covariates=covariates,
     )

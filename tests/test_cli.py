@@ -573,6 +573,32 @@ class TestInvalidInput:
                 id="config-unknown-key",
             ),
             pytest.param(
+                ["fit", "--input", SMOKE_CSV, "--family", "poisson",
+                 "--config", "{src}", "--out", "{out}"],
+                '{"weights": "knn:2"}',
+                "InvalidSpec: config file: fit takes no option 'weights'",
+                id="config-fit-no-weights",
+            ),
+            pytest.param(
+                ["hotspot", "--input", SMOKE_CSV, "--weights", "knn:2",
+                 "--config", "{src}", "--out", "{out}"],
+                '{"standardize": true, "seed": 3, "family": "zip"}',
+                "InvalidSpec: config file: hotspot takes no option 'standardize'",
+                id="config-hotspot-no-standardize",
+            ),
+            pytest.param(
+                ["simulate", "--config", "{src}", "--out", "{out}"],
+                '{"input": "spec.json", "format": "csv"}',
+                "InvalidSpec: config file: simulate takes no option 'format'",
+                id="config-simulate-no-format",
+            ),
+            pytest.param(
+                ["report", "--config", "{src}"],
+                '{"input": "fit.json", "output": "report.txt"}',
+                "InvalidSpec: config file: report takes no option 'output'",
+                id="config-report-no-output",
+            ),
+            pytest.param(
                 ["hotspot", "--input", SMOKE_CSV, "--weights", "knn:2", "--bogus", "1",
                  "--out", "{out}"],
                 None,
@@ -691,6 +717,12 @@ class TestInvalidInput:
                 ' "seed": 1}',
                 "InvalidSpec: lambda nan at unit 3 is NaN or above the Poisson limit",
                 id="spec-poisson-lambda-nan",
+            ),
+            pytest.param(
+                SIMULATE,
+                spec_text(layout={"type": "clustered", "centers": [[90, 0]], "spread_km": 1e300}),
+                "InvalidCoordinate: row 1: longitude nan outside [-180, 180]",
+                id="spec-clustered-longitude-overflow",
             ),
             pytest.param(
                 ["fit", "--input", "{src}", "--family", "logit", "--out", "{out}"],
