@@ -5,11 +5,12 @@ as a single ``Code: message`` line on stderr), 2 when a fit ran but did not
 converge (the result is still written).  stdout carries only the report or
 summary; diagnostics go to stderr.
 
-Flag values override config-file values, which override defaults.  The
-optional ``--config`` JSON file is keyed by the options' names (``--out`` is
-``output``; ``--spec`` and ``--fit`` are ``input``); a key outside
-``_CONFIG_TYPES``, or one the command has no option for, is refused.  CSV
-output quotes ids and names with :func:`geocount.ingest.csv_field`.
+Each option's ``add_argument`` in :func:`build_parser` is its one declaration.
+Flag values override config-file values, which override defaults.  The optional
+``--config`` JSON file is keyed by the options' names (``--out`` is ``output``;
+``--spec`` and ``--fit`` are ``input``), each value checked against its option's
+declaration; a key the command has no option for is refused.  CSV output quotes
+ids and names with :func:`geocount.ingest.csv_field`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -207,16 +209,6 @@ def _require(config: argparse.Namespace, *names) -> None:
             raise InvalidSpec(f"{config.command}: required option {name!r} is missing")
 
 
-def _write_output(config: argparse.Namespace, renderers: dict, *args) -> None:
-    """Write ``output`` with the renderer ``format`` names; the first one is the default."""
-    fmt = config.format or next(iter(renderers))
-    if fmt not in renderers:
-        raise InvalidSpec(f"{config.command}: unknown format {fmt!r}")
-    rendered = renderers[fmt](*args)
-    with open(config.output, "w", encoding="utf-8") as handle:
-        handle.write(rendered)
-
-
 def cmd_fit(config: argparse.Namespace) -> int:
     _require(config, "input", "output", "family")
     dataset = read_dataset(config.input, IngestConfig(standardize=config.standardize))
@@ -227,8 +219,8 @@ def cmd_fit(config: argparse.Namespace) -> int:
         add_intercept=True,
     )
     result = fit(model, dataset)
-    renderers = {"text": render_fit_text, "csv": render_fit_csv, "json": render_fit_json}
-    _write_output(config, renderers, result)
+    render = {"text": render_fit_text, "csv": render_fit_csv, "json": render_fit_json}
+    Path(config.output).write_text(render[config.format](result), encoding="utf-8")
     print(
         f"fit {result.family.value}: converged={'yes' if result.converged else 'no'} "
         f"loglik={result.log_likelihood:.6f} -> {config.output}"
@@ -269,8 +261,8 @@ def cmd_hotspot(config: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     result = getis_ord_gstar(values, weights)
-    renderers = {"csv": render_hotspot_csv, "geojson": render_hotspot_geojson}
-    _write_output(config, renderers, dataset, result)
+    render = {"csv": render_hotspot_csv, "geojson": render_hotspot_geojson}
+    Path(config.output).write_text(render[config.format](dataset, result), encoding="utf-8")
     n_hot = sum(1 for c in result.classes if c.value.startswith("Hot"))
     n_cold = sum(1 for c in result.classes if c.value.startswith("Cold"))
     print(f"hotspot: n={weights.n} hot={n_hot} cold={n_cold} -> {config.output}")
@@ -292,11 +284,7 @@ def cmd_simulate(config: argparse.Namespace) -> int:
 
 def cmd_report(config: argparse.Namespace) -> int:
     _require(config, "input")
-    payload = _load_json(config.input, "report: fit result")
-    try:
-        result = FitResult.from_dict(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidSpec(f"report: not a fit result document: {exc}") from exc
+    result = FitResult.from_dict(_load_json(config.input, "report: fit result"))
     sys.stdout.write(render_fit_text(result))
     return 0
 
@@ -312,43 +300,55 @@ def _name_list(text: str) -> list[str]:
 class _Parser(argparse.ArgumentParser):
     """Ends a bad command line with ``InvalidSpec``, not argparse's usage text and exit code 2."""
 
+    commands: dict[str, argparse.ArgumentParser]  # each command's parser, set by build_parser
+
     def error(self, message):
         raise InvalidSpec(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser: each option's one declaration, also read for ``--config``."""
     parser = _Parser(
         prog="geocount",
         description="Count-data location models and hot-spot analysis for geo-tagged counties.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p_fit = sub.add_parser("fit", help="fit a logit, Poisson, or ZIP model to a CSV table")
+    p_fit.set_defaults(run=cmd_fit)
     p_fit.add_argument("--input", help="input dataset CSV")
-    p_fit.add_argument("--family", choices=_FAMILY_NAMES)
-    p_fit.add_argument("--covariates", type=_name_list, help="comma-separated covariate names")
-    p_fit.add_argument("--inflation-covariates", type=_name_list, help="ZIP inflation covariates")
-    p_fit.add_argument("--standardize", action=argparse.BooleanOptionalAction)
+    p_fit.add_argument("--family", choices=[f.value for f in Family])
+    p_fit.add_argument(
+        "--covariates", type=_name_list, default=(), help="comma-separated covariate names"
+    )
+    p_fit.add_argument(
+        "--inflation-covariates", type=_name_list, default=(), help="ZIP inflation covariates"
+    )
+    p_fit.add_argument("--standardize", action=argparse.BooleanOptionalAction, default=False)
     p_fit.add_argument("--out", dest="output", help="output path for the coefficient table")
-    p_fit.add_argument("--format", choices=["text", "csv", "json"])
+    p_fit.add_argument("--format", choices=("text", "csv", "json"), default="text")
 
     p_hot = sub.add_parser("hotspot", help="Getis-Ord hot/cold-spot z-scores")
+    p_hot.set_defaults(run=cmd_hotspot)
     p_hot.add_argument("--input", help="input dataset CSV")
-    p_hot.add_argument("--value-column")
+    p_hot.add_argument("--value-column", default="count")
     p_hot.add_argument("--weights", help="band:KM or knn:K")
     p_hot.add_argument("--out", dest="output")
-    p_hot.add_argument("--format", choices=["csv", "geojson"])
+    p_hot.add_argument("--format", choices=("csv", "geojson"), default="csv")
 
     p_sim = sub.add_parser("simulate", help="draw a synthetic dataset from a DGP spec")
+    p_sim.set_defaults(run=cmd_simulate)
     p_sim.add_argument("--spec", dest="input", metavar="SPEC", help="DgpSpec JSON document")
     p_sim.add_argument("--out", dest="output", help="output dataset CSV")
     p_sim.add_argument("--seed", type=int)
 
     p_rep = sub.add_parser("report", help="render a saved fit result")
+    p_rep.set_defaults(run=cmd_report)
     p_rep.add_argument(
         "--fit", dest="input", metavar="FIT", help="fit result JSON produced by fit --format json"
     )
-    p_rep.add_argument("--format", choices=["text"])
+    p_rep.add_argument("--format", choices=("text",), default="text")
 
     for p in (p_fit, p_hot, p_sim, p_rep):
         p.add_argument("--config", help="JSON config file keyed by the option names")
@@ -370,76 +370,57 @@ def _load_json(path: str, what: str):
         raise InvalidSpec(f"{what} {path!r} is not valid JSON: {exc}") from None
 
 
-_FAMILY_NAMES = tuple(f.value for f in Family)
-_STRING = (lambda v: isinstance(v, str), "a string")
-_NAMES = (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v), "a list of names")
-
-#: Config-file keys, each with its type check and the type's name for errors.
-_CONFIG_TYPES = {
-    "input": _STRING,
-    "output": _STRING,
-    "family": (lambda v: v in _FAMILY_NAMES, f"one of {list(_FAMILY_NAMES)}"),
-    "covariates": _NAMES,
-    "inflation_covariates": _NAMES,
-    "weights": _STRING,
-    "value_column": _STRING,
-    "standardize": (lambda v: isinstance(v, bool), "true or false"),
-    "seed": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "format": _STRING,
-}
+def _options(command: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """A command's options a user can set, by config key (the dest): all but help and config."""
+    return {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
 
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
-    doc = _load_json(path, "config file")
+def _check_config_value(key: str, action: argparse.Action, value) -> None:
+    """Refuse a config-file value that ``action``'s option could not take."""
+    if action.choices is not None:
+        ok, expected = value in action.choices, f"one of {list(action.choices)}"
+    elif isinstance(action, argparse.BooleanOptionalAction):
+        ok, expected = isinstance(value, bool), "true or false"
+    elif action.type is int:
+        ok, expected = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif action.type is _name_list:
+        ok = isinstance(value, list) and all(isinstance(s, str) for s in value)
+        expected = "a list of names"
+    else:
+        ok, expected = isinstance(value, str), "a string"
+    if not ok:
+        raise InvalidSpec(f"config file: {key!r} must be {expected}, got {value!r}")
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """The command's options: flags, else the ``--config`` file, else the declared defaults.
+
+    The checked file values become the command's defaults for a second parse of ``argv``.
+    """
+    parser = build_parser()
+    config = parser.parse_args(argv)
+    if not config.config:
+        return config
+    doc = _load_json(config.config, "config file")
     if not isinstance(doc, dict):
         raise InvalidSpec("config file must be a JSON object")
+    command = parser.commands[config.command]
+    options = _options(command)
     for key, value in doc.items():
-        if key not in _CONFIG_TYPES:
-            raise InvalidSpec(f"config file: unknown key {key!r}")
-        check, expected = _CONFIG_TYPES[key]
-        if value is not None and not check(value):
-            raise InvalidSpec(f"config file: {key!r} must be {expected}, got {value!r}")
-    return doc
-
-
-#: Values of the options that neither a flag nor the config file sets.
-_DEFAULTS = {
-    "covariates": (),
-    "inflation_covariates": (),
-    "value_column": "count",
-    "standardize": False,
-}
-
-
-def _fill_from_config_file(config: argparse.Namespace) -> None:
-    """Set every option of the command that no flag set from the ``--config``
-    file, else its default; a file key the command does not take is refused."""
-    file_values = _load_config_file(config.config)
-    options = vars(config)  # the command's own option names (its parser's dests)
-    for key in file_values:
         if key not in options:
+            if not any(key in _options(p) for p in parser.commands.values()):
+                raise InvalidSpec(f"config file: unknown key {key!r}")
             raise InvalidSpec(f"config file: {config.command} takes no option {key!r}")
-    for key in _CONFIG_TYPES.keys() & options.keys():
-        if options[key] is None:
-            value = file_values.get(key)
-            setattr(config, key, _DEFAULTS.get(key) if value is None else value)
-
-
-_COMMANDS = {
-    "fit": cmd_fit,
-    "hotspot": cmd_hotspot,
-    "simulate": cmd_simulate,
-    "report": cmd_report,
-}
+        if value is not None:
+            _check_config_value(key, options[key], value)
+    command.set_defaults(**{key: value for key, value in doc.items() if value is not None})
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        config = build_parser().parse_args(argv)
-        _fill_from_config_file(config)
-        return _COMMANDS[config.command](config)
+        config = parse_args(argv)
+        return config.run(config)
     except GeocountError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -107,19 +108,36 @@ class FitResult:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "FitResult":
-        rows = []
-        for c in payload["coefficients"]:
-            name, *values, stars = (c[field] for field in CoefficientRow._fields)
-            rows.append(CoefficientRow(name, *map(float, values), stars))
-        return cls(
-            family=Family(payload["family"]),
-            coefficients=tuple(rows),
-            log_likelihood=float(payload["log_likelihood"]),
-            iterations=int(payload["iterations"]),
-            converged=bool(payload["converged"]),
-            covariance=np.array(payload["covariance"], dtype=np.float64),
+    def from_dict(cls, payload) -> "FitResult":
+        """The result a :meth:`to_dict` document holds; any other raises ``InvalidSpec``."""
+        doc = _checked(
+            payload, family=str, coefficients=list, log_likelihood=float, iterations=int,
+            converged=bool, covariance=list,
         )
+        row = dict(zip(CoefficientRow._fields, (str, float, float, float, float, str)))
+        rows = (CoefficientRow(**_checked(c, **row)) for c in doc["coefficients"])
+        doc["coefficients"] = tuple(rows)
+        try:
+            doc["family"] = Family(doc["family"])
+            doc["covariance"] = np.array(doc["covariance"], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:  # unknown family, non-numeric matrix
+            raise InvalidSpec(f"fit result: {exc}") from None
+        return cls(**doc)
+
+
+def _checked(doc, **types) -> dict:
+    """The ``types`` fields of the JSON object ``doc``; a missing or mistyped one is InvalidSpec."""
+    fields = {}
+    for key, kind in types.items():
+        value = doc.get(key) if isinstance(doc, dict) else None
+        if kind is float:  # any JSON number within the float range, returned as a float
+            ok = isinstance(value, float) or type(value) is int and abs(value) <= sys.float_info.max
+        else:  # a bool is an int to Python, not to JSON
+            ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+        if not ok:
+            raise InvalidSpec(f"fit result: {key!r} must be {kind.__name__}, got {value!r}")
+        fields[key] = float(value) if kind is float else value
+    return fields
 
 
 def fd_hessian(grad: Callable[[np.ndarray], np.ndarray], theta: np.ndarray) -> np.ndarray:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import math
 import os
 import re
 from dataclasses import dataclass
@@ -30,10 +29,13 @@ from .exceptions import (
     ZeroDenominator,
 )
 
+#: The columns every table has: the unit's id, its centroid and its count.
+ID_COLUMN, LAT_COLUMN, LON_COLUMN, COUNT_COLUMN = "id", "latitude", "longitude", "count"
+
 
 @dataclass(frozen=True)
 class IngestConfig:
-    """Column mapping and covariate derivation rules for one CSV table.
+    """Covariate derivation rules for one CSV table.
 
     ``rate_specs`` entries are (raw_count_column, derived_name) pairs; the
     derived covariate is raw_count / population * 10000.  ``ratio_specs``
@@ -42,10 +44,6 @@ class IngestConfig:
     themselves become covariates; every other non-special column does.
     """
 
-    id_column: str = "id"
-    lat_column: str = "latitude"
-    lon_column: str = "longitude"
-    count_column: str = "count"
     population_column: str | None = None
     rate_specs: tuple[tuple[str, str], ...] = ()
     ratio_specs: tuple[tuple[str, str, str], ...] = ()
@@ -99,9 +97,9 @@ _FLOAT, _DENOMINATOR, _COUNT = "float", "denominator", "count"
 def _cell_checks(config: IngestConfig, passthrough) -> list[tuple[str, str]]:
     """(column, kind) for every cell a row is checked on, in the order checked."""
     checks = [
-        (config.lat_column, _FLOAT),
-        (config.lon_column, _FLOAT),
-        (config.count_column, _COUNT),
+        (LAT_COLUMN, _FLOAT),
+        (LON_COLUMN, _FLOAT),
+        (COUNT_COLUMN, _COUNT),
     ]
     checks += [(name, _FLOAT) for name in passthrough]
     if config.rate_specs:
@@ -110,6 +108,23 @@ def _cell_checks(config: IngestConfig, passthrough) -> list[tuple[str, str]]:
     for num, den, _ in config.ratio_specs:
         checks += [(num, _FLOAT), (den, _DENOMINATOR)]
     return checks
+
+
+def _parse_column(cells, kind: str) -> tuple[np.ndarray | None, type | None]:
+    """(values, None) if every cell is a ``kind`` value, else (None, the error type).
+
+    A count is an int64 ``int``, any other cell a finite ``float``, a denominator nonzero.
+    """
+    parse, dtype = (int, np.int64) if kind == _COUNT else (float, np.float64)
+    try:
+        values = np.fromiter(map(parse, cells), dtype, len(cells))
+    except (ValueError, OverflowError):  # OverflowError: an integer beyond int64
+        return None, NonNumericCell
+    if kind != _COUNT and not np.isfinite(values).all():
+        return None, NonNumericCell
+    if kind == _DENOMINATOR and not values.all():
+        return None, ZeroDenominator
+    return values, None
 
 
 def _parse_block(block, header, checks) -> tuple[dict, dict[str, np.ndarray]] | None:
@@ -122,17 +137,10 @@ def _parse_block(block, header, checks) -> tuple[dict, dict[str, np.ndarray]] | 
     cells = dict(zip(header, zip(*block)))
     parsed: dict[str, np.ndarray] = {}
     for name, kind in checks:
-        if name not in parsed:
-            parse, dtype = (int, np.int64) if kind == _COUNT else (float, np.float64)
-            try:
-                parsed[name] = np.fromiter(map(parse, cells[name]), dtype, len(block))
-            except (ValueError, OverflowError):  # OverflowError: an integer beyond int64
-                return None
-        values = parsed[name]
-        if kind != _COUNT and not np.isfinite(values).all():
+        values, error = _parse_column(cells[name], kind)
+        if error:
             return None
-        if kind == _DENOMINATOR and not values.all():
-            return None
+        parsed.setdefault(name, values)
     return cells, parsed
 
 
@@ -141,21 +149,13 @@ def _raise_first_bad_cell(block, first_row: int, header, checks) -> None:
 
     Called only on a block that failed a column check, so one cell is bad.
     """
-    width = len(header)
-    index = {name: i for i, name in enumerate(header)}
     for row, cells in enumerate(block, start=first_row):
-        if len(cells) != width:
-            raise NonNumericCell(row, header[min(len(cells), width - 1)])
+        if len(cells) != len(header):
+            raise NonNumericCell(row, header[min(len(cells), len(header) - 1)])
+        record = dict(zip(header, cells))
         for name, kind in checks:
-            try:
-                value = (int if kind == _COUNT else float)(cells[index[name]])
-            except ValueError:
-                raise NonNumericCell(row, name) from None
-            in_range = -(2**63) <= value < 2**63 if kind == _COUNT else math.isfinite(value)
-            if not in_range:
-                raise NonNumericCell(row, name)
-            if kind == _DENOMINATOR and value == 0.0:
-                raise ZeroDenominator(row, name)
+            if error := _parse_column((record[name],), kind)[1]:
+                raise error(row, name)
 
 
 def read_dataset(csv_source, config: IngestConfig) -> Dataset:
@@ -177,10 +177,10 @@ def read_dataset(csv_source, config: IngestConfig) -> Dataset:
         try:
             header = next(reader)
         except StopIteration:
-            raise MissingColumn(config.id_column) from None
+            raise MissingColumn(ID_COLUMN) from None
         reject_duplicates(header, DuplicateColumn)
 
-        required = [config.id_column, config.lat_column, config.lon_column, config.count_column]
+        required = [ID_COLUMN, LAT_COLUMN, LON_COLUMN, COUNT_COLUMN]
         if config.population_column is not None:
             required.append(config.population_column)
         required += [raw for raw, _ in config.rate_specs]
@@ -207,7 +207,7 @@ def read_dataset(csv_source, config: IngestConfig) -> Dataset:
             if parsed_block is None:
                 _raise_first_bad_cell(block, first_row, header, checks)
             cells, parsed = parsed_block
-            ids.extend(cells[config.id_column])
+            ids.extend(cells[ID_COLUMN])
             for name, values in parsed.items():
                 blocks[name].append(values)
             first_row += len(block)
@@ -241,8 +241,8 @@ def read_dataset(csv_source, config: IngestConfig) -> Dataset:
     return Dataset(
         schema=schema,
         ids=ids,
-        latlon=np.column_stack((column[config.lat_column], column[config.lon_column])),
-        y=column[config.count_column],
+        latlon=np.column_stack((column[LAT_COLUMN], column[LON_COLUMN])),
+        y=column[COUNT_COLUMN],
         covariates=matrix,
         standardization=standardization,
     )
@@ -256,7 +256,7 @@ def write_dataset(dataset: Dataset, sink) -> None:
     """
     handle, owned = _open(sink, "w")
     try:
-        header = ["id", "latitude", "longitude", "count", *dataset.schema]
+        header = [ID_COLUMN, LAT_COLUMN, LON_COLUMN, COUNT_COLUMN, *dataset.schema]
         columns = [
             map(csv_field, dataset.ids),
             *(map(repr, column) for column in dataset.centroids().T.tolist()),

@@ -245,13 +245,13 @@ def _centroids(layout: Layout, raw: np.ndarray) -> np.ndarray:
     # need not round the same
     km_per_lon_degree = np.array([KM_PER_DEGREE * math.cos(math.radians(b)) for b in base_lat])
     lat = base_lat[base] + north_km / KM_PER_DEGREE
-    # an east offset at a pole can overflow to inf, which wraps to NaN and the
-    # Dataset refuses as an InvalidCoordinate
+    # an east offset at a pole can overflow to inf, which wraps to NaN and the Dataset
+    # refuses as an InvalidCoordinate; a finite one can round past 180 and is clipped
     with np.errstate(over="ignore", invalid="ignore"):
         lon = base_lon[base] + east_km / km_per_lon_degree[base]
         out = ~((-180.0 <= lon) & (lon <= 180.0))
         lon[out] -= 360.0 * np.floor((lon[out] + 180.0) / 360.0)
-    return np.column_stack([np.clip(lat, -90.0, 90.0), lon])
+    return np.column_stack([np.clip(lat, -90.0, 90.0), np.clip(lon, -180.0, 180.0)])
 
 
 # SeedSequence hash constants (O'Neill's seed_seq design as adopted by numpy).

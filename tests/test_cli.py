@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, formats, determinism, config handling."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import geocount
@@ -21,6 +22,9 @@ from geocount.spatial import HotspotResult, classify
 
 DATA_DIR = Path(__file__).parent / "data"
 SMOKE_CSV = str(DATA_DIR / "smoke.csv")
+#: ``fit --family logit --format json`` of the smoke table.
+SMOKE_FIT_JSON = str(DATA_DIR / "smoke_fit.json")
+SMOKE_FIT_TEXT = Path(SMOKE_FIT_JSON).read_text(encoding="utf-8")
 
 
 def sha256(path):
@@ -508,6 +512,18 @@ class TestInvalidInput:
             ),
             pytest.param(["report", "--fit", "{src}"], "not json", "InvalidSpec: ", id="report-fit"),
             pytest.param(
+                ["report", "--fit", "{src}"],
+                SMOKE_FIT_TEXT.replace('"iterations": 3', '"iterations": 1e400'),
+                "InvalidSpec: fit result: 'iterations' must be int, got inf",
+                id="report-iterations-overflow",
+            ),
+            pytest.param(
+                ["report", "--fit", "{src}"],
+                SMOKE_FIT_TEXT.replace('"name": "Intercept"', '"name": ["a"]'),
+                "InvalidSpec: fit result: 'name' must be str, got ['a']",
+                id="report-name-not-a-string",
+            ),
+            pytest.param(
                 ["fit", "--config", "{src}", "--out", "{out}"], "{", "InvalidSpec: ", id="config"
             ),
             pytest.param(
@@ -597,6 +613,20 @@ class TestInvalidInput:
                 '{"input": "fit.json", "output": "report.txt"}',
                 "InvalidSpec: config file: report takes no option 'output'",
                 id="config-report-no-output",
+            ),
+            pytest.param(
+                ["report", "--fit", SMOKE_FIT_JSON, "--config", "{src}"],
+                '{"format": "csv"}',
+                "InvalidSpec: config file: 'format' must be one of ['text'], got 'csv'",
+                id="config-report-format-csv",
+            ),
+            pytest.param(  # the input does not exist: the file is refused before it is read
+                ["fit", "--input", "{out}.csv", "--family", "logit",
+                 "--config", "{src}", "--out", "{out}"],
+                '{"format": "xml"}',
+                "InvalidSpec: config file: 'format' must be one of ['text', 'csv', 'json'], "
+                "got 'xml'",
+                id="config-fit-format-xml",
             ),
             pytest.param(
                 ["hotspot", "--input", SMOKE_CSV, "--weights", "knn:2", "--bogus", "1",
@@ -813,7 +843,49 @@ class TestCmdReport:
         assert capsys.readouterr().err.startswith("InvalidSpec:")
 
 
+def flag_and_value(action):
+    """Strategy of (argv, value): one setting of ``action``'s option as flags and as JSON."""
+    flag = action.option_strings[0]
+    if action.choices is not None:
+        values = st.sampled_from(action.choices)
+    elif isinstance(action, argparse.BooleanOptionalAction):
+        return st.booleans().map(lambda v: ([flag if v else "--no-" + flag[2:]], v))
+    elif action.type is int:
+        values = st.integers(-(2**70), 2**70)
+    elif action.type is cli._name_list:
+        name = st.text("abc_:. 1", min_size=1).map(str.strip).filter(bool)
+        return st.lists(name, max_size=3).map(lambda v: ([flag, ",".join(v)], v))
+    else:
+        values = st.text()
+    return values.map(lambda v: ([f"{flag}={v}"], v))
+
+
+@st.composite
+def command_settings(draw):
+    """(command, argv, config document) setting some of one command's options both ways."""
+    parser = cli.build_parser()
+    command = draw(st.sampled_from(sorted(parser.commands)))
+    argv, doc = [command], {}
+    for key, action in sorted(cli._options(parser.commands[command]).items()):
+        if draw(st.booleans()):
+            flags, doc[key] = draw(flag_and_value(action))
+            argv += flags
+    return command, argv, doc
+
+
 class TestConfigFile:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(setting=command_settings())
+    def test_flag_and_config_key_parse_alike(self, tmp_path, setting):
+        command, argv, doc = setting
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+        from_flags = vars(cli.parse_args(argv))
+        from_file = vars(cli.parse_args([command, "--config", str(cfg_path)]))
+        assert from_flags.pop("config") is None and from_file.pop("config") == str(cfg_path)
+        assert from_flags == from_file
+
     def test_config_supplies_values_and_flags_override(self, tmp_path):
         out_a = tmp_path / "a.json"
         config = {

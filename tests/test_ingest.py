@@ -286,7 +286,7 @@ def _oracle_float(cell, row, column):
 def oracle_read(text, config):
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader)
-    required = [config.id_column, config.lat_column, config.lon_column, config.count_column]
+    required = ["id", "latitude", "longitude", "count"]
     if config.population_column is not None:
         required.append(config.population_column)
     required += [raw for raw, _ in config.rate_specs]
@@ -303,12 +303,12 @@ def oracle_read(text, config):
         if len(cells) != len(header):
             raise NonNumericCell(rownum, header[min(len(cells), len(header) - 1)])
         rec = dict(zip(header, cells))
-        lat = _oracle_float(rec[config.lat_column], rownum, config.lat_column)
-        lon = _oracle_float(rec[config.lon_column], rownum, config.lon_column)
+        lat = _oracle_float(rec["latitude"], rownum, "latitude")
+        lon = _oracle_float(rec["longitude"], rownum, "longitude")
         try:
-            count = int(rec[config.count_column])
+            count = int(rec["count"])
         except (TypeError, ValueError):
-            raise NonNumericCell(rownum, config.count_column) from None
+            raise NonNumericCell(rownum, "count") from None
         values = [_oracle_float(rec[c], rownum, c) for c in passthrough]
         if config.rate_specs:
             population = _oracle_float(
@@ -324,7 +324,7 @@ def oracle_read(text, config):
             if denominator == 0.0:
                 raise ZeroDenominator(rownum, den)
             values.append(numerator / denominator)
-        ids.append(rec[config.id_column])
+        ids.append(rec["id"])
         latlon.append((lat, lon))
         counts.append(count)
         rows.append(values)

@@ -65,13 +65,15 @@ def layout_offset(rng, layout) -> tuple[float, float, float, float]:
 def _draw_centroid(rng: np.random.Generator, layout) -> tuple[float, float]:
     """One centroid: latitude clipped to the poles, longitude wrapped into [-180, 180].
 
-    Only an out-of-range longitude moves, by whole turns, so in-range draws keep their bits.
+    Only an out-of-range longitude moves, by whole turns, then is clipped to [-180, 180]
+    (near a pole the wrap can round past 180), so in-range draws keep their bits.
     """
     base_lat, base_lon, dlat_km, dlon_km = layout_offset(rng, layout)
     lat = base_lat + dlat_km / KM_PER_DEGREE
     lon = base_lon + dlon_km / (KM_PER_DEGREE * math.cos(math.radians(base_lat)))
     if not -180.0 <= lon <= 180.0:
         lon -= 360.0 * math.floor((lon + 180.0) / 360.0)
+        lon = min(max(lon, -180.0), 180.0)
     return min(max(lat, -90.0), 90.0), lon
 
 
@@ -224,7 +226,7 @@ class TestGenerateMatchesPerUnitOracle:
 
     @settings(max_examples=80, deadline=None)
     @given(spec=dgp_specs())
-    @example(  # at a pole both wrap a 1e17-degree longitude to -192 and the dataset refuses it
+    @example(  # at a pole the wrap of a 1e17-degree longitude rounds to -192; both clip it
         spec=DgpSpec(
             n=1,
             covariates=(),
@@ -403,6 +405,20 @@ class TestOneUnitInDocumentedOrder:
 class TestLongitudeWrap:
     """A unit drawn across the antimeridian moves by one whole turn; every
     other unit keeps its bits."""
+
+    @pytest.mark.parametrize("center_lat", [90.0, 89.99999999999999])
+    def test_clustered_center_at_a_pole_stays_in_range(self, center_lat):
+        # east offsets of ~1e17 degrees: the whole-turn wrap can round past 180
+        spec = DgpSpec(
+            n=200,
+            covariates=(),
+            beta=(0.0,),
+            gamma=(0.0,),
+            layout=Clustered(centers=((center_lat, 0.0),), spread_km=1469.0),
+            seed=41,
+        )
+        lons = generate(spec).latlon[:, 1]
+        assert np.all(np.abs(lons) <= 180.0)
 
     @pytest.mark.parametrize("center_lon", [179.5, -179.5])
     @pytest.mark.parametrize("i", [0, 1, 2, 3])
