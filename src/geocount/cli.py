@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .exceptions import GeocountError, InvalidSpec
+from .exceptions import GeocountError, InvalidSpec, is_integer
 from .fitting import INFLATE_PREFIX, FitResult, fit
 from .ingest import IngestConfig, csv_field, read_dataset, write_dataset
 from .likelihoods import Family, ModelSpec
@@ -348,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument(
         "--fit", dest="input", metavar="FIT", help="fit result JSON produced by fit --format json"
     )
-    p_rep.add_argument("--format", choices=("text",), default="text")
 
     for p in (p_fit, p_hot, p_sim, p_rep):
         p.add_argument("--config", help="JSON config file keyed by the option names")
@@ -382,7 +381,7 @@ def _check_config_value(key: str, action: argparse.Action, value) -> None:
     elif isinstance(action, argparse.BooleanOptionalAction):
         ok, expected = isinstance(value, bool), "true or false"
     elif action.type is int:
-        ok, expected = isinstance(value, int) and not isinstance(value, bool), "an integer"
+        ok, expected = is_integer(value), "an integer"
     elif action.type is _name_list:
         ok = isinstance(value, list) and all(isinstance(s, str) for s in value)
         expected = "a list of names"

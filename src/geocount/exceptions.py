@@ -1,8 +1,11 @@
-"""Exception hierarchy shared by all geocount modules.
+"""Exception hierarchy shared by all geocount modules, and the rules for numbers and JSON objects.
 
 Every error carries a stable ``code`` (the class name) so the CLI can emit
 machine-parseable one-line errors.
 """
+
+import numbers
+import sys
 
 
 class GeocountError(Exception):
@@ -170,3 +173,36 @@ class KTooLarge(GeocountError):
 
 class InvalidSpec(GeocountError, ValueError):
     pass
+
+
+def is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is never one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A real number within the float range (NaN and inf too); a bool or a string is never one."""
+    if is_integer(value):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+#: The wording of each kind of JSON value :func:`read_object` checks.
+_KINDS = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
+          list: "a list", dict: "an object"}
+
+
+def read_object(doc, what: str, **kinds) -> dict:
+    """The fields of the JSON object ``doc``, which holds exactly the keys of ``kinds``, each
+    of its kind in ``_KINDS`` (a ``float`` is any number, returned as a float) or of any kind
+    for ``object``, whose constructor checks it.  Any other document raises ``InvalidSpec``."""
+    if not isinstance(doc, dict):
+        raise InvalidSpec(f"{what} must be an object, got {doc!r}")
+    for key in [*doc, *kinds]:
+        if key not in doc or key not in kinds:
+            raise InvalidSpec(f"{what}: {'unknown' if key in doc else 'missing'} key {key!r}")
+    for key, kind in kinds.items():
+        rule = {int: is_integer, float: is_number}.get(kind, lambda v: isinstance(v, kind))
+        if not rule(doc[key]):
+            raise InvalidSpec(f"{what}: {key!r} must be {_KINDS[kind]}, got {doc[key]!r}")
+    return {key: float(doc[key]) if kind is float else doc[key] for key, kind in kinds.items()}

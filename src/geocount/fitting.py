@@ -5,14 +5,13 @@ The maximizer takes Newton steps using a finite-difference Hessian of the
 analytic gradient.  When that Hessian is not negative definite a ridge term
 is added (doubling from ``ridge_floor``) until the step is an ascent
 direction, and every step is backtracked by halving until the objective does
-not decrease.  One maximizer serves all three families.
+not decrease.  One maximizer serves all three families.  Options and saved fits
+are read by the rules of :mod:`geocount.exceptions`; a bad value is ``InvalidSpec``.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -30,6 +29,9 @@ from .exceptions import (
     SeparationSuspected,
     SingularInformation,
     ZeroStandardError,
+    is_integer,
+    is_number,
+    read_object,
 )
 from .likelihoods import INFLATE_PREFIX, FAMILIES, Family, ModelSpec
 
@@ -50,8 +52,8 @@ class OptimOptions:
     def __post_init__(self):
         limits = (self.max_iterations, self.step_halving_max)
         scales = (self.gradient_tolerance, self.ridge_floor)
-        if not all(isinstance(v, numbers.Integral) and v > 0 for v in limits) or not all(
-            isinstance(v, numbers.Real) and 0 < v < math.inf for v in scales
+        if not all(is_integer(v) and v > 0 for v in limits) or not all(
+            is_number(v) and 0 < v < math.inf for v in scales
         ):
             raise InvalidSpec("iteration limits must be integers > 0, tolerances finite and > 0")
 
@@ -110,34 +112,25 @@ class FitResult:
     @classmethod
     def from_dict(cls, payload) -> "FitResult":
         """The result a :meth:`to_dict` document holds; any other raises ``InvalidSpec``."""
-        doc = _checked(
-            payload, family=str, coefficients=list, log_likelihood=float, iterations=int,
-            converged=bool, covariance=list,
+        doc = read_object(
+            payload, "fit result", family=str, coefficients=list, log_likelihood=float,
+            iterations=int, converged=bool, covariance=list,
         )
         row = dict(zip(CoefficientRow._fields, (str, float, float, float, float, str)))
-        rows = (CoefficientRow(**_checked(c, **row)) for c in doc["coefficients"])
+        rows = (CoefficientRow(**read_object(c, "fit result coefficient", **row))
+                for c in doc["coefficients"])
         doc["coefficients"] = tuple(rows)
+        k, covariance = len(doc["coefficients"]), doc["covariance"]
+        if len(covariance) != k or not all(
+            isinstance(r, list) and len(r) == k and all(map(is_number, r)) for r in covariance
+        ):
+            raise InvalidSpec(f"fit result: 'covariance' must be a {k} x {k} matrix of numbers")
+        doc["covariance"] = np.array(covariance, dtype=np.float64).reshape(k, k)
         try:
             doc["family"] = Family(doc["family"])
-            doc["covariance"] = np.array(doc["covariance"], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:  # unknown family, non-numeric matrix
+        except ValueError as exc:
             raise InvalidSpec(f"fit result: {exc}") from None
         return cls(**doc)
-
-
-def _checked(doc, **types) -> dict:
-    """The ``types`` fields of the JSON object ``doc``; a missing or mistyped one is InvalidSpec."""
-    fields = {}
-    for key, kind in types.items():
-        value = doc.get(key) if isinstance(doc, dict) else None
-        if kind is float:  # any JSON number within the float range, returned as a float
-            ok = isinstance(value, float) or type(value) is int and abs(value) <= sys.float_info.max
-        else:  # a bool is an int to Python, not to JSON
-            ok = isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
-        if not ok:
-            raise InvalidSpec(f"fit result: {key!r} must be {kind.__name__}, got {value!r}")
-        fields[key] = float(value) if kind is float else value
-    return fields
 
 
 def fd_hessian(grad: Callable[[np.ndarray], np.ndarray], theta: np.ndarray) -> np.ndarray:

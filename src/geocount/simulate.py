@@ -16,7 +16,8 @@ the draws, are the same.  Each unit draws every maximal run of uniform-type
 doubles (Uniform and Bernoulli covariates, square offsets, the structural-zero
 draw) in one ``rng.random(m)`` call, and the doubles become values afterwards
 in array expressions; numpy's ``uniform(a, b)`` is ``a + (b - a) * random()``,
-so the values are bit for bit those of one draw call each.
+so the values are bit for bit those of one draw call each.  A spec's values and
+documents follow :mod:`geocount.exceptions`: a string or bool is refused, never converted.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, fields
 from typing import Union
 
@@ -33,7 +33,7 @@ from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
 from .data import Dataset
-from .exceptions import InvalidSpec
+from .exceptions import InvalidSpec, is_integer, is_number, read_object
 from .fitting import INFLATE_PREFIX, FitResult, OptimOptions, fit
 from .likelihoods import Family, ModelSpec
 from .spatial import EARTH_RADIUS_KM
@@ -55,6 +55,11 @@ _BASE_LAT = 39.0
 _BASE_LON = -98.0
 
 
+def _as_float(raw) -> float:
+    """A number as a float; anything else as NaN, which fails every domain rule."""
+    return float(raw) if is_number(raw) else math.nan
+
+
 def _check_floats(descriptor, **rules) -> None:
     """Store each named field of a frozen descriptor as a float that passes its rule.
 
@@ -62,10 +67,7 @@ def _check_floats(descriptor, **rules) -> None:
     """
     for name, (ok, rule) in rules.items():
         raw = getattr(descriptor, name)
-        try:
-            value = float(raw)
-        except (TypeError, ValueError):
-            value = math.nan  # fails every rule
+        value = _as_float(raw)
         if not ok(value):
             raise InvalidSpec(f"{type(descriptor).__name__} {name} must be {rule}, got {raw!r}")
         object.__setattr__(descriptor, name, value)
@@ -155,7 +157,7 @@ class Clustered:
 
     def __post_init__(self):
         try:
-            centers = tuple((float(lat), float(lon)) for lat, lon in self.centers)
+            centers = tuple((_as_float(lat), _as_float(lon)) for lat, lon in self.centers)
         except (TypeError, ValueError):
             centers = ()
         if not centers or not all(abs(lat) <= 90.0 and abs(lon) <= 180.0 for lat, lon in centers):
@@ -183,10 +185,6 @@ _DISTRIBUTIONS = {"normal": Normal, "bernoulli": Bernoulli, "uniform": Uniform}
 _LAYOUTS = {"uniform_square": UniformSquare, "clustered": Clustered}
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class DgpSpec:
     """Complete description of one synthetic data-generating process."""
@@ -202,14 +200,14 @@ class DgpSpec:
         object.__setattr__(
             self, "covariates", tuple((str(n), d) for n, d in self.covariates)
         )
-        object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
-        object.__setattr__(self, "gamma", tuple(float(g) for g in self.gamma))
-        if not _is_integer(self.n) or self.n < 1:
+        object.__setattr__(self, "beta", tuple(map(_as_float, self.beta)))
+        object.__setattr__(self, "gamma", tuple(map(_as_float, self.gamma)))
+        if not is_integer(self.n) or self.n < 1:
             raise InvalidSpec(f"n must be an integer of at least 1, got {self.n!r}")
         if self.n >= 2**32:
             # each unit index is a one-word (uint32) SeedSequence spawn key
             raise InvalidSpec(f"n must be below 2**32, got {self.n}")
-        if not _is_integer(self.seed) or self.seed < 0:
+        if not is_integer(self.seed) or self.seed < 0:
             raise InvalidSpec(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "seed", int(self.seed))
@@ -444,12 +442,15 @@ def _descriptor_to_json(descriptor, table: dict) -> dict:
     return {"type": kind, **asdict(descriptor)}
 
 
-def _descriptor_from_json(payload, table: dict):
-    try:
-        cls = table[payload["type"]]
-    except (KeyError, TypeError):
-        raise InvalidSpec(f"descriptor {payload!r} needs a type out of {list(table)}") from None
-    return cls(**{f.name: payload[f.name] for f in fields(cls)})
+def _descriptor_from_json(payload: dict, table: dict):
+    """The descriptor an object names by its ``type``; its class checks its values."""
+    kind = payload.get("type")
+    if not (isinstance(kind, str) and kind in table):
+        raise InvalidSpec(f"descriptor {payload!r} needs a type out of {list(table)}")
+    names = {f.name: object for f in fields(table[kind])}
+    values = read_object(payload, f"{kind} descriptor", type=str, **names)
+    del values["type"]
+    return table[kind](**values)
 
 
 def dgp_spec_to_json(spec: DgpSpec) -> str:
@@ -470,36 +471,28 @@ def dgp_spec_to_json(spec: DgpSpec) -> str:
 def dgp_spec_from_json(text: str) -> DgpSpec:
     """Parse a DgpSpec JSON document.
 
-    ``{"preset": "paper-scale", "seed": N}`` expands to
-    :func:`paper_scale_spec`; otherwise all fields are required.
+    ``{"preset": "paper-scale", "seed": N}`` (``seed`` 0 if left out) expands to
+    :func:`paper_scale_spec`; otherwise every field is required and no other is taken.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidSpec(f"spec is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InvalidSpec("spec JSON must be an object")
-    if "preset" in doc:
-        if doc["preset"] != PAPER_SCALE_PRESET:
-            raise InvalidSpec(f"unknown preset {doc['preset']!r}")
-        return paper_scale_spec(seed=doc.get("seed", 0))
-    try:
-        covariates = tuple(
-            (entry["name"], _descriptor_from_json(entry["distribution"], _DISTRIBUTIONS))
-            for entry in doc["covariates"]
-        )
-        return DgpSpec(
-            n=doc["n"],
-            covariates=covariates,
-            beta=tuple(doc["beta"]),
-            gamma=tuple(doc["gamma"]),
-            layout=_descriptor_from_json(doc["layout"], _LAYOUTS),
-            seed=doc["seed"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, InvalidSpec):
-            raise
-        raise InvalidSpec(f"bad spec document: {exc}") from exc
+    if isinstance(doc, dict) and "preset" in doc:
+        preset = read_object({"seed": 0, **doc}, "spec", preset=object, seed=object)
+        if preset["preset"] != PAPER_SCALE_PRESET:
+            raise InvalidSpec(f"unknown preset {preset['preset']!r}")
+        return paper_scale_spec(seed=preset["seed"])
+    doc = read_object(
+        doc, "spec", n=object, covariates=list, beta=list, gamma=list, layout=dict, seed=object
+    )
+    entries = [read_object(e, "spec covariate", name=str, distribution=dict)
+               for e in doc["covariates"]]
+    doc["covariates"] = tuple(
+        (e["name"], _descriptor_from_json(e["distribution"], _DISTRIBUTIONS)) for e in entries
+    )
+    doc["layout"] = _descriptor_from_json(doc["layout"], _LAYOUTS)
+    return DgpSpec(**doc)
 
 
 # ---------------------------------------------------------------------------

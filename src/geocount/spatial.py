@@ -17,7 +17,6 @@ variance scores z = 0 by convention.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,6 +25,7 @@ import scipy.sparse
 import scipy.spatial
 
 from .exceptions import DegenerateGeometry, DimensionMismatch, DomainError, InvalidSpec, KTooLarge
+from .exceptions import is_integer, is_number
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -47,7 +47,7 @@ class DistanceBand:
     d_km: float
 
     def __post_init__(self):
-        if not (isinstance(self.d_km, numbers.Real) and math.isfinite(self.d_km) and self.d_km > 0):
+        if not (is_number(self.d_km) and math.isfinite(self.d_km) and self.d_km > 0):
             raise InvalidSpec(f"distance band must be a positive finite km value, got {self.d_km!r}")
 
 
@@ -58,7 +58,7 @@ class KNearest:
     k: int
 
     def __post_init__(self):
-        if not (isinstance(self.k, numbers.Integral) and not isinstance(self.k, bool) and self.k >= 1):
+        if not (is_integer(self.k) and self.k >= 1):
             raise InvalidSpec(f"k must be an integer of at least 1, got {self.k!r}")
 
 

@@ -27,6 +27,11 @@ SMOKE_FIT_JSON = str(DATA_DIR / "smoke_fit.json")
 SMOKE_FIT_TEXT = Path(SMOKE_FIT_JSON).read_text(encoding="utf-8")
 
 
+def fit_text(**fields):
+    """The smoke fit document with ``fields`` replaced or added."""
+    return json.dumps({**json.loads(SMOKE_FIT_TEXT), **fields})
+
+
 def sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -444,8 +449,9 @@ class TestCmdSimulate:
 COORDINATE_CSV = "id,latitude,longitude,count\na,40.0,-90.0,1\nb,{lat},{lon},2\n"
 
 
-def spec_text(n=10, layout=None, distribution=None, beta=0.1):
-    """A DgpSpec document, with one covariate when a distribution is given."""
+def spec_text(n=10, layout=None, distribution=None, beta=0.1, **fields):
+    """A DgpSpec document, with one covariate when a distribution is given and
+    ``fields`` replaced or added."""
     doc = {
         "n": n,
         "covariates": [],
@@ -458,7 +464,7 @@ def spec_text(n=10, layout=None, distribution=None, beta=0.1):
         doc["covariates"].append({"name": "x", "distribution": distribution})
         doc["beta"].append(0.2)
         doc["gamma"].append(0.2)
-    return json.dumps(doc)  # writes NaN and Infinity, which Python's json reads back
+    return json.dumps({**doc, **fields})  # writes NaN and Infinity, which Python's json reads back
 
 
 SIMULATE = ["simulate", "--spec", "{src}", "--out", "{out}"]
@@ -514,14 +520,38 @@ class TestInvalidInput:
             pytest.param(
                 ["report", "--fit", "{src}"],
                 SMOKE_FIT_TEXT.replace('"iterations": 3', '"iterations": 1e400'),
-                "InvalidSpec: fit result: 'iterations' must be int, got inf",
+                "InvalidSpec: fit result: 'iterations' must be an integer, got inf",
                 id="report-iterations-overflow",
             ),
             pytest.param(
                 ["report", "--fit", "{src}"],
                 SMOKE_FIT_TEXT.replace('"name": "Intercept"', '"name": ["a"]'),
-                "InvalidSpec: fit result: 'name' must be str, got ['a']",
+                "InvalidSpec: fit result coefficient: 'name' must be a string, got ['a']",
                 id="report-name-not-a-string",
+            ),
+            pytest.param(
+                ["report", "--fit", "{src}"],
+                fit_text(covariance=[["0.75"]]),
+                "InvalidSpec: fit result: 'covariance' must be a 1 x 1 matrix of numbers",
+                id="report-covariance-strings",
+            ),
+            pytest.param(
+                ["report", "--fit", "{src}"],
+                fit_text(covariance=[[1, 2], [3, 4]]),
+                "InvalidSpec: fit result: 'covariance' must be a 1 x 1 matrix of numbers",
+                id="report-covariance-shape",
+            ),
+            pytest.param(
+                ["report", "--fit", "{src}"],
+                fit_text(note="hand-edited"),
+                "InvalidSpec: fit result: unknown key 'note'",
+                id="report-unknown-key",
+            ),
+            pytest.param(
+                ["report", "--fit", SMOKE_FIT_JSON, "--format", "text"],
+                None,
+                "InvalidSpec: unrecognized arguments: --format text",
+                id="report-format-flag",
             ),
             pytest.param(
                 ["fit", "--config", "{src}", "--out", "{out}"], "{", "InvalidSpec: ", id="config"
@@ -617,7 +647,7 @@ class TestInvalidInput:
             pytest.param(
                 ["report", "--fit", SMOKE_FIT_JSON, "--config", "{src}"],
                 '{"format": "csv"}',
-                "InvalidSpec: config file: 'format' must be one of ['text'], got 'csv'",
+                "InvalidSpec: config file: report takes no option 'format'",
                 id="config-report-format-csv",
             ),
             pytest.param(  # the input does not exist: the file is refused before it is read
@@ -724,6 +754,67 @@ class TestInvalidInput:
                 spec_text(distribution={"type": "bernoulli", "q": 2.0}),
                 "InvalidSpec: Bernoulli q must be within [0, 1], got 2.0",
                 id="spec-bernoulli-q-above-1",
+            ),
+            pytest.param(
+                SIMULATE,
+                spec_text(distribution={"type": "normal", "mu": "1.5", "sigma": 1}),
+                "InvalidSpec: Normal mu must be a finite number, got '1.5'",
+                id="spec-normal-mu-string",
+            ),
+            pytest.param(
+                SIMULATE,
+                spec_text(distribution={"type": "normal", "mu": 0, "sigma": True}),
+                "InvalidSpec: Normal sigma must be a finite number >= 0, got True",
+                id="spec-normal-sigma-true",
+            ),
+            pytest.param(
+                SIMULATE,
+                spec_text(layout={"type": "uniform_square", "side_km": "100"}),
+                "InvalidSpec: UniformSquare side_km must be a finite number >= 0, got '100'",
+                id="spec-square-side-string",
+            ),
+            pytest.param(
+                SIMULATE,
+                spec_text(distribution={"type": "normal", "mu": 0, "sigma": 1}, beta="0.3"),
+                "InvalidSpec: beta and gamma must be finite numbers",
+                id="spec-beta-string",
+            ),
+            pytest.param(
+                SIMULATE,
+                spec_text(covariates={}),
+                "InvalidSpec: spec: 'covariates' must be a list, got {}",
+                id="spec-covariates-object",
+            ),
+            pytest.param(
+                SIMULATE,
+                spec_text(covariates="ab"),
+                "InvalidSpec: spec: 'covariates' must be a list, got 'ab'",
+                id="spec-covariates-string",
+            ),
+            pytest.param(
+                SIMULATE,
+                spec_text(note="draft"),
+                "InvalidSpec: spec: unknown key 'note'",
+                id="spec-unknown-key",
+            ),
+            pytest.param(
+                SIMULATE,
+                spec_text(covariates=[{"name": "x", "distribution": {"type": "bernoulli", "q": 0.5},
+                                       "label": "X"}], beta=[0.1, 0.2], gamma=[0.1, 0.2]),
+                "InvalidSpec: spec covariate: unknown key 'label'",
+                id="spec-covariate-unknown-key",
+            ),
+            pytest.param(
+                SIMULATE,
+                spec_text(layout={"type": "uniform_square", "side_km": 10, "radius_km": 5}),
+                "InvalidSpec: uniform_square descriptor: unknown key 'radius_km'",
+                id="spec-descriptor-unknown-key",
+            ),
+            pytest.param(
+                SIMULATE,
+                '{"preset": "paper-scale", "n": 5}',
+                "InvalidSpec: spec: unknown key 'n'",
+                id="spec-preset-with-n",
             ),
             pytest.param(
                 SIMULATE,

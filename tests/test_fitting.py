@@ -130,6 +130,8 @@ class TestOptimOptions:
             {"ridge_floor": float("inf")},
             {"max_iterations": 2.5},
             {"step_halving_max": 1.5},
+            {"max_iterations": True},
+            {"gradient_tolerance": True},
         ],
     )
     def test_positivity(self, kwargs):

@@ -216,6 +216,8 @@ class TestDgpSpecValidation:
         "make",
         [
             lambda: Normal("abc", 1.0),
+            lambda: Normal("1.5", 1),
+            lambda: Normal(0.0, True),
             lambda: Normal(0.0, math.inf),
             lambda: Bernoulli(-0.1),
             lambda: Uniform(2.0, 1.0),
@@ -224,11 +226,12 @@ class TestDgpSpecValidation:
             lambda: Clustered(centers=((40.0,),), spread_km=1.0),
             lambda: Clustered(centers=((40.0, 190.0),), spread_km=1.0),
             lambda: Clustered(centers=(("north", -100.0),), spread_km=1.0),
+            lambda: Clustered(centers=(("40", -100.0),), spread_km=1.0),
         ],
         ids=[
-            "normal-mu-text", "normal-sigma-inf", "bernoulli-negative", "uniform-reversed",
+            "normal-mu-text", "normal-mu-numeric-text", "normal-sigma-bool", "normal-sigma-inf", "bernoulli-negative", "uniform-reversed",
             "uniform-range-overflow", "square-negative", "center-one-number",
-            "center-longitude-190", "center-text",
+            "center-longitude-190", "center-text", "center-numeric-text",
         ],
     )
     def test_descriptor_domains(self, make):
@@ -252,6 +255,11 @@ class TestDgpSpecValidation:
         k = len(covariates) + 1
         with pytest.raises(InvalidSpec, match="must be one of"):
             DgpSpec(10, covariates, (0.1,) * k, (0.1,) * k, layout, seed=0)
+
+    @pytest.mark.parametrize("beta", [("0.3", 0.1), (True, 0.1)], ids=["string", "bool"])
+    def test_coefficients_must_be_numbers(self, beta):
+        with pytest.raises(InvalidSpec, match="beta and gamma must be finite numbers"):
+            DgpSpec(10, (("x", Normal(0, 1)),), beta, (0.1, 0.2), UniformSquare(1.0), 0)
 
     def test_duplicate_covariate_names(self):
         with pytest.raises(InvalidSpec):

@@ -121,7 +121,7 @@ class TestBuildWeights:
 
 
 class TestSchemes:
-    @pytest.mark.parametrize("d_km", [0.0, -5.0, float("nan"), float("inf"), "150"])
+    @pytest.mark.parametrize("d_km", [0.0, -5.0, float("nan"), float("inf"), "150", True])
     def test_bad_band(self, d_km):
         with pytest.raises(InvalidSpec):
             DistanceBand(d_km)
