@@ -18,9 +18,11 @@ from .exceptions import (
     DuplicateId,
     EmptySelection,
     InvalidCoordinate,
+    InvalidSpec,
     NegativeCount,
     NonFiniteCovariate,
     UnknownCovariate,
+    check_fields,
 )
 
 #: A column is treated as constant when max - min falls below this value.
@@ -75,9 +77,8 @@ class CountyObservation:
     covariates: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if isinstance(self.count, bool) or int(self.count) != self.count:
-            raise ValueError(f"count must be a nonnegative integer, got {self.count!r}")
-        object.__setattr__(self, "count", int(self.count))
+        check_fields(self, id=(str, lambda v: True, "a string"),
+                     count=(int, lambda v: v >= 0, "an integer >= 0"))
         object.__setattr__(self, "covariates", tuple(float(v) for v in self.covariates))
         _check_rows(
             np.array([self.centroid], dtype=np.float64),
@@ -105,8 +106,12 @@ class Dataset:
     standardization: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "schema", tuple(self.schema))
-        object.__setattr__(self, "ids", tuple(self.ids))
+        for name in ("schema", "ids"):
+            values = tuple(getattr(self, name))
+            wrong = [v for v in values if not isinstance(v, str)]
+            if wrong:
+                raise InvalidSpec(f"Dataset {name} must be strings, got {wrong[0]!r}")
+            object.__setattr__(self, name, values)
         for name, dtype in (("latlon", np.float64), ("y", np.int64), ("covariates", np.float64)):
             # a copy, so the caller's array stays writable; float counts are refused
             column = np.asarray(getattr(self, name)).astype(dtype, casting="same_kind")

@@ -1,7 +1,8 @@
-"""Exception hierarchy shared by all geocount modules, and the rules for numbers and JSON objects.
+"""Exception hierarchy shared by all geocount modules, and the rules for values.
 
 Every error carries a stable ``code`` (the class name) so the CLI can emit
-machine-parseable one-line errors.
+machine-parseable one-line errors.  :func:`read_object` checks a JSON object's
+fields and :func:`check_fields` a constructor's, both by one table of kinds.
 """
 
 import numbers
@@ -187,22 +188,42 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-#: The wording of each kind of JSON value :func:`read_object` checks.
-_KINDS = {str: "a string", int: "an integer", float: "a number", bool: "true or false",
-          list: "a list", dict: "an object"}
+#: The rule and the wording of each kind of value :func:`read_object` and :func:`check_fields`
+#: check; ``object`` is a value of any kind, which its constructor checks.
+_KINDS = {
+    str: (lambda v: isinstance(v, str), "a string"),
+    int: (is_integer, "an integer"),
+    float: (is_number, "a number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    list: (lambda v: isinstance(v, list), "a list"),
+    dict: (lambda v: isinstance(v, dict), "an object"),
+    object: (lambda v: True, "any value"),
+}
 
 
 def read_object(doc, what: str, **kinds) -> dict:
     """The fields of the JSON object ``doc``, which holds exactly the keys of ``kinds``, each
-    of its kind in ``_KINDS`` (a ``float`` is any number, returned as a float) or of any kind
-    for ``object``, whose constructor checks it.  Any other document raises ``InvalidSpec``."""
+    of its kind in ``_KINDS`` (a ``float`` is any number, returned as a float).  Any other
+    document raises ``InvalidSpec``."""
     if not isinstance(doc, dict):
         raise InvalidSpec(f"{what} must be an object, got {doc!r}")
     for key in [*doc, *kinds]:
         if key not in doc or key not in kinds:
             raise InvalidSpec(f"{what}: {'unknown' if key in doc else 'missing'} key {key!r}")
     for key, kind in kinds.items():
-        rule = {int: is_integer, float: is_number}.get(kind, lambda v: isinstance(v, kind))
-        if not rule(doc[key]):
-            raise InvalidSpec(f"{what}: {key!r} must be {_KINDS[kind]}, got {doc[key]!r}")
+        is_kind, wording = _KINDS[kind]
+        if not is_kind(doc[key]):
+            raise InvalidSpec(f"{what}: {key!r} must be {wording}, got {doc[key]!r}")
     return {key: float(doc[key]) if kind is float else doc[key] for key, kind in kinds.items()}
+
+
+def check_fields(obj, **rules) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as the kind of its rule
+    ``(kind, ok, wording)``: ``int``, ``float`` (any number) or ``str``, checked by ``_KINDS``,
+    on which ``ok`` holds.  Rules run in order, so ``ok`` may read a field stored before it.
+    Any other value raises ``InvalidSpec``: ``<Class> <field> must be <wording>, got …``."""
+    for name, (kind, ok, wording) in rules.items():
+        raw = getattr(obj, name)
+        if not (_KINDS[kind][0](raw) and ok(kind(raw))):
+            raise InvalidSpec(f"{type(obj).__name__} {name} must be {wording}, got {raw!r}")
+        object.__setattr__(obj, name, kind(raw))

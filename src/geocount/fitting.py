@@ -29,7 +29,7 @@ from .exceptions import (
     SeparationSuspected,
     SingularInformation,
     ZeroStandardError,
-    is_integer,
+    check_fields,
     is_number,
     read_object,
 )
@@ -50,12 +50,10 @@ class OptimOptions:
     ridge_floor: float = 1e-10
 
     def __post_init__(self):
-        limits = (self.max_iterations, self.step_halving_max)
-        scales = (self.gradient_tolerance, self.ridge_floor)
-        if not all(is_integer(v) and v > 0 for v in limits) or not all(
-            is_number(v) and 0 < v < math.inf for v in scales
-        ):
-            raise InvalidSpec("iteration limits must be integers > 0, tolerances finite and > 0")
+        limit = (int, lambda v: v > 0, "an integer > 0")
+        scale = (float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+        check_fields(self, max_iterations=limit, gradient_tolerance=scale,
+                     step_halving_max=limit, ridge_floor=scale)
 
 
 class CoefficientRow(NamedTuple):

@@ -30,6 +30,7 @@ once and calls the cores inside its Newton loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -38,7 +39,7 @@ import numpy as np
 from scipy.special import expit, gammaln
 
 from .data import DesignMatrix
-from .exceptions import DimensionMismatch, DomainError, InvalidSpec, NegativeCount
+from .exceptions import DimensionMismatch, DomainError, InvalidSpec, NegativeCount, is_number
 
 
 class Family(str, Enum):
@@ -62,9 +63,15 @@ class ModelSpec:
     add_intercept: bool = True
 
     def __post_init__(self):
+        families = [family.value for family in Family]
+        if self.family not in families:
+            raise InvalidSpec(f"ModelSpec family must be one of {families}, got {self.family!r}")
         object.__setattr__(self, "family", Family(self.family))
-        object.__setattr__(self, "count_covariates", tuple(self.count_covariates))
-        object.__setattr__(self, "inflation_covariates", tuple(self.inflation_covariates))
+        for field in ("count_covariates", "inflation_covariates"):
+            names = getattr(self, field)
+            if not (isinstance(names, (list, tuple)) and all(isinstance(n, str) for n in names)):
+                raise InvalidSpec(f"ModelSpec {field} must be a list of names, got {names!r}")
+            object.__setattr__(self, field, tuple(names))
         if self.inflation_covariates and not FAMILIES[self.family].inflated:
             raise InvalidSpec("inflation_covariates are only meaningful for the ZIP family")
 
@@ -77,15 +84,12 @@ class Params:
     gamma: np.ndarray | None = None
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=np.float64)
-        if not np.all(np.isfinite(beta)):
-            raise InvalidSpec("beta contains non-finite entries")
-        object.__setattr__(self, "beta", beta)
-        if self.gamma is not None:
-            gamma = np.asarray(self.gamma, dtype=np.float64)
-            if not np.all(np.isfinite(gamma)):
-                raise InvalidSpec("gamma contains non-finite entries")
-            object.__setattr__(self, "gamma", gamma)
+        for field in ("beta", "gamma") if self.gamma is not None else ("beta",):
+            values = getattr(self, field)
+            entries = np.asarray(values, dtype=object).ravel()
+            if not all(is_number(v) and math.isfinite(v) for v in entries):
+                raise InvalidSpec(f"Params {field} must be finite numbers, got {values!r}")
+            object.__setattr__(self, field, np.asarray(values, dtype=np.float64))
 
 
 class ZipPrediction(NamedTuple):

@@ -16,8 +16,9 @@ the draws, are the same.  Each unit draws every maximal run of uniform-type
 doubles (Uniform and Bernoulli covariates, square offsets, the structural-zero
 draw) in one ``rng.random(m)`` call, and the doubles become values afterwards
 in array expressions; numpy's ``uniform(a, b)`` is ``a + (b - a) * random()``,
-so the values are bit for bit those of one draw call each.  A spec's values and
-documents follow :mod:`geocount.exceptions`: a string or bool is refused, never converted.
+so the values are bit for bit those of one draw call each.  Fields are checked by
+``exceptions.check_fields`` and documents read by ``exceptions.read_object``: a
+string or bool is refused, never converted.
 """
 
 from __future__ import annotations
@@ -33,12 +34,15 @@ from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
 from .data import Dataset
-from .exceptions import InvalidSpec, is_integer, is_number, read_object
+from .exceptions import InvalidSpec, check_fields, is_number, read_object
 from .fitting import INFLATE_PREFIX, FitResult, OptimOptions, fit
 from .likelihoods import Family, ModelSpec
 from .spatial import EARTH_RADIUS_KM
 
 KM_PER_DEGREE = np.pi * EARTH_RADIUS_KM / 180.0
+
+#: Largest ``UniformSquare`` side: the great-circle distance from pole to pole.
+MAX_SIDE_KM = math.pi * EARTH_RADIUS_KM
 
 #: Largest lambda ``Generator.poisson`` accepts (numpy's ``POISSON_LAM_MAX``,
 #: int64 max - 10 sqrt(int64 max)); it refuses larger values and NaN.
@@ -60,22 +64,6 @@ def _as_float(raw) -> float:
     return float(raw) if is_number(raw) else math.nan
 
 
-def _check_floats(descriptor, **rules) -> None:
-    """Store each named field of a frozen descriptor as a float that passes its rule.
-
-    ``rules`` maps a field name to (predicate, wording of the rule).
-    """
-    for name, (ok, rule) in rules.items():
-        raw = getattr(descriptor, name)
-        value = _as_float(raw)
-        if not ok(value):
-            raise InvalidSpec(f"{type(descriptor).__name__} {name} must be {rule}, got {raw!r}")
-        object.__setattr__(descriptor, name, value)
-
-
-_FINITE = (math.isfinite, "a finite number")
-_SCALE = (lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
-
 # Each descriptor fills ``doubles + draws`` raw values of a unit.  Its
 # ``doubles`` are uniform doubles in [0, 1), drawn with its neighbours' in one
 # ``rng.random(m)`` call; ``draw(rng)`` returns its ``draws`` values of any
@@ -91,7 +79,8 @@ class Normal:
     doubles, draws = 0, 1
 
     def __post_init__(self):
-        _check_floats(self, mu=_FINITE, sigma=_SCALE)
+        check_fields(self, mu=(float, math.isfinite, "a finite number"),
+                     sigma=(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0"))
 
     def draw(self, rng: np.random.Generator) -> list:
         return [rng.normal(self.mu, self.sigma)]
@@ -106,7 +95,7 @@ class Bernoulli:
     doubles, draws = 1, 0
 
     def __post_init__(self):
-        _check_floats(self, q=(lambda v: 0.0 <= v <= 1.0, "within [0, 1]"))
+        check_fields(self, q=(float, lambda v: 0.0 <= v <= 1.0, "within [0, 1]"))
 
     def value(self, u):
         return 1.0 * (u < self.q)
@@ -120,8 +109,8 @@ class Uniform:
 
     def __post_init__(self):
         # numpy's uniform needs b - a to be a finite number >= 0
-        at_least_a = (lambda v: 0.0 <= v - self.a < math.inf, "a finite number >= a")
-        _check_floats(self, a=_FINITE, b=at_least_a)
+        check_fields(self, a=(float, math.isfinite, "a finite number"),
+                     b=(float, lambda v: 0.0 <= v - self.a < math.inf, "a finite number >= a"))
 
     def value(self, u):
         return self.a + (self.b - self.a) * u  # numpy's uniform(a, b)
@@ -138,7 +127,8 @@ class UniformSquare:
     doubles, draws = 2, 0
 
     def __post_init__(self):
-        _check_floats(self, side_km=_SCALE)
+        within = f"within [0, {MAX_SIDE_KM!r}] (pole to pole)"
+        check_fields(self, side_km=(float, lambda v: 0.0 <= v <= MAX_SIDE_KM, within))
 
     def offsets(self, raw: np.ndarray) -> tuple:
         """(base points, each unit's base, north km, east km) from the two doubles."""
@@ -166,7 +156,7 @@ class Clustered:
                 f"[-90, 90] x [-180, 180], got {self.centers!r}"
             )
         object.__setattr__(self, "centers", centers)
-        _check_floats(self, spread_km=_SCALE)
+        check_fields(self, spread_km=(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0"))
 
     def draw(self, rng: np.random.Generator) -> list:
         """Center index, north km, east km."""
@@ -197,20 +187,12 @@ class DgpSpec:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "covariates", tuple((str(n), d) for n, d in self.covariates)
-        )
+        object.__setattr__(self, "covariates", tuple((n, d) for n, d in self.covariates))
         object.__setattr__(self, "beta", tuple(map(_as_float, self.beta)))
         object.__setattr__(self, "gamma", tuple(map(_as_float, self.gamma)))
-        if not is_integer(self.n) or self.n < 1:
-            raise InvalidSpec(f"n must be an integer of at least 1, got {self.n!r}")
-        if self.n >= 2**32:
-            # each unit index is a one-word (uint32) SeedSequence spawn key
-            raise InvalidSpec(f"n must be below 2**32, got {self.n}")
-        if not is_integer(self.seed) or self.seed < 0:
-            raise InvalidSpec(f"seed must be a non-negative integer, got {self.seed!r}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "seed", int(self.seed))
+        # each unit index is a one-word (uint32) SeedSequence spawn key
+        check_fields(self, n=(int, lambda v: 1 <= v < 2**32, "an integer within [1, 2**32)"),
+                     seed=(int, lambda v: v >= 0, "an integer >= 0"))
         k = len(self.covariates) + 1
         if len(self.beta) != k or len(self.gamma) != k:
             raise InvalidSpec(
@@ -220,8 +202,8 @@ class DgpSpec:
         if not all(math.isfinite(c) for c in self.beta + self.gamma):
             raise InvalidSpec("beta and gamma must be finite numbers")
         names = [n for n, _ in self.covariates]
-        if len(set(names)) != len(names):
-            raise InvalidSpec("covariate names must be unique")
+        if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
+            raise InvalidSpec(f"covariate names must be unique strings, got {names!r}")
         if not all(type(d) in _DISTRIBUTIONS.values() for _, d in self.covariates):
             raise InvalidSpec(f"covariate distributions must be one of {list(_DISTRIBUTIONS)}")
         if type(self.layout) not in _LAYOUTS.values():

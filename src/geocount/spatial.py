@@ -24,8 +24,7 @@ import numpy as np
 import scipy.sparse
 import scipy.spatial
 
-from .exceptions import DegenerateGeometry, DimensionMismatch, DomainError, InvalidSpec, KTooLarge
-from .exceptions import is_integer, is_number
+from .exceptions import DegenerateGeometry, DimensionMismatch, DomainError, KTooLarge, check_fields
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -47,8 +46,7 @@ class DistanceBand:
     d_km: float
 
     def __post_init__(self):
-        if not (is_number(self.d_km) and math.isfinite(self.d_km) and self.d_km > 0):
-            raise InvalidSpec(f"distance band must be a positive finite km value, got {self.d_km!r}")
+        check_fields(self, d_km=(float, lambda v: 0.0 < v < math.inf, "a finite number > 0"))
 
 
 @dataclass(frozen=True)
@@ -58,8 +56,7 @@ class KNearest:
     k: int
 
     def __post_init__(self):
-        if not (is_integer(self.k) and self.k >= 1):
-            raise InvalidSpec(f"k must be an integer of at least 1, got {self.k!r}")
+        check_fields(self, k=(int, lambda v: v >= 1, "an integer >= 1"))
 
 
 class HotspotClass(str, Enum):

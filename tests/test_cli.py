@@ -251,6 +251,14 @@ class TestCmdHotspot:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_scheme_number_read_as_python_int(self, tmp_path):
+        # a number typed as text is read by Python's int/float, as argparse reads --seed
+        outs = [tmp_path / "ascii.csv", tmp_path / "full-width.csv"]
+        for weights, out in zip(["knn:3", "knn:\uff13"], outs):
+            argv = ["hotspot", "--input", SMOKE_CSV, "--weights", weights, "--out", str(out)]
+            assert cli.main(argv) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_islands_warn_on_stderr_only(self, tmp_path, capsys):
         src = tmp_path / "grid.csv"
         grid_csv(src, side=6, blocks=((1, 1),), block_side=2)
@@ -435,6 +443,15 @@ class TestCmdSimulate:
         assert cli.main(["simulate", "--spec", str(spec_path), "--out", str(out2), "--seed", "3"]) == 0
         assert sha256(out1) == sha256(out2)
 
+    def test_seed_flag_read_as_python_int(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"preset": "paper-scale", "seed": 0}')
+        outs = [tmp_path / "ascii.csv", tmp_path / "full-width.csv"]
+        for seed, out in zip(["3", "\uff13"], outs):
+            argv = ["simulate", "--spec", str(spec_path), "--out", str(out), "--seed", seed]
+            assert cli.main(argv) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_zero_n_exits_1(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(
@@ -571,26 +588,26 @@ class TestInvalidInput:
             pytest.param(
                 ["simulate", "--spec", "{src}", "--out", "{out}"],
                 '{"preset": "paper-scale", "seed": -1}',
-                "InvalidSpec: seed must be a non-negative integer, got -1",
+                "InvalidSpec: DgpSpec seed must be an integer >= 0, got -1",
                 id="spec-negative-seed",
             ),
             pytest.param(
                 ["simulate", "--spec", "{src}", "--out", "{out}", "--seed", "-1"],
                 '{"preset": "paper-scale", "seed": 0}',
-                "InvalidSpec: seed must be a non-negative integer, got -1",
+                "InvalidSpec: DgpSpec seed must be an integer >= 0, got -1",
                 id="flag-negative-seed",
             ),
             pytest.param(
                 ["simulate", "--spec", "{src}", "--out", "{out}"],
                 '{"preset": "paper-scale", "seed": 2.5}',
-                "InvalidSpec: seed must be a non-negative integer, got 2.5",
+                "InvalidSpec: DgpSpec seed must be an integer >= 0, got 2.5",
                 id="spec-non-integer-seed",
             ),
             pytest.param(
                 ["simulate", "--spec", "{src}", "--out", "{out}"],
                 '{"n": 4294967296, "covariates": [], "beta": [0.1], "gamma": [0.1],'
                 ' "layout": {"type": "uniform_square", "side_km": 10}, "seed": 1}',
-                "InvalidSpec: n must be below 2**32",
+                "InvalidSpec: DgpSpec n must be an integer within [1, 2**32), got 4294967296",
                 id="spec-n-too-large",
             ),
             pytest.param(
@@ -746,7 +763,8 @@ class TestInvalidInput:
             pytest.param(
                 SIMULATE,
                 spec_text(layout={"type": "uniform_square", "side_km": math.nan}),
-                "InvalidSpec: UniformSquare side_km must be a finite number >= 0, got nan",
+                "InvalidSpec: UniformSquare side_km must be within [0, 20015.114442035923] (pole to pole), "
+                "got nan",
                 id="spec-square-nan-side",
             ),
             pytest.param(
@@ -770,8 +788,16 @@ class TestInvalidInput:
             pytest.param(
                 SIMULATE,
                 spec_text(layout={"type": "uniform_square", "side_km": "100"}),
-                "InvalidSpec: UniformSquare side_km must be a finite number >= 0, got '100'",
+                "InvalidSpec: UniformSquare side_km must be within [0, 20015.114442035923] (pole to pole), "
+                "got '100'",
                 id="spec-square-side-string",
+            ),
+            pytest.param(
+                SIMULATE,
+                spec_text(layout={"type": "uniform_square", "side_km": 1e308}),
+                "InvalidSpec: UniformSquare side_km must be within [0, 20015.114442035923] (pole to pole), "
+                "got 1e+308",
+                id="spec-square-side-huge",
             ),
             pytest.param(
                 SIMULATE,

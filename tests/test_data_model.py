@@ -15,6 +15,7 @@ from geocount.exceptions import (
     DuplicateCovariate,
     DuplicateId,
     EmptySelection,
+    InvalidSpec,
     UnknownCovariate,
 )
 
@@ -40,9 +41,9 @@ class TestCountyObservation:
         assert obs.count == 12
         assert obs.covariates == (1.0,)
 
-    @pytest.mark.parametrize("count", [-1, 2.5, True])
+    @pytest.mark.parametrize("count", [-1, 2.5, True, 3.0])
     def test_bad_count(self, count):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSpec):
             CountyObservation(id="x", centroid=(0.0, 0.0), count=count)
 
     @pytest.mark.parametrize("centroid", [(91.0, 0.0), (-91.0, 0.0), (0.0, 181.0), (0.0, -181.0)])
@@ -64,6 +65,21 @@ class TestDataset:
         )
         with pytest.raises(DuplicateId):
             Dataset.from_observations((), obs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("ids", [5]), ("ids", [None]), ("schema", [1])],
+        ids=["int-id", "none-id", "int-name"],
+    )
+    def test_ids_and_names_must_be_strings(self, field, value):
+        columns = {"schema": ["x"], "ids": ["a"], "latlon": [[40.0, -90.0]], "y": [1],
+                   "covariates": [[1.0]]}
+        with pytest.raises(InvalidSpec, match=f"Dataset {field} must be strings, got"):
+            Dataset(**{**columns, field: value})
+
+    def test_observation_id_must_be_a_string(self):
+        with pytest.raises(InvalidSpec, match="CountyObservation id must be a string, got 5"):
+            CountyObservation(id=5, centroid=(40.0, -90.0), count=1)
 
     def test_schema_conformity(self):
         obs = (CountyObservation(id="a", centroid=(0.0, 0.0), count=0, covariates=(1.0,)),)

@@ -355,6 +355,16 @@ class TestModelSpec:
         spec = ModelSpec(family="zip", count_covariates=("a",), inflation_covariates=("b",))
         assert spec.family is Family.ZIP
 
+    def test_unknown_family(self):
+        with pytest.raises(InvalidSpec, match="ModelSpec family must be one of"):
+            ModelSpec(family="foo")
+
+    @pytest.mark.parametrize("field", ["count_covariates", "inflation_covariates"])
+    @pytest.mark.parametrize("names", ["ab", None, ("a", 1)], ids=["string", "none", "number"])
+    def test_covariates_must_be_a_list_of_names(self, field, names):
+        with pytest.raises(InvalidSpec, match=f"ModelSpec {field} must be a list of names"):
+            ModelSpec(family="zip", **{field: names})
+
 
 class TestDispatch:
     def test_loglik_matches_direct(self):
@@ -374,6 +384,15 @@ class TestParams:
     )
     def test_non_finite_coefficients(self, kwargs):
         with pytest.raises(InvalidSpec):
+            Params(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"beta": ["1"]}, {"beta": [True]}, {"beta": [0.5, True]}, {"beta": [0.0], "gamma": ["1"]}],
+        ids=["string", "bool", "bool-among-numbers", "gamma-string"],
+    )
+    def test_strings_and_bools_are_refused(self, kwargs):
+        with pytest.raises(InvalidSpec, match="Params (beta|gamma) must be finite numbers"):
             Params(**kwargs)
 
 

@@ -21,6 +21,7 @@ from geocount import (
     zip_moments,
 )
 from geocount.exceptions import InvalidSpec
+from geocount.simulate import MAX_SIDE_KM
 
 
 def intercept_only_spec(beta0, gamma0, n=20_000, seed=0):
@@ -188,13 +189,13 @@ class TestDgpSpecValidation:
             intercept_only_spec(0.0, 0.0, n=n)
 
     def test_n_below_two_to_the_32(self):
-        with pytest.raises(InvalidSpec, match="n must be below 2\\*\\*32"):
+        with pytest.raises(InvalidSpec, match=r"DgpSpec n must be an integer within \[1, 2\*\*32\)"):
             intercept_only_spec(0.0, 0.0, n=2**32)
         assert intercept_only_spec(0.0, 0.0, n=2**32 - 1).n == 2**32 - 1
 
     @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, 2.0, "3", True, None])
     def test_seed_must_be_a_non_negative_integer(self, seed):
-        with pytest.raises(InvalidSpec, match="seed must be a non-negative integer"):
+        with pytest.raises(InvalidSpec, match="DgpSpec seed must be an integer >= 0"):
             intercept_only_spec(0.0, 0.0, n=10, seed=seed)
 
     @pytest.mark.parametrize("seed", [0, 2**200, np.int64(5), np.uint64(2**64 - 1)])
@@ -204,9 +205,9 @@ class TestDgpSpecValidation:
 
     @pytest.mark.parametrize("seed", ["-1", "1.5", '"3"'])
     def test_bad_seed_in_json(self, seed):
-        with pytest.raises(InvalidSpec, match="seed must be a non-negative integer"):
+        with pytest.raises(InvalidSpec, match="DgpSpec seed must be an integer >= 0"):
             dgp_spec_from_json('{"preset": "paper-scale", "seed": %s}' % seed)
-        with pytest.raises(InvalidSpec, match="seed must be a non-negative integer"):
+        with pytest.raises(InvalidSpec, match="DgpSpec seed must be an integer >= 0"):
             dgp_spec_from_json(
                 '{"n": 10, "covariates": [], "beta": [0.1], "gamma": [0.1],'
                 ' "layout": {"type": "uniform_square", "side_km": 10}, "seed": %s}' % seed
@@ -223,6 +224,7 @@ class TestDgpSpecValidation:
             lambda: Uniform(2.0, 1.0),
             lambda: Uniform(-1e308, 1e308),
             lambda: UniformSquare(-1.0),
+            lambda: UniformSquare(np.nextafter(MAX_SIDE_KM, np.inf)),
             lambda: Clustered(centers=((40.0,),), spread_km=1.0),
             lambda: Clustered(centers=((40.0, 190.0),), spread_km=1.0),
             lambda: Clustered(centers=(("north", -100.0),), spread_km=1.0),
@@ -230,8 +232,8 @@ class TestDgpSpecValidation:
         ],
         ids=[
             "normal-mu-text", "normal-mu-numeric-text", "normal-sigma-bool", "normal-sigma-inf", "bernoulli-negative", "uniform-reversed",
-            "uniform-range-overflow", "square-negative", "center-one-number",
-            "center-longitude-190", "center-text", "center-numeric-text",
+            "uniform-range-overflow", "square-negative", "square-beyond-pole-to-pole",
+            "center-one-number", "center-longitude-190", "center-text", "center-numeric-text",
         ],
     )
     def test_descriptor_domains(self, make):
@@ -260,6 +262,11 @@ class TestDgpSpecValidation:
     def test_coefficients_must_be_numbers(self, beta):
         with pytest.raises(InvalidSpec, match="beta and gamma must be finite numbers"):
             DgpSpec(10, (("x", Normal(0, 1)),), beta, (0.1, 0.2), UniformSquare(1.0), 0)
+
+    @pytest.mark.parametrize("name", [1, None, ("x",)], ids=["int", "none", "tuple"])
+    def test_covariate_names_must_be_strings(self, name):
+        with pytest.raises(InvalidSpec, match="covariate names must be unique strings"):
+            DgpSpec(10, ((name, Normal(0, 1)),), (0.1, 0.2), (0.1, 0.2), UniformSquare(1.0), 0)
 
     def test_duplicate_covariate_names(self):
         with pytest.raises(InvalidSpec):
