@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .exceptions import GeocountError, InvalidSpec, is_integer
+from .exceptions import GeocountError, InvalidSpec, is_kind, kind_wording
 from .fitting import INFLATE_PREFIX, FitResult, fit
 from .ingest import IngestConfig, csv_field, read_dataset, write_dataset
 from .likelihoods import Family, ModelSpec
@@ -378,15 +378,10 @@ def _check_config_value(key: str, action: argparse.Action, value) -> None:
     """Refuse a config-file value that ``action``'s option could not take."""
     if action.choices is not None:
         ok, expected = value in action.choices, f"one of {list(action.choices)}"
-    elif isinstance(action, argparse.BooleanOptionalAction):
-        ok, expected = isinstance(value, bool), "true or false"
-    elif action.type is int:
-        ok, expected = is_integer(value), "an integer"
-    elif action.type is _name_list:
-        ok = isinstance(value, list) and all(isinstance(s, str) for s in value)
-        expected = "a list of names"
     else:
-        ok, expected = isinstance(value, str), "a string"
+        flag = isinstance(action, argparse.BooleanOptionalAction)
+        kind = bool if flag else {int: int, _name_list: (str,), None: str}[action.type]
+        ok, expected = is_kind(value, kind), kind_wording(kind)
     if not ok:
         raise InvalidSpec(f"config file: {key!r} must be {expected}, got {value!r}")
 
@@ -401,7 +396,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     if not config.config:
         return config
     doc = _load_json(config.config, "config file")
-    if not isinstance(doc, dict):
+    if not is_kind(doc, dict):
         raise InvalidSpec("config file must be a JSON object")
     command = parser.commands[config.command]
     options = _options(command)

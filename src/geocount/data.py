@@ -2,11 +2,13 @@
 
 A :class:`Dataset` stores its table as read-only numpy columns; a
 :class:`CountyObservation` is one row of such a table.  All types are
-immutable after construction and safe to share across threads.
+immutable after construction and safe to share across threads.  A field or
+column of the wrong kind (a string, a bool, a float count) is ``InvalidSpec``.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -14,6 +16,7 @@ import numpy as np
 
 from .exceptions import (
     ConstantColumn,
+    DimensionMismatch,
     DuplicateCovariate,
     DuplicateId,
     EmptySelection,
@@ -49,6 +52,11 @@ def _check_rows(latlon: np.ndarray, counts: np.ndarray, covariates: np.ndarray) 
     raise NonFiniteCovariate(row)
 
 
+def is_lat_lon(point) -> bool:
+    """A (latitude, longitude) pair within [-90, 90] x [-180, 180]."""
+    return len(point) == 2 and abs(point[0]) <= 90.0 and abs(point[1]) <= 180.0
+
+
 def reject_duplicates(values, error) -> None:
     """Raise ``error(value)`` for the first value that occurs more than once."""
     if len(set(values)) != len(values):
@@ -77,14 +85,11 @@ class CountyObservation:
     covariates: tuple[float, ...] = ()
 
     def __post_init__(self):
+        pair = "a (latitude, longitude) pair within [-90, 90] x [-180, 180]"
+        finite = ((float,), lambda v: all(map(math.isfinite, v)), "a list of finite numbers")
         check_fields(self, id=(str, lambda v: True, "a string"),
-                     count=(int, lambda v: v >= 0, "an integer >= 0"))
-        object.__setattr__(self, "covariates", tuple(float(v) for v in self.covariates))
-        _check_rows(
-            np.array([self.centroid], dtype=np.float64),
-            np.array([self.count]),
-            np.array([self.covariates], dtype=np.float64),
-        )
+                     centroid=((float,), is_lat_lon, pair),
+                     count=(int, lambda v: v >= 0, "an integer >= 0"), covariates=finite)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,15 +111,15 @@ class Dataset:
     standardization: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("schema", "ids"):
-            values = tuple(getattr(self, name))
-            wrong = [v for v in values if not isinstance(v, str)]
-            if wrong:
-                raise InvalidSpec(f"Dataset {name} must be strings, got {wrong[0]!r}")
-            object.__setattr__(self, name, values)
+        strings = ((str,), lambda v: True, "strings")
+        check_fields(self, schema=strings, ids=strings)
         for name, dtype in (("latlon", np.float64), ("y", np.int64), ("covariates", np.float64)):
-            # a copy, so the caller's array stays writable; float counts are refused
-            column = np.asarray(getattr(self, name)).astype(dtype, casting="same_kind")
+            column = np.asarray(getattr(self, name))
+            # float counts are refused, and bools, which numpy casts to any number
+            if column.dtype == bool or not np.can_cast(column.dtype, dtype, "same_kind"):
+                raise InvalidSpec(
+                    f"Dataset {name} must be {dtype.__name__} values, got {column.dtype}")
+            column = column.astype(dtype)  # a copy, so the caller's array stays writable
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         reject_duplicates(self.schema, DuplicateCovariate)
@@ -122,7 +127,7 @@ class Dataset:
         n, k = len(self.ids), len(self.schema)
         shapes = (self.latlon.shape, self.y.shape, self.covariates.shape)
         if shapes != ((n, 2), (n,), (n, k)):
-            raise ValueError(f"column shapes {shapes} do not fit {n} ids and {k} covariates")
+            raise InvalidSpec(f"column shapes {shapes} do not fit {n} ids and {k} covariates")
         _check_rows(self.latlon, self.y, self.covariates)
 
     @classmethod
@@ -191,9 +196,9 @@ class DesignMatrix:
     def __post_init__(self):
         vals = np.array(self.values, dtype=np.float64)
         if vals.ndim != 2:
-            raise ValueError("design matrix must be two-dimensional")
+            raise DimensionMismatch("design matrix must be two-dimensional")
         if vals.shape[1] != len(self.column_names):
-            raise ValueError("column_names length does not match matrix width")
+            raise DimensionMismatch("column_names length does not match matrix width")
         start = 1 if self.has_intercept else 0
         for j in range(start, vals.shape[1]):
             col = vals[:, j]

@@ -1,11 +1,13 @@
 """Exception hierarchy shared by all geocount modules, and the rules for values.
 
 Every error carries a stable ``code`` (the class name) so the CLI can emit
-machine-parseable one-line errors.  :func:`read_object` checks a JSON object's
-fields and :func:`check_fields` a constructor's, both by one table of kinds.
+machine-parseable one-line errors.  :func:`is_kind` tests a value against a kind,
+such as a number or a sequence kind ``(str,)``: JSON fields (:func:`read_object`),
+constructor fields (:func:`check_fields`) and ``--config`` values are checked by it.
 """
 
 import numbers
+import reprlib
 import sys
 
 
@@ -188,42 +190,73 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-#: The rule and the wording of each kind of value :func:`read_object` and :func:`check_fields`
-#: check; ``object`` is a value of any kind, which its constructor checks.
+#: The test, the wording and the plural of each kind; ``object`` is any value, which its
+#: constructor checks.  ``str.__instancecheck__`` is a builtin ``isinstance(v, str)``, so a
+#: long sequence of strings costs no Python call per item.
 _KINDS = {
-    str: (lambda v: isinstance(v, str), "a string"),
-    int: (is_integer, "an integer"),
-    float: (is_number, "a number"),
-    bool: (lambda v: isinstance(v, bool), "true or false"),
-    list: (lambda v: isinstance(v, list), "a list"),
-    dict: (lambda v: isinstance(v, dict), "an object"),
-    object: (lambda v: True, "any value"),
+    str: (str.__instancecheck__, "a string", "strings"),
+    int: (is_integer, "an integer", "integers"),
+    float: (is_number, "a number", "numbers"),
+    bool: (bool.__instancecheck__, "true or false", "true or false values"),
+    list: (list.__instancecheck__, "a list", "lists"),
+    dict: (dict.__instancecheck__, "an object", "objects"),
+    object: (lambda v: True, "any value", "values"),
 }
+
+
+def is_kind(value, kind) -> bool:
+    """Whether ``value`` is of ``kind``: a kind of ``_KINDS`` (a ``float`` is any number), or a
+    sequence kind ``(item,)``: a list, a tuple or a 1-D array (``ndim`` 1) whose every item is
+    of kind ``item``, which may itself be a sequence kind, as in ``((str,),)``."""
+    if kind in _KINDS:
+        return _KINDS[kind][0](value)
+    item = kind[0]
+    test = _KINDS[item][0] if item in _KINDS else lambda v: is_kind(v, item)
+    sequence = isinstance(value, (list, tuple)) or getattr(value, "ndim", None) == 1
+    return sequence and all(map(test, value))
+
+
+def kind_wording(kind, plural=False) -> str:
+    """How a refusal names ``kind``: ``a number``, ``a list of numbers`` (or ``numbers``,
+    ``lists of numbers`` with ``plural``)."""
+    if kind in _KINDS:
+        return _KINDS[kind][2 if plural else 1]
+    return ("lists of " if plural else "a list of ") + kind_wording(kind[0], plural=True)
+
+
+def _as_kind(value, kind):
+    """``value``, which is of ``kind``, as that kind: a number as ``int`` or ``float``, a sequence
+    as a tuple.  Other values are kept as they are, so ids are not copied one by one."""
+    if kind in _KINDS:
+        return kind(value) if kind in (int, float) else value
+    item = kind[0]
+    return tuple(value) if item in (str, object) else tuple(_as_kind(v, item) for v in value)
 
 
 def read_object(doc, what: str, **kinds) -> dict:
     """The fields of the JSON object ``doc``, which holds exactly the keys of ``kinds``, each
-    of its kind in ``_KINDS`` (a ``float`` is any number, returned as a float).  Any other
-    document raises ``InvalidSpec``."""
-    if not isinstance(doc, dict):
+    of its kind (see :func:`is_kind`), returned as that kind.  Any other document raises
+    ``InvalidSpec``."""
+    if not is_kind(doc, dict):
         raise InvalidSpec(f"{what} must be an object, got {doc!r}")
     for key in [*doc, *kinds]:
         if key not in doc or key not in kinds:
             raise InvalidSpec(f"{what}: {'unknown' if key in doc else 'missing'} key {key!r}")
     for key, kind in kinds.items():
-        is_kind, wording = _KINDS[kind]
-        if not is_kind(doc[key]):
-            raise InvalidSpec(f"{what}: {key!r} must be {wording}, got {doc[key]!r}")
-    return {key: float(doc[key]) if kind is float else doc[key] for key, kind in kinds.items()}
+        if not is_kind(doc[key], kind):
+            raise InvalidSpec(f"{what}: {key!r} must be {kind_wording(kind)}, got {doc[key]!r}")
+    return {key: _as_kind(doc[key], kind) for key, kind in kinds.items()}
 
 
 def check_fields(obj, **rules) -> None:
     """Store each named field of the frozen dataclass ``obj`` as the kind of its rule
-    ``(kind, ok, wording)``: ``int``, ``float`` (any number) or ``str``, checked by ``_KINDS``,
-    on which ``ok`` holds.  Rules run in order, so ``ok`` may read a field stored before it.
-    Any other value raises ``InvalidSpec``: ``<Class> <field> must be <wording>, got …``."""
+    ``(kind, ok, wording)`` (see :func:`is_kind`; a sequence becomes a tuple), on which ``ok``
+    holds.  Rules run in order, so ``ok`` may read a field stored before it.  Any other value
+    raises ``InvalidSpec``: ``<Class> <field> must be <wording>, got …``, a long value cut
+    short by ``reprlib``."""
     for name, (kind, ok, wording) in rules.items():
         raw = getattr(obj, name)
-        if not (_KINDS[kind][0](raw) and ok(kind(raw))):
-            raise InvalidSpec(f"{type(obj).__name__} {name} must be {wording}, got {raw!r}")
-        object.__setattr__(obj, name, kind(raw))
+        if not (is_kind(raw, kind) and ok(value := _as_kind(raw, kind))):
+            got = reprlib.repr(raw)
+            raise InvalidSpec(f"{type(obj).__name__} {name} must be {wording}, got {got}")
+        object.__setattr__(obj, name, value)

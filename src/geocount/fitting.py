@@ -30,7 +30,7 @@ from .exceptions import (
     SingularInformation,
     ZeroStandardError,
     check_fields,
-    is_number,
+    is_kind,
     read_object,
 )
 from .likelihoods import INFLATE_PREFIX, FAMILIES, Family, ModelSpec
@@ -119,9 +119,8 @@ class FitResult:
                 for c in doc["coefficients"])
         doc["coefficients"] = tuple(rows)
         k, covariance = len(doc["coefficients"]), doc["covariance"]
-        if len(covariance) != k or not all(
-            isinstance(r, list) and len(r) == k and all(map(is_number, r)) for r in covariance
-        ):
+        if not (is_kind(covariance, ((float,),)) and len(covariance) == k
+                and all(len(r) == k for r in covariance)):
             raise InvalidSpec(f"fit result: 'covariance' must be a {k} x {k} matrix of numbers")
         doc["covariance"] = np.array(covariance, dtype=np.float64).reshape(k, k)
         try:

@@ -27,6 +27,7 @@ from .exceptions import (
     MissingColumn,
     NonNumericCell,
     ZeroDenominator,
+    check_fields,
 )
 
 #: The columns every table has: the unit's id, its centroid and its count.
@@ -50,8 +51,11 @@ class IngestConfig:
     standardize: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "rate_specs", tuple(tuple(s) for s in self.rate_specs))
-        object.__setattr__(self, "ratio_specs", tuple(tuple(s) for s in self.ratio_specs))
+        pairs = (((str,),), lambda v: all(len(s) == 2 for s in v), "a list of (column, name) pairs")
+        triples = (((str,),), lambda v: all(len(s) == 3 for s in v),
+                   "a list of (numerator, denominator, name) triples")
+        check_fields(self, rate_specs=pairs, ratio_specs=triples,
+                     standardize=(bool, lambda v: True, "true or false"))
         if self.rate_specs and self.population_column is None:
             raise InvalidSpec("rate_specs require a population_column")
         reject_duplicates(self.derived_names, DuplicateCovariate)

@@ -25,7 +25,8 @@ extreme linear predictors (|x'beta| up to 1e4) neither overflow nor produce
 
 Each family is declared once, in :data:`FAMILIES`.  The public functions
 check their inputs, then call the family's unchecked core; ``fit`` checks
-once and calls the cores inside its Newton loop.
+once and calls the cores inside its Newton loop.  ``exceptions.check_fields``
+checks the fields of :class:`ModelSpec` and :class:`Params`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from scipy.special import expit, gammaln
 
 from .data import DesignMatrix
-from .exceptions import DimensionMismatch, DomainError, InvalidSpec, NegativeCount, is_number
+from .exceptions import DimensionMismatch, DomainError, InvalidSpec, NegativeCount, check_fields
 
 
 class Family(str, Enum):
@@ -64,14 +65,11 @@ class ModelSpec:
 
     def __post_init__(self):
         families = [family.value for family in Family]
-        if self.family not in families:
-            raise InvalidSpec(f"ModelSpec family must be one of {families}, got {self.family!r}")
+        names = ((str,), lambda v: True, "a list of names")
+        check_fields(self, family=(object, lambda v: v in families, f"one of {families}"),
+                     count_covariates=names, inflation_covariates=names,
+                     add_intercept=(bool, lambda v: True, "true or false"))
         object.__setattr__(self, "family", Family(self.family))
-        for field in ("count_covariates", "inflation_covariates"):
-            names = getattr(self, field)
-            if not (isinstance(names, (list, tuple)) and all(isinstance(n, str) for n in names)):
-                raise InvalidSpec(f"ModelSpec {field} must be a list of names, got {names!r}")
-            object.__setattr__(self, field, tuple(names))
         if self.inflation_covariates and not FAMILIES[self.family].inflated:
             raise InvalidSpec("inflation_covariates are only meaningful for the ZIP family")
 
@@ -84,12 +82,11 @@ class Params:
     gamma: np.ndarray | None = None
 
     def __post_init__(self):
-        for field in ("beta", "gamma") if self.gamma is not None else ("beta",):
-            values = getattr(self, field)
-            entries = np.asarray(values, dtype=object).ravel()
-            if not all(is_number(v) and math.isfinite(v) for v in entries):
-                raise InvalidSpec(f"Params {field} must be finite numbers, got {values!r}")
-            object.__setattr__(self, field, np.asarray(values, dtype=np.float64))
+        finite = ((float,), lambda v: all(map(math.isfinite, v)), "finite numbers")
+        fields = ("beta", "gamma") if self.gamma is not None else ("beta",)
+        check_fields(self, **dict.fromkeys(fields, finite))
+        for field in fields:
+            object.__setattr__(self, field, np.array(getattr(self, field)))
 
 
 class ZipPrediction(NamedTuple):

@@ -33,8 +33,8 @@ import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from .data import Dataset
-from .exceptions import InvalidSpec, check_fields, is_number, read_object
+from .data import Dataset, is_lat_lon
+from .exceptions import InvalidSpec, check_fields, is_kind, read_object
 from .fitting import INFLATE_PREFIX, FitResult, OptimOptions, fit
 from .likelihoods import Family, ModelSpec
 from .spatial import EARTH_RADIUS_KM
@@ -57,11 +57,6 @@ PAPER_SCALE_MEAN_POSITIVE = 2.0
 
 _BASE_LAT = 39.0
 _BASE_LON = -98.0
-
-
-def _as_float(raw) -> float:
-    """A number as a float; anything else as NaN, which fails every domain rule."""
-    return float(raw) if is_number(raw) else math.nan
 
 
 # Each descriptor fills ``doubles + draws`` raw values of a unit.  Its
@@ -146,17 +141,9 @@ class Clustered:
     doubles, draws = 0, 3
 
     def __post_init__(self):
-        try:
-            centers = tuple((_as_float(lat), _as_float(lon)) for lat, lon in self.centers)
-        except (TypeError, ValueError):
-            centers = ()
-        if not centers or not all(abs(lat) <= 90.0 and abs(lon) <= 180.0 for lat, lon in centers):
-            raise InvalidSpec(
-                "Clustered centers must be one or more (lat, lon) pairs within "
-                f"[-90, 90] x [-180, 180], got {self.centers!r}"
-            )
-        object.__setattr__(self, "centers", centers)
-        check_fields(self, spread_km=(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0"))
+        pairs = "one or more (lat, lon) pairs within [-90, 90] x [-180, 180]"
+        check_fields(self, centers=(((float,),), lambda v: v and all(map(is_lat_lon, v)), pairs),
+                     spread_km=(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0"))
 
     def draw(self, rng: np.random.Generator) -> list:
         """Center index, north km, east km."""
@@ -187,27 +174,25 @@ class DgpSpec:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "covariates", tuple((n, d) for n, d in self.covariates))
-        object.__setattr__(self, "beta", tuple(map(_as_float, self.beta)))
-        object.__setattr__(self, "gamma", tuple(map(_as_float, self.gamma)))
+        pairs = (((object,),), lambda v: all(len(c) == 2 for c in v),
+                 "a list of (name, distribution) pairs")
+        finite = ((float,), lambda v: all(map(math.isfinite, v)), "finite numbers")
+        layouts = (object, lambda v: type(v) in _LAYOUTS.values(), f"one of {list(_LAYOUTS)}")
         # each unit index is a one-word (uint32) SeedSequence spawn key
         check_fields(self, n=(int, lambda v: 1 <= v < 2**32, "an integer within [1, 2**32)"),
-                     seed=(int, lambda v: v >= 0, "an integer >= 0"))
+                     seed=(int, lambda v: v >= 0, "an integer >= 0"),
+                     covariates=pairs, beta=finite, gamma=finite, layout=layouts)
         k = len(self.covariates) + 1
         if len(self.beta) != k or len(self.gamma) != k:
             raise InvalidSpec(
                 f"beta and gamma must have length {k} (intercept + covariates); "
                 f"got {len(self.beta)} and {len(self.gamma)}"
             )
-        if not all(math.isfinite(c) for c in self.beta + self.gamma):
-            raise InvalidSpec("beta and gamma must be finite numbers")
         names = [n for n, _ in self.covariates]
-        if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
+        if not is_kind(names, (str,)) or len(set(names)) != len(names):
             raise InvalidSpec(f"covariate names must be unique strings, got {names!r}")
         if not all(type(d) in _DISTRIBUTIONS.values() for _, d in self.covariates):
             raise InvalidSpec(f"covariate distributions must be one of {list(_DISTRIBUTIONS)}")
-        if type(self.layout) not in _LAYOUTS.values():
-            raise InvalidSpec(f"layout must be one of {list(_LAYOUTS)}, got {self.layout!r}")
 
     @property
     def covariate_names(self) -> tuple[str, ...]:
@@ -427,7 +412,7 @@ def _descriptor_to_json(descriptor, table: dict) -> dict:
 def _descriptor_from_json(payload: dict, table: dict):
     """The descriptor an object names by its ``type``; its class checks its values."""
     kind = payload.get("type")
-    if not (isinstance(kind, str) and kind in table):
+    if not (is_kind(kind, str) and kind in table):
         raise InvalidSpec(f"descriptor {payload!r} needs a type out of {list(table)}")
     names = {f.name: object for f in fields(table[kind])}
     values = read_object(payload, f"{kind} descriptor", type=str, **names)
@@ -460,7 +445,7 @@ def dgp_spec_from_json(text: str) -> DgpSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidSpec(f"spec is not valid JSON: {exc}") from exc
-    if isinstance(doc, dict) and "preset" in doc:
+    if is_kind(doc, dict) and "preset" in doc:
         preset = read_object({"seed": 0, **doc}, "spec", preset=object, seed=object)
         if preset["preset"] != PAPER_SCALE_PRESET:
             raise InvalidSpec(f"unknown preset {preset['preset']!r}")

@@ -24,7 +24,8 @@ import numpy as np
 import scipy.sparse
 import scipy.spatial
 
-from .exceptions import DegenerateGeometry, DimensionMismatch, DomainError, KTooLarge, check_fields
+from .exceptions import DegenerateGeometry, DimensionMismatch, DomainError, InvalidSpec
+from .exceptions import KTooLarge, check_fields
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -259,7 +260,7 @@ def build_weights(centroids, scheme, include_self: bool = True) -> SpatialWeight
             raise KTooLarge(scheme.k, n)
         rows, cols = _knn_pairs(sphere, scheme.k)
     else:
-        raise TypeError(f"unknown weights scheme: {scheme!r}")
+        raise InvalidSpec(f"unknown weights scheme: {scheme!r}")
 
     entries = _binary_csr(n, rows, cols, include_self)
     return SpatialWeightsMatrix(n=n, entries=entries, scheme=scheme, include_self=include_self)

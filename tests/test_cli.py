@@ -708,7 +708,7 @@ class TestInvalidInput:
                 ["fit", "--input", SMOKE_CSV, "--family", "poisson",
                  "--config", "{src}", "--out", "{out}"],
                 '{"covariates": "banks_per_10k"}',
-                "InvalidSpec: config file: 'covariates' must be a list of names",
+                "InvalidSpec: config file: 'covariates' must be a list of strings, got 'banks_per_10k'",
                 id="config-covariates-not-list",
             ),
             pytest.param(
@@ -745,7 +745,7 @@ class TestInvalidInput:
             pytest.param(
                 SIMULATE,
                 spec_text(beta=math.nan),
-                "InvalidSpec: beta and gamma must be finite numbers",
+                "InvalidSpec: DgpSpec beta must be finite numbers, got [nan]",
                 id="spec-beta-nan",
             ),
             pytest.param(
@@ -802,7 +802,7 @@ class TestInvalidInput:
             pytest.param(
                 SIMULATE,
                 spec_text(distribution={"type": "normal", "mu": 0, "sigma": 1}, beta="0.3"),
-                "InvalidSpec: beta and gamma must be finite numbers",
+                "InvalidSpec: DgpSpec beta must be finite numbers, got ['0.3', 0.2]",
                 id="spec-beta-string",
             ),
             pytest.param(

@@ -12,12 +12,14 @@ from geocount import (
 )
 from geocount.exceptions import (
     ConstantColumn,
+    DimensionMismatch,
     DuplicateCovariate,
     DuplicateId,
     EmptySelection,
     InvalidSpec,
     UnknownCovariate,
 )
+from geocount.simulate import Bernoulli, DgpSpec, Normal, UniformSquare, generate
 
 
 def make_dataset(counts, covariates=None, schema=()):
@@ -56,6 +58,19 @@ class TestCountyObservation:
         with pytest.raises(ValueError):
             CountyObservation(id="x", centroid=(0.0, 0.0), count=0, covariates=(bad,))
 
+    @pytest.mark.parametrize(
+        "centroid", [("40", "-90"), (40.0,), None, (40.0, -90.0, 7.0)],
+        ids=["strings", "one-number", "none", "three-numbers"],
+    )
+    def test_centroid_must_be_a_pair_of_numbers(self, centroid):
+        with pytest.raises(InvalidSpec, match="CountyObservation centroid must be a "):
+            CountyObservation(id="x", centroid=centroid, count=0)
+
+    @pytest.mark.parametrize("covariates", ["12", (True,), None], ids=["string", "bool", "none"])
+    def test_covariates_must_be_a_list_of_numbers(self, covariates):
+        with pytest.raises(InvalidSpec, match="CountyObservation covariates must be a list"):
+            CountyObservation(id="x", centroid=(0.0, 0.0), count=0, covariates=covariates)
+
 
 class TestDataset:
     def test_duplicate_id(self):
@@ -85,6 +100,40 @@ class TestDataset:
         obs = (CountyObservation(id="a", centroid=(0.0, 0.0), count=0, covariates=(1.0,)),)
         with pytest.raises(ValueError):
             Dataset.from_observations(("x", "y"), obs)
+
+    def test_column_shape_mismatch_is_invalid_spec(self):
+        with pytest.raises(InvalidSpec, match="column shapes"):
+            Dataset(schema=("x", "y"), ids=["a"], latlon=[[40.0, -90.0]], y=[1],
+                    covariates=[[1.0]])
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("latlon", [["40", "-90"]]),
+            ("latlon", np.array([[40.0, None]], dtype=object)),
+            ("latlon", [[True, False]]),
+            ("y", ["1"]),
+            ("y", np.array([1], dtype=object)),
+            ("y", [True]),
+            ("y", [1.0]),
+            ("covariates", [["1.5"]]),
+            ("covariates", np.array([[1.5]], dtype=object)),
+            ("covariates", [[True]]),
+        ],
+        ids=["latlon-string", "latlon-object", "latlon-bool", "y-string", "y-object", "y-bool",
+             "y-float", "covariates-string", "covariates-object", "covariates-bool"],
+    )
+    def test_columns_must_be_numeric(self, field, value):
+        columns = {"schema": ["x"], "ids": ["a"], "latlon": [[40.0, -90.0]], "y": [1],
+                   "covariates": [[1.0]]}
+        with pytest.raises(InvalidSpec, match=f"Dataset {field} must be (float64|int64) values, got "):
+            Dataset(**{**columns, field: value})
+
+    def test_observations_round_trip(self):
+        spec = DgpSpec(40, (("x", Normal(0.0, 1.0)), ("b", Bernoulli(0.5))), (0.2, 0.3, -0.1),
+                       (0.0, 0.1, 0.2), UniformSquare(500.0), seed=3)
+        ds = generate(spec)
+        assert Dataset.from_observations(ds.schema, ds.observations) == ds
 
     def test_accessors(self):
         ds = make_dataset([0, 3, 1], covariates=[(1.0,), (2.0,), (3.0,)], schema=("a",))
@@ -162,6 +211,14 @@ class TestDesignMatrixType:
             column_names=("Intercept", "a"),
             has_intercept=True,
         )
+
+    @pytest.mark.parametrize(
+        "values, names", [(np.ones(3), ("a",)), (np.ones((3, 2)), ("a",))],
+        ids=["one-dimensional", "names-short"],
+    )
+    def test_shape_is_dimension_mismatch(self, values, names):
+        with pytest.raises(DimensionMismatch):
+            DesignMatrix(values=values, column_names=names, has_intercept=False)
 
     def test_near_constant_rejected(self):
         with pytest.raises(ConstantColumn):

@@ -161,6 +161,21 @@ class TestReadDataset:
         with pytest.raises(InvalidSpec, match="rate_specs require a population_column"):
             IngestConfig(rate_specs=(("raw", "per10k"),))
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"standardize": "no"}, "standardize"),
+            ({"population_column": "p", "rate_specs": [1]}, "rate_specs"),
+            ({"population_column": "p", "rate_specs": [("raw", "a", "b")]}, "rate_specs"),
+            ({"ratio_specs": None}, "ratio_specs"),
+            ({"ratio_specs": ["pqr"]}, "ratio_specs"),
+        ],
+        ids=["standardize-string", "rate-number", "rate-triple", "ratio-none", "ratio-string"],
+    )
+    def test_config_fields_have_their_kind(self, kwargs, field):
+        with pytest.raises(InvalidSpec, match=f"IngestConfig {field} must be "):
+            IngestConfig(**kwargs)
+
     def test_missing_column(self):
         with pytest.raises(MissingColumn) as err:
             read_text("id,longitude,count\na,-90.0,1\n")

@@ -365,6 +365,11 @@ class TestModelSpec:
         with pytest.raises(InvalidSpec, match=f"ModelSpec {field} must be a list of names"):
             ModelSpec(family="zip", **{field: names})
 
+    @pytest.mark.parametrize("flag", ["no", 1, None])
+    def test_add_intercept_must_be_true_or_false(self, flag):
+        with pytest.raises(InvalidSpec, match="ModelSpec add_intercept must be true or false"):
+            ModelSpec(family="poisson", add_intercept=flag)
+
 
 class TestDispatch:
     def test_loglik_matches_direct(self):
@@ -392,6 +397,15 @@ class TestParams:
         ids=["string", "bool", "bool-among-numbers", "gamma-string"],
     )
     def test_strings_and_bools_are_refused(self, kwargs):
+        with pytest.raises(InvalidSpec, match="Params (beta|gamma) must be finite numbers"):
+            Params(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"beta": 1.0}, {"beta": [[1.0]]}, {"beta": np.zeros((1, 1))}, {"beta": [0.0], "gamma": 1}],
+        ids=["number", "nested-list", "2-d-array", "gamma-number"],
+    )
+    def test_coefficients_must_be_one_dimensional(self, kwargs):
         with pytest.raises(InvalidSpec, match="Params (beta|gamma) must be finite numbers"):
             Params(**kwargs)
 

@@ -260,8 +260,20 @@ class TestDgpSpecValidation:
 
     @pytest.mark.parametrize("beta", [("0.3", 0.1), (True, 0.1)], ids=["string", "bool"])
     def test_coefficients_must_be_numbers(self, beta):
-        with pytest.raises(InvalidSpec, match="beta and gamma must be finite numbers"):
+        with pytest.raises(InvalidSpec, match="DgpSpec beta must be finite numbers, got "):
             DgpSpec(10, (("x", Normal(0, 1)),), beta, (0.1, 0.2), UniformSquare(1.0), 0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("covariates", None), ("covariates", [1]), ("beta", None), ("beta", 1.0),
+         ("gamma", [[0.1]])],
+        ids=["covariates-none", "covariates-number", "beta-none", "beta-number", "gamma-nested"],
+    )
+    def test_sequence_fields_have_their_kind(self, field, value):
+        fields = {"n": 10, "covariates": (), "beta": (0.1,), "gamma": (0.1,),
+                  "layout": UniformSquare(1.0), "seed": 0}
+        with pytest.raises(InvalidSpec, match=f"DgpSpec {field} must be "):
+            DgpSpec(**{**fields, field: value})
 
     @pytest.mark.parametrize("name", [1, None, ("x",)], ids=["int", "none", "tuple"])
     def test_covariate_names_must_be_strings(self, name):

@@ -131,6 +131,10 @@ class TestSchemes:
         with pytest.raises(InvalidSpec):
             KNearest(k)
 
+    def test_unknown_scheme(self):
+        with pytest.raises(InvalidSpec, match="unknown weights scheme"):
+            build_weights([(0.0, 0.0), (1.0, 1.0)], "knn:1")
+
     def test_numpy_values_accepted(self):
         assert DistanceBand(np.float64(12.5)).d_km == 12.5
         assert KNearest(np.int64(3)).k == 3
