@@ -3,18 +3,20 @@
 A :class:`Dataset` stores its table as read-only numpy columns; a
 :class:`CountyObservation` is one row of such a table.  All types are
 immutable after construction and safe to share across threads.  A field or
-column of the wrong kind (a string, a bool, a float count) is ``InvalidSpec``.
+column of the wrong kind (a string, a bool, a float count, a ragged list) is
+``InvalidSpec``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import (
+    Checked,
     ConstantColumn,
     DimensionMismatch,
     DuplicateCovariate,
@@ -25,7 +27,8 @@ from .exceptions import (
     NegativeCount,
     NonFiniteCovariate,
     UnknownCovariate,
-    check_fields,
+    refusal,
+    rule,
 )
 
 #: A column is treated as constant when max - min falls below this value.
@@ -57,6 +60,23 @@ def is_lat_lon(point) -> bool:
     return len(point) == 2 and abs(point[0]) <= 90.0 and abs(point[1]) <= 180.0
 
 
+def _column(obj, name: str, dtype) -> np.ndarray:
+    """Field ``name`` of ``obj`` as a read-only ``dtype`` array, a copy so the caller's array
+    stays writable.  A ragged list, or a dtype of another kind, is ``InvalidSpec``."""
+    value = getattr(obj, name)
+    try:
+        column = np.asarray(value)
+    except ValueError:  # rows of different lengths
+        raise refusal(obj, name, "a rectangular array", value) from None
+    # float counts are refused, and bools, which numpy casts to any number
+    if column.dtype == bool or not np.can_cast(column.dtype, dtype, "same_kind"):
+        raise InvalidSpec(
+            f"{type(obj).__name__} {name} must be {dtype.__name__} values, got {column.dtype}")
+    column = column.astype(dtype)
+    column.flags.writeable = False
+    return column
+
+
 def reject_duplicates(values, error) -> None:
     """Raise ``error(value)`` for the first value that occurs more than once."""
     if len(set(values)) != len(values):
@@ -64,7 +84,7 @@ def reject_duplicates(values, error) -> None:
 
 
 @dataclass(frozen=True)
-class CountyObservation:
+class CountyObservation(Checked):
     """One spatial unit: identifier, centroid, count outcome, covariates.
 
     Parameters
@@ -79,21 +99,16 @@ class CountyObservation:
         Ordered covariate values matching the owning dataset's schema.
     """
 
-    id: str
-    centroid: tuple[float, float]
-    count: int
-    covariates: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        pair = "a (latitude, longitude) pair within [-90, 90] x [-180, 180]"
-        finite = ((float,), lambda v: all(map(math.isfinite, v)), "a list of finite numbers")
-        check_fields(self, id=(str, lambda v: True, "a string"),
-                     centroid=((float,), is_lat_lon, pair),
-                     count=(int, lambda v: v >= 0, "an integer >= 0"), covariates=finite)
+    id: str = rule(str)
+    centroid: tuple[float, float] = rule(
+        (float,), is_lat_lon, "a (latitude, longitude) pair within [-90, 90] x [-180, 180]")
+    count: int = rule(int, lambda v: v >= 0, "an integer >= 0")
+    covariates: tuple[float, ...] = rule(
+        (float,), lambda v: all(map(math.isfinite, v)), "a list of finite numbers", default=())
 
 
 @dataclass(frozen=True, eq=False)
-class Dataset:
+class Dataset(Checked):
     """A validated county table stored as read-only numpy columns.
 
     ``ids`` holds one identifier per unit, ``latlon`` the (n, 2) centroids
@@ -103,25 +118,18 @@ class Dataset:
     when the dataset was standardized at ingestion; empty otherwise.
     """
 
-    schema: tuple[str, ...]
-    ids: tuple[str, ...]
+    schema: tuple[str, ...] = rule((str,), wording="strings")
+    ids: tuple[str, ...] = rule((str,), wording="strings")
     latlon: np.ndarray
     y: np.ndarray
     covariates: np.ndarray
-    standardization: dict[str, tuple[float, float]] = field(default_factory=dict)
+    standardization: dict[str, tuple[float, float]] = rule(
+        dict, wording="a dict", default_factory=dict)
 
     def __post_init__(self):
-        strings = ((str,), lambda v: True, "strings")
-        check_fields(self, schema=strings, ids=strings)
+        super().__post_init__()
         for name, dtype in (("latlon", np.float64), ("y", np.int64), ("covariates", np.float64)):
-            column = np.asarray(getattr(self, name))
-            # float counts are refused, and bools, which numpy casts to any number
-            if column.dtype == bool or not np.can_cast(column.dtype, dtype, "same_kind"):
-                raise InvalidSpec(
-                    f"Dataset {name} must be {dtype.__name__} values, got {column.dtype}")
-            column = column.astype(dtype)  # a copy, so the caller's array stays writable
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+            object.__setattr__(self, name, _column(self, name, dtype))
         reject_duplicates(self.schema, DuplicateCovariate)
         reject_duplicates(self.ids, DuplicateId)
         n, k = len(self.ids), len(self.schema)
@@ -182,7 +190,7 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class DesignMatrix:
+class DesignMatrix(Checked):
     """Numeric realization of a covariate selection.
 
     The intercept, when present, is column 0 of ones.  No non-intercept
@@ -190,11 +198,12 @@ class DesignMatrix:
     """
 
     values: np.ndarray
-    column_names: tuple[str, ...]
-    has_intercept: bool
+    column_names: tuple[str, ...] = rule((str,))
+    has_intercept: bool = rule(bool)
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=np.float64)
+        super().__post_init__()
+        vals = _column(self, "values", np.float64)
         if vals.ndim != 2:
             raise DimensionMismatch("design matrix must be two-dimensional")
         if vals.shape[1] != len(self.column_names):
@@ -204,9 +213,7 @@ class DesignMatrix:
             col = vals[:, j]
             if col.size and col.max() - col.min() < CONSTANT_COLUMN_TOL:
                 raise ConstantColumn(self.column_names[j])
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "column_names", tuple(self.column_names))
 
     @property
     def n(self) -> int:

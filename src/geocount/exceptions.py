@@ -3,9 +3,12 @@
 Every error carries a stable ``code`` (the class name) so the CLI can emit
 machine-parseable one-line errors.  :func:`is_kind` tests a value against a kind,
 such as a number or a sequence kind ``(str,)``: JSON fields (:func:`read_object`),
-constructor fields (:func:`check_fields`) and ``--config`` values are checked by it.
+``--config`` values and constructor fields (declared by :func:`rule`) are checked by it.
 """
 
+import dataclasses
+import functools
+import math
 import numbers
 import reprlib
 import sys
@@ -204,6 +207,10 @@ _KINDS = {
 }
 
 
+def _is_sequence(value) -> bool:
+    return isinstance(value, (list, tuple)) or getattr(value, "ndim", None) == 1
+
+
 def is_kind(value, kind) -> bool:
     """Whether ``value`` is of ``kind``: a kind of ``_KINDS`` (a ``float`` is any number), or a
     sequence kind ``(item,)``: a list, a tuple or a 1-D array (``ndim`` 1) whose every item is
@@ -212,8 +219,7 @@ def is_kind(value, kind) -> bool:
         return _KINDS[kind][0](value)
     item = kind[0]
     test = _KINDS[item][0] if item in _KINDS else lambda v: is_kind(v, item)
-    sequence = isinstance(value, (list, tuple)) or getattr(value, "ndim", None) == 1
-    return sequence and all(map(test, value))
+    return _is_sequence(value) and all(map(test, value))
 
 
 def kind_wording(kind, plural=False) -> str:
@@ -248,15 +254,53 @@ def read_object(doc, what: str, **kinds) -> dict:
     return {key: _as_kind(doc[key], kind) for key, kind in kinds.items()}
 
 
-def check_fields(obj, **rules) -> None:
-    """Store each named field of the frozen dataclass ``obj`` as the kind of its rule
-    ``(kind, ok, wording)`` (see :func:`is_kind`; a sequence becomes a tuple), on which ``ok``
-    holds.  Rules run in order, so ``ok`` may read a field stored before it.  Any other value
-    raises ``InvalidSpec``: ``<Class> <field> must be <wording>, got …``, a long value cut
-    short by ``reprlib``."""
-    for name, (kind, ok, wording) in rules.items():
+#: A sequence of finite numbers, the rule of coefficient vectors.
+FINITE_NUMBERS = ((float,), lambda v: all(map(math.isfinite, v)), "finite numbers")
+
+_RULE = "geocount.rule"
+
+
+def rule(kind, ok=None, wording=None, **default):
+    """A dataclass field whose value must be of ``kind`` and, as that kind, pass ``ok`` (if
+    given), else is refused as not ``wording`` (the kind's own, if not given).  ``default`` or
+    ``default_factory`` pass on to ``dataclasses.field``; :class:`Checked` runs the rule."""
+    checks = (kind, ok or (lambda v: True), wording or kind_wording(kind))
+    return dataclasses.field(metadata={_RULE: checks}, **default)
+
+
+@functools.cache
+def field_rules(cls) -> dict:
+    """``{name: (kind, ok, wording, takes_none)}`` of the fields of ``cls`` that declare a rule,
+    in field order; a field whose default is ``None`` takes ``None``."""
+    return {f.name: (*f.metadata[_RULE], f.default is None)
+            for f in dataclasses.fields(cls) if _RULE in f.metadata}
+
+
+def refusal(obj, name: str, wording: str, value) -> InvalidSpec:
+    """``<Class> <field> must be <wording>, got <value>``, a long value cut short by ``reprlib``."""
+    return InvalidSpec(f"{type(obj).__name__} {name} must be {wording}, got {reprlib.repr(value)}")
+
+
+def check_fields(obj) -> None:
+    """Store each field of the frozen dataclass ``obj`` that declares a rule as the kind of its
+    rule (see :func:`is_kind`; a sequence becomes a tuple), in field order.  Any other value is
+    a :func:`refusal`; a sequence not of its kind names the path to its first bad item and that
+    item, as in ``Dataset ids[30] must be a string, got 5``."""
+    for name, (kind, ok, wording, takes_none) in field_rules(type(obj)).items():
         raw = getattr(obj, name)
-        if not (is_kind(raw, kind) and ok(value := _as_kind(raw, kind))):
-            got = reprlib.repr(raw)
-            raise InvalidSpec(f"{type(obj).__name__} {name} must be {wording}, got {got}")
-        object.__setattr__(obj, name, value)
+        if is_kind(raw, kind) and ok(value := _as_kind(raw, kind)):
+            object.__setattr__(obj, name, value)
+        elif not (takes_none and raw is None):
+            while kind not in _KINDS and _is_sequence(raw) and not is_kind(raw, kind):
+                i = next(i for i, item in enumerate(raw) if not is_kind(item, kind[0]))
+                name, raw, kind = f"{name}[{i}]", raw[i], kind[0]  # down to the first bad item
+                wording = kind_wording(kind)
+            raise refusal(obj, name, wording, raw)
+
+
+class Checked:
+    """Base of a frozen dataclass whose fields declare their rules by :func:`rule`; each
+    construction checks and stores them once.  A subclass that compares fields does so in its
+    own ``__post_init__``, after ``super().__post_init__()``."""
+
+    __post_init__ = check_fields

@@ -29,9 +29,10 @@ from .exceptions import (
     SeparationSuspected,
     SingularInformation,
     ZeroStandardError,
-    check_fields,
+    Checked,
     is_kind,
     read_object,
+    rule,
 )
 from .likelihoods import INFLATE_PREFIX, FAMILIES, Family, ModelSpec
 
@@ -42,18 +43,16 @@ from .likelihoods import logit_grad, logit_loglik, poisson_grad, poisson_loglik
 from .likelihoods import zip_grad, zip_loglik
 
 
-@dataclass(frozen=True)
-class OptimOptions:
-    max_iterations: int = 200
-    gradient_tolerance: float = 1e-8
-    step_halving_max: int = 30
-    ridge_floor: float = 1e-10
+_LIMIT = (int, lambda v: v > 0, "an integer > 0")
+_SCALE = (float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
 
-    def __post_init__(self):
-        limit = (int, lambda v: v > 0, "an integer > 0")
-        scale = (float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
-        check_fields(self, max_iterations=limit, gradient_tolerance=scale,
-                     step_halving_max=limit, ridge_floor=scale)
+
+@dataclass(frozen=True)
+class OptimOptions(Checked):
+    max_iterations: int = rule(*_LIMIT, default=200)
+    gradient_tolerance: float = rule(*_SCALE, default=1e-8)
+    step_halving_max: int = rule(*_LIMIT, default=30)
+    ridge_floor: float = rule(*_SCALE, default=1e-10)
 
 
 class CoefficientRow(NamedTuple):

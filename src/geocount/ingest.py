@@ -27,7 +27,8 @@ from .exceptions import (
     MissingColumn,
     NonNumericCell,
     ZeroDenominator,
-    check_fields,
+    Checked,
+    rule,
 )
 
 #: The columns every table has: the unit's id, its centroid and its count.
@@ -35,7 +36,7 @@ ID_COLUMN, LAT_COLUMN, LON_COLUMN, COUNT_COLUMN = "id", "latitude", "longitude",
 
 
 @dataclass(frozen=True)
-class IngestConfig:
+class IngestConfig(Checked):
     """Covariate derivation rules for one CSV table.
 
     ``rate_specs`` entries are (raw_count_column, derived_name) pairs; the
@@ -45,17 +46,17 @@ class IngestConfig:
     themselves become covariates; every other non-special column does.
     """
 
-    population_column: str | None = None
-    rate_specs: tuple[tuple[str, str], ...] = ()
-    ratio_specs: tuple[tuple[str, str, str], ...] = ()
-    standardize: bool = False
+    population_column: str | None = rule(str, default=None)
+    rate_specs: tuple[tuple[str, str], ...] = rule(
+        ((str,),), lambda v: all(len(s) == 2 for s in v), "a list of (column, name) pairs",
+        default=())
+    ratio_specs: tuple[tuple[str, str, str], ...] = rule(
+        ((str,),), lambda v: all(len(s) == 3 for s in v),
+        "a list of (numerator, denominator, name) triples", default=())
+    standardize: bool = rule(bool, default=False)
 
     def __post_init__(self):
-        pairs = (((str,),), lambda v: all(len(s) == 2 for s in v), "a list of (column, name) pairs")
-        triples = (((str,),), lambda v: all(len(s) == 3 for s in v),
-                   "a list of (numerator, denominator, name) triples")
-        check_fields(self, rate_specs=pairs, ratio_specs=triples,
-                     standardize=(bool, lambda v: True, "true or false"))
+        super().__post_init__()
         if self.rate_specs and self.population_column is None:
             raise InvalidSpec("rate_specs require a population_column")
         reject_duplicates(self.derived_names, DuplicateCovariate)

@@ -25,13 +25,12 @@ extreme linear predictors (|x'beta| up to 1e4) neither overflow nor produce
 
 Each family is declared once, in :data:`FAMILIES`.  The public functions
 check their inputs, then call the family's unchecked core; ``fit`` checks
-once and calls the cores inside its Newton loop.  ``exceptions.check_fields``
-checks the fields of :class:`ModelSpec` and :class:`Params`.
+once and calls the cores inside its Newton loop.  The fields of
+:class:`ModelSpec` and :class:`Params` declare their rules (``exceptions.rule``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
@@ -40,7 +39,8 @@ import numpy as np
 from scipy.special import expit, gammaln
 
 from .data import DesignMatrix
-from .exceptions import DimensionMismatch, DomainError, InvalidSpec, NegativeCount, check_fields
+from .exceptions import FINITE_NUMBERS, Checked, DimensionMismatch, DomainError, InvalidSpec
+from .exceptions import NegativeCount, rule
 
 
 class Family(str, Enum):
@@ -49,8 +49,11 @@ class Family(str, Enum):
     ZIP = "zip"
 
 
+_FAMILY_NAMES = [family.value for family in Family]
+
+
 @dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Checked):
     """Model family plus covariate selections.
 
     ``count_covariates`` drive the count (or presence) component;
@@ -58,35 +61,30 @@ class ModelSpec:
     default to the count set when left empty.
     """
 
-    family: Family
-    count_covariates: tuple[str, ...] = ()
-    inflation_covariates: tuple[str, ...] = ()
-    add_intercept: bool = True
+    family: Family = rule(str, lambda v: v in _FAMILY_NAMES, f"one of {_FAMILY_NAMES}")
+    count_covariates: tuple[str, ...] = rule((str,), wording="a list of names", default=())
+    inflation_covariates: tuple[str, ...] = rule((str,), wording="a list of names", default=())
+    add_intercept: bool = rule(bool, default=True)
 
     def __post_init__(self):
-        families = [family.value for family in Family]
-        names = ((str,), lambda v: True, "a list of names")
-        check_fields(self, family=(object, lambda v: v in families, f"one of {families}"),
-                     count_covariates=names, inflation_covariates=names,
-                     add_intercept=(bool, lambda v: True, "true or false"))
+        super().__post_init__()
         object.__setattr__(self, "family", Family(self.family))
         if self.inflation_covariates and not FAMILIES[self.family].inflated:
             raise InvalidSpec("inflation_covariates are only meaningful for the ZIP family")
 
 
 @dataclass(frozen=True)
-class Params:
+class Params(Checked):
     """Coefficient vectors: beta for the count component, gamma for inflation."""
 
-    beta: np.ndarray
-    gamma: np.ndarray | None = None
+    beta: np.ndarray = rule(*FINITE_NUMBERS)
+    gamma: np.ndarray | None = rule(*FINITE_NUMBERS, default=None)
 
     def __post_init__(self):
-        finite = ((float,), lambda v: all(map(math.isfinite, v)), "finite numbers")
-        fields = ("beta", "gamma") if self.gamma is not None else ("beta",)
-        check_fields(self, **dict.fromkeys(fields, finite))
-        for field in fields:
-            object.__setattr__(self, field, np.array(getattr(self, field)))
+        super().__post_init__()
+        for name in ("beta", "gamma"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, np.array(value))
 
 
 class ZipPrediction(NamedTuple):

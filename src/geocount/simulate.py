@@ -16,9 +16,9 @@ the draws, are the same.  Each unit draws every maximal run of uniform-type
 doubles (Uniform and Bernoulli covariates, square offsets, the structural-zero
 draw) in one ``rng.random(m)`` call, and the doubles become values afterwards
 in array expressions; numpy's ``uniform(a, b)`` is ``a + (b - a) * random()``,
-so the values are bit for bit those of one draw call each.  Fields are checked by
-``exceptions.check_fields`` and documents read by ``exceptions.read_object``: a
-string or bool is refused, never converted.
+so the values are bit for bit those of one draw call each.  Each field declares
+its rule (``exceptions.rule``) and documents are read by ``exceptions.read_object``:
+a string or bool is refused, never converted.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
 from .data import Dataset, is_lat_lon
-from .exceptions import InvalidSpec, check_fields, is_kind, read_object
+from .exceptions import FINITE_NUMBERS, Checked, InvalidSpec, is_kind, read_object, refusal, rule
 from .fitting import INFLATE_PREFIX, FitResult, OptimOptions, fit
 from .likelihoods import Family, ModelSpec
 from .spatial import EARTH_RADIUS_KM
@@ -66,16 +66,15 @@ _BASE_LON = -98.0
 # to the covariate, on a float or a column alike; a layout's ``offsets`` maps
 # its raw columns to the units' offsets from their base points.
 
+_FINITE = (float, math.isfinite, "a finite number")
+_NONNEGATIVE = (float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+
 
 @dataclass(frozen=True)
-class Normal:
-    mu: float
-    sigma: float
+class Normal(Checked):
+    mu: float = rule(*_FINITE)
+    sigma: float = rule(*_NONNEGATIVE)
     doubles, draws = 0, 1
-
-    def __post_init__(self):
-        check_fields(self, mu=(float, math.isfinite, "a finite number"),
-                     sigma=(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0"))
 
     def draw(self, rng: np.random.Generator) -> list:
         return [rng.normal(self.mu, self.sigma)]
@@ -85,27 +84,26 @@ class Normal:
 
 
 @dataclass(frozen=True)
-class Bernoulli:
-    q: float
+class Bernoulli(Checked):
+    q: float = rule(float, lambda v: 0.0 <= v <= 1.0, "within [0, 1]")
     doubles, draws = 1, 0
-
-    def __post_init__(self):
-        check_fields(self, q=(float, lambda v: 0.0 <= v <= 1.0, "within [0, 1]"))
 
     def value(self, u):
         return 1.0 * (u < self.q)
 
 
 @dataclass(frozen=True)
-class Uniform:
-    a: float
-    b: float
+class Uniform(Checked):
+    a: float = rule(*_FINITE)
+    b: float = rule(float, wording="a finite number >= a")
     doubles, draws = 1, 0
 
     def __post_init__(self):
+        b = self.b  # as given, for the refusal
+        super().__post_init__()
         # numpy's uniform needs b - a to be a finite number >= 0
-        check_fields(self, a=(float, math.isfinite, "a finite number"),
-                     b=(float, lambda v: 0.0 <= v - self.a < math.inf, "a finite number >= a"))
+        if not 0.0 <= self.b - self.a < math.inf:
+            raise refusal(self, "b", "a finite number >= a", b)
 
     def value(self, u):
         return self.a + (self.b - self.a) * u  # numpy's uniform(a, b)
@@ -115,15 +113,12 @@ Distribution = Union[Normal, Bernoulli, Uniform]
 
 
 @dataclass(frozen=True)
-class UniformSquare:
+class UniformSquare(Checked):
     """Centroids uniform over a side_km square centred on the base point."""
 
-    side_km: float
+    side_km: float = rule(float, lambda v: 0.0 <= v <= MAX_SIDE_KM,
+                          f"within [0, {MAX_SIDE_KM!r}] (pole to pole)")
     doubles, draws = 2, 0
-
-    def __post_init__(self):
-        within = f"within [0, {MAX_SIDE_KM!r}] (pole to pole)"
-        check_fields(self, side_km=(float, lambda v: 0.0 <= v <= MAX_SIDE_KM, within))
 
     def offsets(self, raw: np.ndarray) -> tuple:
         """(base points, each unit's base, north km, east km) from the two doubles."""
@@ -133,17 +128,14 @@ class UniformSquare:
 
 
 @dataclass(frozen=True)
-class Clustered:
+class Clustered(Checked):
     """Centroids drawn around one of several (lat, lon) centers."""
 
-    centers: tuple[tuple[float, float], ...]
-    spread_km: float
+    centers: tuple[tuple[float, float], ...] = rule(
+        ((float,),), lambda v: v and all(map(is_lat_lon, v)),
+        "one or more (lat, lon) pairs within [-90, 90] x [-180, 180]")
+    spread_km: float = rule(*_NONNEGATIVE)
     doubles, draws = 0, 3
-
-    def __post_init__(self):
-        pairs = "one or more (lat, lon) pairs within [-90, 90] x [-180, 180]"
-        check_fields(self, centers=(((float,),), lambda v: v and all(map(is_lat_lon, v)), pairs),
-                     spread_km=(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0"))
 
     def draw(self, rng: np.random.Generator) -> list:
         """Center index, north km, east km."""
@@ -163,25 +155,21 @@ _LAYOUTS = {"uniform_square": UniformSquare, "clustered": Clustered}
 
 
 @dataclass(frozen=True)
-class DgpSpec:
+class DgpSpec(Checked):
     """Complete description of one synthetic data-generating process."""
 
-    n: int
-    covariates: tuple[tuple[str, Distribution], ...]
-    beta: tuple[float, ...]
-    gamma: tuple[float, ...]
-    layout: Layout
-    seed: int
+    # each unit index is a one-word (uint32) SeedSequence spawn key
+    n: int = rule(int, lambda v: 1 <= v < 2**32, "an integer within [1, 2**32)")
+    covariates: tuple[tuple[str, Distribution], ...] = rule(
+        ((object,),), lambda v: all(len(c) == 2 for c in v), "a list of (name, distribution) pairs")
+    beta: tuple[float, ...] = rule(*FINITE_NUMBERS)
+    gamma: tuple[float, ...] = rule(*FINITE_NUMBERS)
+    layout: Layout = rule(object, lambda v: type(v) in _LAYOUTS.values(),
+                          f"one of {list(_LAYOUTS)}")
+    seed: int = rule(int, lambda v: v >= 0, "an integer >= 0")
 
     def __post_init__(self):
-        pairs = (((object,),), lambda v: all(len(c) == 2 for c in v),
-                 "a list of (name, distribution) pairs")
-        finite = ((float,), lambda v: all(map(math.isfinite, v)), "finite numbers")
-        layouts = (object, lambda v: type(v) in _LAYOUTS.values(), f"one of {list(_LAYOUTS)}")
-        # each unit index is a one-word (uint32) SeedSequence spawn key
-        check_fields(self, n=(int, lambda v: 1 <= v < 2**32, "an integer within [1, 2**32)"),
-                     seed=(int, lambda v: v >= 0, "an integer >= 0"),
-                     covariates=pairs, beta=finite, gamma=finite, layout=layouts)
+        super().__post_init__()
         k = len(self.covariates) + 1
         if len(self.beta) != k or len(self.gamma) != k:
             raise InvalidSpec(

@@ -25,7 +25,7 @@ import scipy.sparse
 import scipy.spatial
 
 from .exceptions import DegenerateGeometry, DimensionMismatch, DomainError, InvalidSpec
-from .exceptions import KTooLarge, check_fields
+from .exceptions import Checked, KTooLarge, rule
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -41,23 +41,17 @@ _CHORD_ABS_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
-class DistanceBand:
+class DistanceBand(Checked):
     """Binary weights: w_ij = 1 iff the great-circle distance <= d_km."""
 
-    d_km: float
-
-    def __post_init__(self):
-        check_fields(self, d_km=(float, lambda v: 0.0 < v < math.inf, "a finite number > 0"))
+    d_km: float = rule(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
 
 
 @dataclass(frozen=True)
-class KNearest:
+class KNearest(Checked):
     """Binary weights linking each unit to its k nearest neighbors."""
 
-    k: int
-
-    def __post_init__(self):
-        check_fields(self, k=(int, lambda v: v >= 1, "an integer >= 1"))
+    k: int = rule(int, lambda v: v >= 1, "an integer >= 1")
 
 
 class HotspotClass(str, Enum):

@@ -802,7 +802,7 @@ class TestInvalidInput:
             pytest.param(
                 SIMULATE,
                 spec_text(distribution={"type": "normal", "mu": 0, "sigma": 1}, beta="0.3"),
-                "InvalidSpec: DgpSpec beta must be finite numbers, got ['0.3', 0.2]",
+                "InvalidSpec: DgpSpec beta[0] must be a number, got '0.3'",
                 id="spec-beta-string",
             ),
             pytest.param(

@@ -1,5 +1,8 @@
 """Tests for the core domain types and design-matrix construction."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -59,16 +62,27 @@ class TestCountyObservation:
             CountyObservation(id="x", centroid=(0.0, 0.0), count=0, covariates=(bad,))
 
     @pytest.mark.parametrize(
-        "centroid", [("40", "-90"), (40.0,), None, (40.0, -90.0, 7.0)],
+        "centroid, message",
+        [
+            (("40", "-90"), "centroid[0] must be a number, got '40'"),
+            ((40.0,), "centroid must be a "),
+            (None, "centroid must be a "),
+            ((40.0, -90.0, 7.0), "centroid must be a "),
+        ],
         ids=["strings", "one-number", "none", "three-numbers"],
     )
-    def test_centroid_must_be_a_pair_of_numbers(self, centroid):
-        with pytest.raises(InvalidSpec, match="CountyObservation centroid must be a "):
+    def test_centroid_must_be_a_pair_of_numbers(self, centroid, message):
+        with pytest.raises(InvalidSpec, match=re.escape(f"CountyObservation {message}")):
             CountyObservation(id="x", centroid=centroid, count=0)
 
-    @pytest.mark.parametrize("covariates", ["12", (True,), None], ids=["string", "bool", "none"])
-    def test_covariates_must_be_a_list_of_numbers(self, covariates):
-        with pytest.raises(InvalidSpec, match="CountyObservation covariates must be a list"):
+    @pytest.mark.parametrize(
+        "covariates, message",
+        [("12", "covariates must be a list"), ((True,), "covariates[0] must be a number, got True"),
+         (None, "covariates must be a list")],
+        ids=["string", "bool", "none"],
+    )
+    def test_covariates_must_be_a_list_of_numbers(self, covariates, message):
+        with pytest.raises(InvalidSpec, match=re.escape(f"CountyObservation {message}")):
             CountyObservation(id="x", centroid=(0.0, 0.0), count=0, covariates=covariates)
 
 
@@ -89,8 +103,30 @@ class TestDataset:
     def test_ids_and_names_must_be_strings(self, field, value):
         columns = {"schema": ["x"], "ids": ["a"], "latlon": [[40.0, -90.0]], "y": [1],
                    "covariates": [[1.0]]}
-        with pytest.raises(InvalidSpec, match=f"Dataset {field} must be strings, got"):
+        message = f"Dataset {field}[0] must be a string, got {value[0]!r}"
+        with pytest.raises(InvalidSpec, match=re.escape(message)):
             Dataset(**{**columns, field: value})
+
+    def test_a_long_id_list_names_its_first_bad_id(self):
+        ids = [f"a{i}" for i in range(30)] + [5]
+        with pytest.raises(InvalidSpec, match=re.escape("Dataset ids[30] must be a string, got 5")):
+            Dataset(schema=(), ids=ids, latlon=[[40.0, -90.0]] * 31, y=[1] * 31,
+                    covariates=[[]] * 31)
+
+    @pytest.mark.parametrize("field", ["latlon", "y", "covariates"])
+    def test_ragged_column_is_invalid_spec(self, field):
+        columns = {"schema": (), "ids": ["a", "b"], "latlon": [[40.0, -90.0], [41.0, -90.0]],
+                   "y": [1, 2], "covariates": [[], []]}
+        ragged = {"latlon": [[40.0], [41.0, -90.0]], "y": [[1], [1, 2]], "covariates": [[], [1.0]]}
+        with pytest.raises(InvalidSpec, match=f"Dataset {field} must be a rectangular array, got "):
+            Dataset(**{**columns, field: ragged[field]})
+
+    @pytest.mark.parametrize("value", [None, True, "ab"])
+    def test_standardization_must_be_a_dict(self, value):
+        columns = {"schema": (), "ids": [], "latlon": np.empty((0, 2)), "y": [],
+                   "covariates": np.empty((0, 0))}
+        with pytest.raises(InvalidSpec, match="Dataset standardization must be a dict, got "):
+            Dataset(**columns, standardization=value)
 
     def test_observation_id_must_be_a_string(self):
         with pytest.raises(InvalidSpec, match="CountyObservation id must be a string, got 5"):
@@ -219,6 +255,27 @@ class TestDesignMatrixType:
     def test_shape_is_dimension_mismatch(self, values, names):
         with pytest.raises(DimensionMismatch):
             DesignMatrix(values=values, column_names=names, has_intercept=False)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("column_names", "ab", "column_names must be a list of strings, got 'ab'"),
+            ("column_names", [5], "column_names[0] must be a string, got 5"),
+            ("column_names", None, "column_names must be a list of strings, got None"),
+            ("column_names", True, "column_names must be a list of strings, got True"),
+            ("has_intercept", "no", "has_intercept must be true or false, got 'no'"),
+            ("has_intercept", 0, "has_intercept must be true or false, got 0"),
+            ("has_intercept", math.nan, "has_intercept must be true or false, got nan"),
+            ("values", "ab", "values must be float64 values, got <U2"),
+            ("values", {}, "values must be float64 values, got object"),
+            ("values", 10**400, "values must be float64 values, got object"),
+            ("values", [[1.0], [1.0, 2.0]], "values must be a rectangular array, got "),
+        ],
+    )
+    def test_fields_have_their_kind(self, field, value, message):
+        fields = {"values": [[1.0], [2.0]], "column_names": ("a",), "has_intercept": False}
+        with pytest.raises(InvalidSpec, match=re.escape(f"DesignMatrix {message}")):
+            DesignMatrix(**{**fields, field: value})
 
     def test_near_constant_rejected(self):
         with pytest.raises(ConstantColumn):

@@ -1,21 +1,27 @@
-"""The one field checker, ``exceptions.check_fields``: every constructor field it guards
-refuses a value of the wrong kind with ``InvalidSpec: <Class> <field> must be …`` and
-stores a value of the right kind as that kind, a sequence as a tuple."""
+"""Field rules, declared on the fields by ``exceptions.rule``: every constructor field with a
+rule refuses a value of the wrong kind with ``InvalidSpec: <Class> <field> must be …`` and
+stores a value of the right kind as that kind, a sequence as a tuple.  Every dataclass field
+in geocount has a rule or is listed in ``UNCHECKED``."""
 
+import dataclasses
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from geocount.data import CountyObservation, Dataset
-from geocount.exceptions import GeocountError, InvalidSpec
-from geocount.fitting import OptimOptions
+import geocount
+from geocount.data import CountyObservation, Dataset, DesignMatrix
+from geocount.exceptions import Checked, GeocountError, InvalidSpec, field_rules
+from geocount.fitting import FitResult, OptimOptions
 from geocount.ingest import IngestConfig
-from geocount.likelihoods import ModelSpec, Params
-from geocount.simulate import Bernoulli, Clustered, DgpSpec, Normal, Uniform, UniformSquare
-from geocount.spatial import DistanceBand, KNearest
+from geocount.likelihoods import FamilyModel, ModelSpec, Params
+from geocount.simulate import Bernoulli, Clustered, DgpSpec, Normal, RecoveryReport, RecoveryRow
+from geocount.simulate import Uniform, UniformSquare
+from geocount.spatial import DistanceBand, HotspotResult, KNearest, SpatialWeightsMatrix
+from geocount.spatial import WeightsSummary
 
 #: Valid keyword arguments of each constructor.
 VALID = {
@@ -38,37 +44,63 @@ VALID = {
     Params: {"beta": (0.1, 0.2), "gamma": (0.3,)},
     IngestConfig: {"population_column": "pop", "rate_specs": (("a", "a_rate"),),
                    "ratio_specs": (("b", "c", "b_per_c"),), "standardize": False},
+    DesignMatrix: {"values": [[1.0, 2.0], [1.0, 3.0]], "column_names": ("Intercept", "x"),
+                   "has_intercept": True},
 }
-#: The fields of each constructor that ``check_fields`` guards.
-GUARDED = {
-    Normal: ("mu", "sigma"),
-    Bernoulli: ("q",),
-    Uniform: ("a", "b"),
-    UniformSquare: ("side_km",),
-    Clustered: ("centers", "spread_km"),
-    DgpSpec: ("n", "seed", "covariates", "beta", "gamma"),
-    DistanceBand: ("d_km",),
-    KNearest: ("k",),
-    OptimOptions: ("max_iterations", "gradient_tolerance", "step_halving_max", "ridge_floor"),
-    CountyObservation: ("id", "centroid", "count", "covariates"),
-    Dataset: ("schema", "ids"),
-    ModelSpec: ("count_covariates", "inflation_covariates", "add_intercept"),
-    Params: ("beta", "gamma"),
-    IngestConfig: ("rate_specs", "ratio_specs", "standardize"),
-}
+#: The fields of each constructor that declare a rule.
+GUARDED = {cls: tuple(field_rules(cls)) for cls in VALID}
 PAIRS = [(cls, name) for cls, names in GUARDED.items() for name in names]
-#: Fields that hold true or false, and the one string field.
-BOOLS, STRINGS = ("add_intercept", "standardize"), ("id",)
+
+_RESULT = "a result: the library builds it from checked inputs"
+#: Every dataclass field in geocount that declares no rule, and why.
+UNCHECKED = {
+    **{(cls, f.name): _RESULT for cls in (FitResult, HotspotResult, WeightsSummary,
+                                          SpatialWeightsMatrix, RecoveryRow, RecoveryReport)
+       for f in dataclasses.fields(cls)},
+    **{(FamilyModel, f.name): "a family, declared once in likelihoods.FAMILIES"
+       for f in dataclasses.fields(FamilyModel)},
+    **{(Dataset, name): "a column: Dataset converts it and checks its dtype, shape and rows"
+       for name in ("latlon", "y", "covariates")},
+    (DesignMatrix, "values"): "a matrix: DesignMatrix converts it and checks its shape",
+}
+
+
+def _geocount_dataclasses():
+    for info in pkgutil.iter_modules(geocount.__path__):
+        module = importlib.import_module(f"geocount.{info.name}")
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls):
+                yield cls
+
+
+def test_every_field_has_a_rule_or_a_reason():
+    found = list(_geocount_dataclasses())
+    for cls in found:
+        for f in dataclasses.fields(cls):
+            ruled, reason = f.name in field_rules(cls), UNCHECKED.get((cls, f.name))
+            assert ruled or reason, f"{cls.__name__}.{f.name} has no rule and no UNCHECKED reason"
+            assert not (ruled and reason), f"{cls.__name__}.{f.name} has a rule and is UNCHECKED"
+    # only the Checked base class runs rules, and VALID constructs every such class
+    ruled_classes = {cls for cls in found if field_rules(cls)}
+    assert ruled_classes == {cls for cls in found if issubclass(cls, Checked)} == set(VALID)
+    assert {cls for cls, _ in UNCHECKED} <= set(found)
+
+
+def _required(cls) -> dict:
+    """The valid keyword arguments of ``cls`` for its fields that have no default."""
+    return {f.name: VALID[cls][f.name] for f in dataclasses.fields(cls)
+            if f.default is f.default_factory is dataclasses.MISSING}
 
 
 @pytest.mark.parametrize("cls, name", PAIRS, ids=[f"{c.__name__}-{n}" for c, n in PAIRS])
 @pytest.mark.parametrize("kind", ["bool", "numeric-string", "none"])
 def test_wrong_kind_is_refused(cls, name, kind):
-    # a bool field gets 1 for the bool case, and the string field a number for the string case
-    bad = {"bool": 1 if name in BOOLS else True,
-           "numeric-string": 1 if name in STRINGS else "1", "none": None}[kind]
-    if (cls, name, bad) == (Params, "gamma", None):  # a model without inflation
-        assert cls(**{**VALID[cls], name: bad}).gamma is None
+    # a bool field gets 1 for the bool case, and a string field a number for the string case
+    rule_kind, _, _, takes_none = field_rules(cls)[name]
+    bad = {"bool": 1 if rule_kind is bool else True,
+           "numeric-string": 1 if rule_kind is str else "1", "none": None}[kind]
+    if bad is None and takes_none:  # a field whose default is None takes None
+        assert getattr(cls(**{**_required(cls), name: None}), name) is None
         return
     with pytest.raises(InvalidSpec) as info:
         cls(**{**VALID[cls], name: bad})
@@ -115,15 +147,47 @@ def test_params_are_float_arrays():
     assert params.beta.tolist() == [1.0, 2.0] and params.gamma.tolist() == [3.0]
 
 
+def test_rules_run_in_field_order():
+    # seed follows n, covariates, beta, gamma and layout, so their refusals come first
+    with pytest.raises(InvalidSpec, match="DgpSpec beta must be "):
+        DgpSpec(**{**VALID[DgpSpec], "beta": None, "seed": None})
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Clustered([[40.0, -100.0]] * 10 + [[40.0, "x"]], 5.0),
+         "Clustered centers[10][1] must be a number, got 'x'"),
+        (lambda: Clustered([[40.0, -100.0], 5], 5.0),
+         "Clustered centers[1] must be a list of numbers, got 5"),
+        (lambda: CountyObservation("a", np.array([40.0, None]), 1),
+         "CountyObservation centroid[1] must be a number, got None"),
+        (lambda: IngestConfig(ratio_specs=[("a", "b", "c"), ("a", 2, "c")]),
+         "IngestConfig ratio_specs[1][1] must be a string, got 2"),
+    ],
+)
+def test_sequence_refusal_names_its_first_bad_item(make, message):
+    with pytest.raises(InvalidSpec) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_uniform_b_refusal_shows_b_as_given():
+    with pytest.raises(InvalidSpec) as info:
+        Uniform(1, 0)
+    assert str(info.value) == "Uniform b must be a finite number >= a, got 0"
+
+
 #: Values of every wrong kind, and of some right kinds, for any field.
-ODD_VALUES = [None, True, "1", "ab", 10**400, math.nan, [], [[1.0]], {}]
+ODD_VALUES = [None, True, "1", "ab", 10**400, math.nan, [], [[1.0]], {}, [[1.0], [1.0, 2.0]]]
 
 
-@settings(max_examples=60, deadline=None)
-@given(cls=st.sampled_from(list(VALID)), data=st.data(), value=st.sampled_from(ODD_VALUES))
-def test_any_field_value_is_taken_or_refused_with_a_typed_error(cls, data, value):
-    name = data.draw(st.sampled_from(list(VALID[cls])))
-    try:
-        cls(**{**VALID[cls], name: value})
-    except GeocountError:
-        pass
+def test_any_field_value_is_taken_or_refused_with_a_typed_error():
+    # every value in every field of every constructor
+    for cls, valid in VALID.items():
+        for name in valid:
+            for value in ODD_VALUES:
+                try:
+                    cls(**{**valid, name: value})
+                except GeocountError:
+                    pass

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 from unittest import mock
 
 import numpy as np
@@ -164,16 +165,20 @@ class TestReadDataset:
     @pytest.mark.parametrize(
         "kwargs, field",
         [
-            ({"standardize": "no"}, "standardize"),
-            ({"population_column": "p", "rate_specs": [1]}, "rate_specs"),
-            ({"population_column": "p", "rate_specs": [("raw", "a", "b")]}, "rate_specs"),
-            ({"ratio_specs": None}, "ratio_specs"),
-            ({"ratio_specs": ["pqr"]}, "ratio_specs"),
+            ({"standardize": "no"}, "standardize must be "),
+            ({"population_column": "p", "rate_specs": [1]},
+             "rate_specs[0] must be a list of strings, got 1"),
+            ({"population_column": "p", "rate_specs": [("raw", "a", "b")]}, "rate_specs must be "),
+            ({"ratio_specs": None}, "ratio_specs must be "),
+            ({"ratio_specs": ["pqr"]}, "ratio_specs[0] must be a list of strings, got 'pqr'"),
+            ({"population_column": 3.5}, "population_column must be a string, got 3.5"),
+            ({"population_column": ["5"]}, "population_column must be a string, got ['5']"),
         ],
-        ids=["standardize-string", "rate-number", "rate-triple", "ratio-none", "ratio-string"],
+        ids=["standardize-string", "rate-number", "rate-triple", "ratio-none", "ratio-string",
+             "population-number", "population-list"],
     )
     def test_config_fields_have_their_kind(self, kwargs, field):
-        with pytest.raises(InvalidSpec, match=f"IngestConfig {field} must be "):
+        with pytest.raises(InvalidSpec, match=re.escape(f"IngestConfig {field}")):
             IngestConfig(**kwargs)
 
     def test_missing_column(self):

@@ -6,6 +6,7 @@ log-likelihood for scores, and Monte Carlo for mixture moments.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -359,10 +360,20 @@ class TestModelSpec:
         with pytest.raises(InvalidSpec, match="ModelSpec family must be one of"):
             ModelSpec(family="foo")
 
+    def test_family_array_is_refused(self):
+        # an array is not compared with each family name, which numpy cannot make a bool
+        with pytest.raises(InvalidSpec, match="ModelSpec family must be one of"):
+            ModelSpec(family=np.array(["zip", "zip"]))
+
     @pytest.mark.parametrize("field", ["count_covariates", "inflation_covariates"])
-    @pytest.mark.parametrize("names", ["ab", None, ("a", 1)], ids=["string", "none", "number"])
-    def test_covariates_must_be_a_list_of_names(self, field, names):
-        with pytest.raises(InvalidSpec, match=f"ModelSpec {field} must be a list of names"):
+    @pytest.mark.parametrize(
+        "names, message",
+        [("ab", " must be a list of names"), (None, " must be a list of names"),
+         (("a", 1), "[1] must be a string, got 1")],
+        ids=["string", "none", "number"],
+    )
+    def test_covariates_must_be_a_list_of_names(self, field, names, message):
+        with pytest.raises(InvalidSpec, match=re.escape(f"ModelSpec {field}{message}")):
             ModelSpec(family="zip", **{field: names})
 
     @pytest.mark.parametrize("flag", ["no", 1, None])
@@ -392,21 +403,27 @@ class TestParams:
             Params(**kwargs)
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [{"beta": ["1"]}, {"beta": [True]}, {"beta": [0.5, True]}, {"beta": [0.0], "gamma": ["1"]}],
+        "kwargs, message",
+        [({"beta": ["1"]}, "beta[0] must be a number, got '1'"),
+         ({"beta": [True]}, "beta[0] must be a number, got True"),
+         ({"beta": [0.5, True]}, "beta[1] must be a number, got True"),
+         ({"beta": [0.0], "gamma": ["1"]}, "gamma[0] must be a number, got '1'")],
         ids=["string", "bool", "bool-among-numbers", "gamma-string"],
     )
-    def test_strings_and_bools_are_refused(self, kwargs):
-        with pytest.raises(InvalidSpec, match="Params (beta|gamma) must be finite numbers"):
+    def test_strings_and_bools_are_refused(self, kwargs, message):
+        with pytest.raises(InvalidSpec, match=re.escape(f"Params {message}")):
             Params(**kwargs)
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [{"beta": 1.0}, {"beta": [[1.0]]}, {"beta": np.zeros((1, 1))}, {"beta": [0.0], "gamma": 1}],
+        "kwargs, message",
+        [({"beta": 1.0}, "beta must be finite numbers"),
+         ({"beta": [[1.0]]}, "beta[0] must be a number, got [1.0]"),
+         ({"beta": np.zeros((1, 1))}, "beta must be finite numbers"),
+         ({"beta": [0.0], "gamma": 1}, "gamma must be finite numbers")],
         ids=["number", "nested-list", "2-d-array", "gamma-number"],
     )
-    def test_coefficients_must_be_one_dimensional(self, kwargs):
-        with pytest.raises(InvalidSpec, match="Params (beta|gamma) must be finite numbers"):
+    def test_coefficients_must_be_one_dimensional(self, kwargs, message):
+        with pytest.raises(InvalidSpec, match=re.escape(f"Params {message}")):
             Params(**kwargs)
 
 

@@ -1,6 +1,7 @@
 """Synthetic-data generator tests: determinism, reductions, calibration."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -260,19 +261,22 @@ class TestDgpSpecValidation:
 
     @pytest.mark.parametrize("beta", [("0.3", 0.1), (True, 0.1)], ids=["string", "bool"])
     def test_coefficients_must_be_numbers(self, beta):
-        with pytest.raises(InvalidSpec, match="DgpSpec beta must be finite numbers, got "):
+        message = f"DgpSpec beta[0] must be a number, got {beta[0]!r}"
+        with pytest.raises(InvalidSpec, match=re.escape(message)):
             DgpSpec(10, (("x", Normal(0, 1)),), beta, (0.1, 0.2), UniformSquare(1.0), 0)
 
     @pytest.mark.parametrize(
-        "field, value",
-        [("covariates", None), ("covariates", [1]), ("beta", None), ("beta", 1.0),
-         ("gamma", [[0.1]])],
+        "field, value, message",
+        [("covariates", None, "covariates must be "),
+         ("covariates", [1], "covariates[0] must be a list of values, got 1"),
+         ("beta", None, "beta must be "), ("beta", 1.0, "beta must be "),
+         ("gamma", [[0.1]], "gamma[0] must be a number, got [0.1]")],
         ids=["covariates-none", "covariates-number", "beta-none", "beta-number", "gamma-nested"],
     )
-    def test_sequence_fields_have_their_kind(self, field, value):
+    def test_sequence_fields_have_their_kind(self, field, value, message):
         fields = {"n": 10, "covariates": (), "beta": (0.1,), "gamma": (0.1,),
                   "layout": UniformSquare(1.0), "seed": 0}
-        with pytest.raises(InvalidSpec, match=f"DgpSpec {field} must be "):
+        with pytest.raises(InvalidSpec, match=re.escape(f"DgpSpec {message}")):
             DgpSpec(**{**fields, field: value})
 
     @pytest.mark.parametrize("name", [1, None, ("x",)], ids=["int", "none", "tuple"])
