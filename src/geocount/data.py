@@ -10,6 +10,7 @@ column of the wrong kind (a string, a bool, a float count, a ragged list) is
 from __future__ import annotations
 
 import math
+import reprlib
 from collections import Counter
 from dataclasses import dataclass
 
@@ -27,7 +28,6 @@ from .exceptions import (
     NegativeCount,
     NonFiniteCovariate,
     UnknownCovariate,
-    refusal,
     rule,
 )
 
@@ -60,21 +60,20 @@ def is_lat_lon(point) -> bool:
     return len(point) == 2 and abs(point[0]) <= 90.0 and abs(point[1]) <= 180.0
 
 
-def _column(obj, name: str, dtype) -> np.ndarray:
-    """Field ``name`` of ``obj`` as a read-only ``dtype`` array, a copy so the caller's array
-    stays writable.  A ragged list, or a dtype of another kind, is ``InvalidSpec``."""
-    value = getattr(obj, name)
+def _column(value, where: str, dtype) -> np.ndarray:
+    """``value`` as a read-only ``dtype`` array, a copy so the caller's array stays writable.
+    A ragged list, or a dtype of another kind, is ``InvalidSpec`` naming ``where``."""
     try:
-        column = np.asarray(value)
+        array = np.asarray(value)
     except ValueError:  # rows of different lengths
-        raise refusal(obj, name, "a rectangular array", value) from None
+        got = reprlib.repr(value)
+        raise InvalidSpec(f"{where} must be a rectangular array, got {got}") from None
     # float counts are refused, and bools, which numpy casts to any number
-    if column.dtype == bool or not np.can_cast(column.dtype, dtype, "same_kind"):
-        raise InvalidSpec(
-            f"{type(obj).__name__} {name} must be {dtype.__name__} values, got {column.dtype}")
-    column = column.astype(dtype)
-    column.flags.writeable = False
-    return column
+    if array.dtype == bool or not np.can_cast(array.dtype, dtype, "same_kind"):
+        raise InvalidSpec(f"{where} must be {dtype.__name__} values, got {array.dtype}")
+    array = array.astype(dtype)
+    array.flags.writeable = False
+    return array
 
 
 def reject_duplicates(values, error) -> None:
@@ -129,7 +128,7 @@ class Dataset(Checked):
     def __post_init__(self):
         super().__post_init__()
         for name, dtype in (("latlon", np.float64), ("y", np.int64), ("covariates", np.float64)):
-            object.__setattr__(self, name, _column(self, name, dtype))
+            object.__setattr__(self, name, _column(getattr(self, name), f"Dataset {name}", dtype))
         reject_duplicates(self.schema, DuplicateCovariate)
         reject_duplicates(self.ids, DuplicateId)
         n, k = len(self.ids), len(self.schema)
@@ -203,7 +202,7 @@ class DesignMatrix(Checked):
 
     def __post_init__(self):
         super().__post_init__()
-        vals = _column(self, "values", np.float64)
+        vals = _column(self.values, "DesignMatrix values", np.float64)
         if vals.ndim != 2:
             raise DimensionMismatch("design matrix must be two-dimensional")
         if vals.shape[1] != len(self.column_names):

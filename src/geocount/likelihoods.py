@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import expit, gammaln
 
-from .data import DesignMatrix
+from .data import DesignMatrix, _column
 from .exceptions import FINITE_NUMBERS, Checked, DimensionMismatch, DomainError, InvalidSpec
 from .exceptions import NegativeCount, rule
 
@@ -109,8 +109,9 @@ class Prepared(NamedTuple):
 
 
 def _design(D) -> np.ndarray:
-    D = D.values if isinstance(D, DesignMatrix) else np.asarray(D, dtype=np.float64)
-    if D.ndim != 2:
+    if D is not None:  # a missing design fails the dimension check
+        D = D.values if isinstance(D, DesignMatrix) else _column(D, "design matrix", np.float64)
+    if D is None or D.ndim != 2:
         raise DimensionMismatch("design matrix must be two-dimensional")
     return D
 
@@ -205,7 +206,9 @@ class FamilyModel:
     def prepare(self, X, Z, y) -> Prepared:
         """Check the designs and the outcome once and derive what the cores need."""
         Xv, Zv = _design(X), _design(Z) if self.inflated else None
-        y = np.asarray(y, dtype=np.float64)
+        y = _column(y, "outcome", np.float64)
+        if y.ndim != 1:
+            raise DimensionMismatch("outcome must be one-dimensional")
         for D in (Xv, Zv):
             if D is not None and y.shape[0] != D.shape[0]:
                 raise DimensionMismatch(

@@ -9,21 +9,27 @@ Reproducibility contract: unit i consumes draws only from its own substream,
 ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``, in a fixed
 documented order (covariates in declared order, centroid, structural
 indicator, count).  Because units never share a stream, generating units in
-parallel or in any order yields exactly the serial output.  The streams'
-PCG64 seed words are computed for all units at once (:func:`_unit_seed_states`)
-rather than through one ``SeedSequence`` object per unit; the words, and so
-the draws, are the same.  Each unit draws every maximal run of uniform-type
-doubles (Uniform and Bernoulli covariates, square offsets, the structural-zero
-draw) in one ``rng.random(m)`` call, and the doubles become values afterwards
-in array expressions; numpy's ``uniform(a, b)`` is ``a + (b - a) * random()``,
-so the values are bit for bit those of one draw call each.  Each field declares
-its rule (``exceptions.rule``) and documents are read by ``exceptions.read_object``:
-a string or bool is refused, never converted.
+parallel or in any order yields exactly the serial output.
+
+``generate`` runs every unit's stream in lockstep (:class:`_Streams`).  The
+streams' seed words are computed for all units at once
+(:func:`_unit_seed_states`), and each PCG64 state is held as two uint64
+columns, so one draw advances every unit by one word in a few array
+operations.  A word becomes a value as numpy's ``Generator`` makes it: a
+double is ``(word >> 11) * 2**-53``, a normal takes the ziggurat's fast path
+(table in :mod:`._ziggurat`), ``integers(c)`` takes Lemire's bound on the
+word's low half, and a Poisson count with 0 < lambda < 10 multiplies doubles
+until the product falls to ``exp(-lambda)``.  Every rarer case (a ziggurat
+rejection, a possible Lemire rejection, lambda >= 10) is drawn by one numpy
+``Generator`` set to that unit's exact state, which hands the state back.  The
+values, and so every output byte and error message, are those of one
+``Generator`` per unit.  Each field declares its rule (``exceptions.rule``)
+and documents are read by ``exceptions.read_object``: a string or bool is
+refused, never converted.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -31,8 +37,8 @@ from typing import Union
 
 import numpy as np
 from numpy.random import PCG64, Generator
-from numpy.random.bit_generator import ISeedSequence
 
+from . import _ziggurat
 from .data import Dataset, is_lat_lon
 from .exceptions import FINITE_NUMBERS, Checked, InvalidSpec, is_kind, read_object, refusal, rule
 from .fitting import INFLATE_PREFIX, FitResult, OptimOptions, fit
@@ -59,12 +65,11 @@ _BASE_LAT = 39.0
 _BASE_LON = -98.0
 
 
-# Each descriptor fills ``doubles + draws`` raw values of a unit.  Its
-# ``doubles`` are uniform doubles in [0, 1), drawn with its neighbours' in one
-# ``rng.random(m)`` call; ``draw(rng)`` returns its ``draws`` values of any
-# other kind and ends such a run.  A distribution's ``value`` maps its raw value
-# to the covariate, on a float or a column alike; a layout's ``offsets`` maps
-# its raw columns to the units' offsets from their base points.
+# Each descriptor declares its draws as column draws on the lockstep streams,
+# with numpy's arithmetic for them: a distribution's ``draw`` returns its
+# covariate for every unit, a layout's ``offsets`` the units' offsets from
+# their base points.  Python evaluates the draws left to right, which is the
+# documented order.
 
 _FINITE = (float, math.isfinite, "a finite number")
 _NONNEGATIVE = (float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
@@ -74,29 +79,23 @@ _NONNEGATIVE = (float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 class Normal(Checked):
     mu: float = rule(*_FINITE)
     sigma: float = rule(*_NONNEGATIVE)
-    doubles, draws = 0, 1
 
-    def draw(self, rng: np.random.Generator) -> list:
-        return [rng.normal(self.mu, self.sigma)]
-
-    def value(self, x):
-        return x
+    def draw(self, streams: _Streams) -> np.ndarray:
+        return self.mu + self.sigma * streams.normals()  # numpy's normal(mu, sigma)
 
 
 @dataclass(frozen=True)
 class Bernoulli(Checked):
     q: float = rule(float, lambda v: 0.0 <= v <= 1.0, "within [0, 1]")
-    doubles, draws = 1, 0
 
-    def value(self, u):
-        return 1.0 * (u < self.q)
+    def draw(self, streams: _Streams) -> np.ndarray:
+        return 1.0 * (streams.doubles() < self.q)
 
 
 @dataclass(frozen=True)
 class Uniform(Checked):
     a: float = rule(*_FINITE)
     b: float = rule(float, wording="a finite number >= a")
-    doubles, draws = 1, 0
 
     def __post_init__(self):
         b = self.b  # as given, for the refusal
@@ -105,8 +104,8 @@ class Uniform(Checked):
         if not 0.0 <= self.b - self.a < math.inf:
             raise refusal(self, "b", "a finite number >= a", b)
 
-    def value(self, u):
-        return self.a + (self.b - self.a) * u  # numpy's uniform(a, b)
+    def draw(self, streams: _Streams) -> np.ndarray:
+        return self.a + (self.b - self.a) * streams.doubles()  # numpy's uniform(a, b)
 
 
 Distribution = Union[Normal, Bernoulli, Uniform]
@@ -118,13 +117,13 @@ class UniformSquare(Checked):
 
     side_km: float = rule(float, lambda v: 0.0 <= v <= MAX_SIDE_KM,
                           f"within [0, {MAX_SIDE_KM!r}] (pole to pole)")
-    doubles, draws = 2, 0
 
-    def offsets(self, raw: np.ndarray) -> tuple:
-        """(base points, each unit's base, north km, east km) from the two doubles."""
+    def offsets(self, streams: _Streams) -> tuple:
+        """(base points, each unit's base, north km, east km) from two doubles."""
         half = self.side_km / 2.0
         low, span = -half, half - (-half)  # numpy's uniform(-half, half)
-        return ((_BASE_LAT, _BASE_LON),), 0, low + span * raw[:, 0], low + span * raw[:, 1]
+        north_km = low + span * streams.doubles()
+        return ((_BASE_LAT, _BASE_LON),), 0, north_km, low + span * streams.doubles()
 
 
 @dataclass(frozen=True)
@@ -135,16 +134,12 @@ class Clustered(Checked):
         ((float,),), lambda v: v and all(map(is_lat_lon, v)),
         "one or more (lat, lon) pairs within [-90, 90] x [-180, 180]")
     spread_km: float = rule(*_NONNEGATIVE)
-    doubles, draws = 0, 3
 
-    def draw(self, rng: np.random.Generator) -> list:
-        """Center index, north km, east km."""
-        spread = self.spread_km
-        return [rng.integers(len(self.centers)), rng.normal(0.0, spread), rng.normal(0.0, spread)]
-
-    def offsets(self, raw: np.ndarray) -> tuple:
-        """(base points, each unit's base, north km, east km) from the three draws."""
-        return self.centers, raw[:, 0].astype(np.intp), raw[:, 1], raw[:, 2]
+    def offsets(self, streams: _Streams) -> tuple:
+        """(base points, each unit's base, north km, east km): a center index, then two normals."""
+        spread = self.spread_km  # numpy's normal(0.0, spread), sign of a zero included
+        return (self.centers, streams.integers(len(self.centers)),
+                0.0 + spread * streams.normals(), 0.0 + spread * streams.normals())
 
 
 Layout = Union[UniformSquare, Clustered]
@@ -187,12 +182,12 @@ class DgpSpec(Checked):
         return tuple(n for n, _ in self.covariates)
 
 
-def _centroids(layout: Layout, raw: np.ndarray) -> np.ndarray:
+def _centroids(layout: Layout, streams: _Streams) -> np.ndarray:
     """(n, 2) centroids: latitude clipped to the poles, longitude wrapped into [-180, 180].
 
     Only an out-of-range longitude moves, by whole turns, so in-range draws keep their bits.
     """
-    bases, base, north_km, east_km = layout.offsets(raw)
+    bases, base, north_km, east_km = layout.offsets(streams)
     base_lat, base_lon = np.array(bases).T
     # libm's cos of each base latitude, as one unit at a time computes it; np.cos
     # need not round the same
@@ -200,10 +195,9 @@ def _centroids(layout: Layout, raw: np.ndarray) -> np.ndarray:
     lat = base_lat[base] + north_km / KM_PER_DEGREE
     # an east offset at a pole can overflow to inf, which wraps to NaN and the Dataset
     # refuses as an InvalidCoordinate; a finite one can round past 180 and is clipped
-    with np.errstate(over="ignore", invalid="ignore"):
-        lon = base_lon[base] + east_km / km_per_lon_degree[base]
-        out = ~((-180.0 <= lon) & (lon <= 180.0))
-        lon[out] -= 360.0 * np.floor((lon[out] + 180.0) / 360.0)
+    lon = base_lon[base] + east_km / km_per_lon_degree[base]
+    out = ~((-180.0 <= lon) & (lon <= 180.0))
+    lon[out] -= 360.0 * np.floor((lon[out] + 180.0) / 360.0)
     return np.column_stack([np.clip(lat, -90.0, 90.0), np.clip(lon, -180.0, 180.0)])
 
 
@@ -219,13 +213,40 @@ _MASK32 = 0xFFFFFFFF
 _STATE_WORDS = 8  # PCG64 seeds itself from 4 uint64 = 8 uint32 words
 
 
+def _hash_constants(start: int, mult: int, count: int) -> tuple:
+    """The xor and multiply constants of ``count`` successive hash steps from ``start``."""
+    xor, times = [start], [start * mult & _MASK32]
+    while len(times) < count:
+        xor.append(times[-1])
+        times.append(times[-1] * mult & _MASK32)
+    return xor, times
+
+
+# SeedSequence's hash steps, on Python ints and uint32 arrays alike
+def _hashmix(value, xor, times):
+    value = (value ^ xor) * times & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    result = ((x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32)) & _MASK32
+    return result ^ (result >> 16)
+
+
+# generate_state's output pass: state word j hashes pool word j % 4
+_OUTPUT_XOR, _OUTPUT_MULT = (
+    np.array(c, dtype=np.uint32)[:, None] for c in _hash_constants(_INIT_B, _MULT_B, _STATE_WORDS)
+)
+
+
 def _unit_seed_states(seed: int, n: int) -> np.ndarray:
     """PCG64 seed words of every unit's stream, as an (n, 4) uint64 array.
 
     Row i equals ``SeedSequence(entropy=seed, spawn_key=(i,))
-    .generate_state(4, np.uint64)``: the same uint32 hash, run over columns
-    of units instead of one SeedSequence object per unit.  Needs
-    ``seed >= 0`` and ``n < 2**32`` (both checked by :class:`DgpSpec`).
+    .generate_state(4, np.uint64)``.  Every unit mixes the same seed words
+    into its pool before its spawn key, so that part is hashed once, on Python
+    ints; the spawn key and the output pass run on (pool word, unit) arrays.
+    Needs ``seed >= 0`` and ``n < 2**32`` (both checked by :class:`DgpSpec`).
     """
     words = []  # seed as little-endian uint32 words, padded to the pool size
     while True:
@@ -234,134 +255,257 @@ def _unit_seed_states(seed: int, n: int) -> np.ndarray:
         if not seed:
             break
     words += [0] * (_POOL_SIZE - len(words))
-    entropy = [np.full(n, w, dtype=np.uint32) for w in words]
-    entropy.append(np.arange(n, dtype=np.uint32))  # the spawn key
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-        return result ^ (result >> np.uint32(16))
-
-    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
+    # one (xor, multiply) pair per hash step, in the order SeedSequence takes them
+    steps = iter(zip(*_hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (len(words) + 1))))
+    pool = [_hashmix(words[i], *next(steps)) for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(steps)))
+    for word in words[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    state = np.empty((n, _STATE_WORDS), dtype=np.uint32)
-    hash_const = _INIT_B
-    for j in range(_STATE_WORDS):
-        value = pool[j % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        state[:, j] = value ^ (value >> np.uint32(16))
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+            pool[dst] = _mix(pool[dst], _hashmix(word, *next(steps)))
+    # the spawn key, entropy's last word, mixed into each pool word by its own step
+    xor, times = (np.array(c, dtype=np.uint32)[:, None] for c in zip(*steps))
+    key = np.arange(n, dtype=np.uint32)
+    pool = _mix(np.array(pool, dtype=np.uint32)[:, None], _hashmix(key, xor, times))
+    state = _hashmix(np.vstack([pool, pool]), _OUTPUT_XOR, _OUTPUT_MULT).astype(np.uint64)
+    return (state[0::2] | state[1::2] << 32).T  # little-endian pairs of uint32 words
 
 
-class _Words(ISeedSequence):
-    """Seed source that hands PCG64 one unit's precomputed state words.
+# PCG64 (O'Neill 2014): a 128-bit LCG, state -> state * multiplier + inc, whose
+# 64-bit output word is the XSL-RR permutation of the new state.  States are
+# held as uint64 (high, low) halves.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = 2**64 - 1
+# Words a Poisson block jumps ahead for every unit still multiplying.  Longer
+# blocks take fewer array operations at small n and leave more words unused
+# at large n; 8 was about the fastest on n = 64 without slowing n = 30,000.
+_POISSON_WORDS = 8
 
-    PCG64 asks only for ``generate_state(4, np.uint64)``, which these words are.
+
+def _uint64(value) -> np.ndarray:
+    # a 0-d array: ufuncs take it faster than a numpy scalar
+    return np.array(value, dtype=np.uint64)
+
+
+def _factor(values) -> tuple:
+    """128-bit multipliers as uint64 arrays: high half, low half and the low half's 32-bit limbs."""
+    v = np.array(values, dtype=object)
+    return tuple(_uint64(part) for part in (v >> 64, v & _MASK64, v & _MASK32, v >> 32 & _MASK32))
+
+
+# shift counts and masks
+_1, _9, _11, _32, _58, _63, _64 = map(_uint64, (1, 9, 11, 32, 58, 63, 64))
+_LOW8, _LOW9, _LOW32, _LOW52 = map(_uint64, (0xFF, 0x1FF, _MASK32, 2**52 - 1))
+_STEP = _factor(_PCG_MULT)
+_DIFF = _factor(_PCG_MULT - 1)  # state * (mult - 1) + inc is one step's difference
+# state + C_j * difference is the state j steps on, C_j = 1 + mult + ... + mult**(j - 1)
+_JUMPS = _factor([[sum(pow(_PCG_MULT, k, 2**128) for k in range(j)) % 2**128]
+                  for j in range(1, _POISSON_WORDS + 1)])
+_SIGNED_WI = np.array(_ziggurat.WI + tuple(-w for w in _ziggurat.WI))  # index: sign bit, layer
+_KI = _uint64(_ziggurat.KI)
+
+
+def _mul_add(hi, lo, factor: tuple, add_hi, add_lo) -> tuple:
+    """(hi, lo) * factor + (add_hi, add_lo) modulo 2**128, on uint64 halves."""
+    f_hi, f_lo, f0, f1 = factor
+    a0, a1 = lo & _LOW32, lo >> _32
+    t = a0 * f1 + (a0 * f0 >> _32)  # a 32x32-bit product plus 32 bits fits in 64
+    u = a1 * f0 + (t & _LOW32)
+    new_lo = lo * f_lo + add_lo
+    new_hi = a1 * f1 + (t >> _32) + (u >> _32) + hi * f_lo + lo * f_hi + add_hi + (new_lo < add_lo)
+    return new_hi, new_lo
+
+
+def _output(hi, lo) -> np.ndarray:
+    """PCG64's XSL-RR output: hi ^ lo rotated right by hi's top six bits."""
+    x = hi ^ lo
+    rot = hi >> _58
+    return x >> rot | x << (_64 - rot)  # numpy shifts a uint64 by 64 to 0
+
+
+def _unit_interval(word) -> np.ndarray:
+    """numpy's double from a word: its top 53 bits over 2**53."""
+    return (word >> _11).astype(np.float64) * 2.0**-53
+
+
+def _exp(t: np.ndarray) -> np.ndarray:
+    """libm's exp of each value (numpy's exp may round otherwise), inf where it overflows."""
+
+    def exp_or_inf(v):
+        try:
+            return math.exp(v)
+        except OverflowError:
+            return math.inf
+
+    values = t.tolist()
+    try:
+        return np.fromiter(map(math.exp, values), np.float64, len(values))
+    except OverflowError:
+        return np.fromiter(map(exp_or_inf, values), np.float64, len(values))
+
+
+def _sigmoid(t: np.ndarray) -> np.ndarray:
+    """sigma(t) per value: 1 / (1 + e^-t) for t >= 0 and e^t / (1 + e^t) below."""
+    e = _exp(-np.abs(t))
+    return np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+class _Streams:
+    """Every unit's numpy PCG64 stream as uint64 columns, drawn in lockstep.
+
+    ``hi``, ``lo`` and ``inc`` hold each unit's LCG state and increment;
+    ``has_uint32`` and ``uinteger`` are numpy's buffer of the half word that a
+    32-bit draw leaves over.  Each draw advances every unit by one word and
+    returns one value per unit.  A unit whose word leaves numpy's fast path is
+    drawn again by numpy from its state before the word (:meth:`_numpy`).
     """
 
-    __slots__ = ("words",)
+    def __init__(self, seed: int, n: int):
+        s0, s1, i0, i1 = _unit_seed_states(seed, n).T
+        # PCG64's seeding: inc = (i0:i1 << 1) | 1, state = (s0:s1 + inc) * mult + inc
+        self.inc = i0 << _1 | i1 >> _63, i1 << _1 | _1
+        lo = s1 + self.inc[1]
+        self.hi, self.lo = _mul_add(s0 + self.inc[0] + (lo < s1), lo, _STEP, *self.inc)
+        self.has_uint32, self.uinteger = np.zeros(n, dtype=bool), np.zeros(n, dtype=np.uint64)
+        self._rng = None
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    def _state(self) -> tuple:
+        return self.hi, self.lo, self.has_uint32, self.uinteger
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+    def _next(self) -> tuple:
+        """Every unit's next word, and the states before it."""
+        before = self._state()
+        self.hi, self.lo = _mul_add(self.hi, self.lo, _STEP, *self.inc)
+        return before, _output(self.hi, self.lo)
 
+    def _numpy(self, units: np.ndarray, before: tuple, draw) -> list:
+        """``draw(rng, i)`` for each unit i, by one numpy Generator set to the unit's
+        state in ``before``; the unit's stream goes on from the state numpy leaves."""
+        if not len(units):
+            return []
+        if self._rng is None:
+            self._rng = Generator(PCG64(0))  # its state is set before each draw
+        bitgen = self._rng.bit_generator
+        hi, lo, has_uint32, uinteger = before
+        values = []
+        for i in units.tolist():
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": int(hi[i]) << 64 | int(lo[i]),
+                          "inc": int(self.inc[0][i]) << 64 | int(self.inc[1][i])},
+                "has_uint32": int(has_uint32[i]),
+                "uinteger": int(uinteger[i]),
+            }
+            values.append(draw(self._rng, i))
+            after = bitgen.state
+            state = after["state"]["state"]
+            self.hi[i], self.lo[i] = state >> 64, state & _MASK64
+            self.has_uint32[i], self.uinteger[i] = after["has_uint32"], after["uinteger"]
+        return values
 
-def _sigmoid(t: float) -> float:
-    if t >= 0.0:
-        return 1.0 / (1.0 + math.exp(-t))
-    e = math.exp(t)
-    return e / (1.0 + e)
+    def doubles(self) -> np.ndarray:
+        """numpy's ``random()``."""
+        return _unit_interval(self._next()[1])
 
+    def normals(self) -> np.ndarray:
+        """numpy's ``standard_normal()``: the ziggurat's fast path, numpy for the rest."""
+        before, word = self._next()
+        rabs = word >> _9 & _LOW52
+        z = rabs.astype(np.float64) * _SIGNED_WI[word & _LOW9]  # bit 8 is the sign
+        redraw = np.flatnonzero(rabs >= _KI[word & _LOW8])
+        z[redraw] = self._numpy(redraw, before, lambda rng, i: rng.standard_normal())
+        return z
 
-def _run_plan(sources) -> list:
-    """A unit's draws as steps: one per ``draw`` and one per maximal run of
-    doubles, the last run ending with the structural-zero double.  Each step
-    takes the unit's Generator and returns the values it drew."""
-    steps, run = [], 0
-    for source in sources:
-        run += source.doubles
-        if source.draws:
-            if run:
-                steps.append(_doubles(run))
-            steps.append(source.draw)
-            run = 0
-    return steps + [_doubles(run + 1)]
+    def integers(self, c: int) -> np.ndarray:
+        """numpy's ``integers(c)``, c >= 1: Lemire's method on the word's low half.
 
+        A range of one draws no word.  numpy keeps the word's high half for its
+        next 32-bit draw, and may reject only where the scaled low half is below
+        c; those units (every unit once c >= 2**32) are drawn by numpy.
+        """
+        if c == 1:
+            return np.zeros(len(self.hi), dtype=np.intp)
+        before, word = self._next()
+        scaled = (word & _LOW32) * _uint64(c)
+        self.has_uint32, self.uinteger = np.ones(len(word), dtype=bool), word >> _32
+        values = (scaled >> _32).astype(np.intp)
+        redraw = np.flatnonzero(scaled & _LOW32 < c)
+        values[redraw] = self._numpy(redraw, before, lambda rng, i: rng.integers(c))
+        return values
 
-def _doubles(m: int):
-    return lambda rng: rng.random(m).tolist()
+    def poisson(self, lam: np.ndarray) -> np.ndarray:
+        """numpy's ``poisson(lam)`` per unit, each lam finite and >= 0.
+
+        lam == 0 draws no word.  Below 10, numpy multiplies doubles until the
+        product falls to exp(-lam); here the next ``_POISSON_WORDS`` states of
+        every unit still multiplying are jumped to at once.  From 10 on numpy
+        draws (PTRS).  A count is each unit's last draw, so the states the
+        multiplying units reach are not kept.
+        """
+        counts = np.zeros(len(lam), dtype=np.int64)
+        large = np.flatnonzero(lam >= 10.0)
+        counts[large] = self._numpy(large, self._state(), lambda rng, i: rng.poisson(lam[i]))
+        units = np.flatnonzero((0.0 < lam) & (lam < 10.0))
+        limit = _exp(-lam[units])
+        hi, lo = self.hi[units], self.lo[units]
+        inc_hi, inc_lo = self.inc[0][units], self.inc[1][units]
+        product = np.ones(len(units))
+        drawn = 0
+        while len(units):
+            # (words, units) states: state + C_j * (one step's difference)
+            ahead = _mul_add(*_mul_add(hi, lo, _DIFF, inc_hi, inc_lo), _JUMPS, hi, lo)
+            products = _unit_interval(_output(*ahead))
+            products[0] *= product
+            np.multiply.accumulate(products, axis=0, out=products)
+            stop = products <= limit
+            done = stop.any(axis=0)
+            counts[units[done]] = drawn + stop.argmax(axis=0)[done]
+            going = ~done
+            units, limit, product = units[going], limit[going], products[-1, going]
+            hi, lo = ahead[0][-1, going], ahead[1][-1, going]
+            inc_hi, inc_lo = inc_hi[going], inc_lo[going]
+            drawn += _POISSON_WORDS
+        return counts
 
 
 def generate(spec: DgpSpec) -> Dataset:
     """Draw a dataset from the spec, fully deterministic given its seed.
 
-    Each unit draws its raw values (run by run, see :func:`_run_plan`), then
-    its structural-zero indicator and count; covariates and centroids are
-    computed from the raw values of all units at once.
+    Every unit's stream runs in lockstep (:class:`_Streams`): each draw of the
+    documented order is one column over all units, and eta and psi add the
+    covariate terms in declared order.  A spec that fails stops at its first
+    failing unit, with that unit's message.
     """
     n = spec.n
-    sources = [dist for _, dist in spec.covariates] + [spec.layout]
-    starts = list(itertools.accumulate((s.doubles + s.draws for s in sources), initial=0))
-    steps = _run_plan(sources)
-    zero = starts[-1]  # the structural-zero double follows the layout's values
-    terms = [
-        (start, dist.value, b, g)
-        for start, (_, dist), b, g in zip(starts, spec.covariates, spec.beta[1:], spec.gamma[1:])
-    ]
-    beta0, gamma0 = spec.beta[0], spec.gamma[0]
-    raw = np.empty((n, zero + 1))
-    counts = np.empty(n, dtype=np.int64)
-    states = _unit_seed_states(spec.seed, n)
-    for i in range(n):
-        rng = Generator(PCG64(_Words(states[i])))
-        row = []
-        for step in steps:
-            row += step(rng)
-        raw[i] = row
-        eta = beta0
-        psi = gamma0
-        for start, value, b, g in terms:
-            x = value(row[start])
-            eta += b * x
-            psi += g * x
-        try:
-            lam = math.exp(eta)
-        except OverflowError:
-            raise InvalidSpec(f"lambda overflow at unit {i}: beta too large for covariates")
-        if row[zero] < _sigmoid(psi):
-            counts[i] = 0
-        elif not lam <= POISSON_LAM_MAX:
-            raise InvalidSpec(
-                f"lambda {lam} at unit {i} is NaN or above the Poisson limit {POISSON_LAM_MAX}"
-            )
-        else:
-            counts[i] = rng.poisson(lam)
+    streams = _Streams(spec.seed, n)
     covariates = np.empty((n, len(spec.covariates)))
-    for j, (start, value, _, _) in enumerate(terms):
-        covariates[:, j] = value(raw[:, start])
+    eta, psi = np.full(n, spec.beta[0]), np.full(n, spec.gamma[0])
+    # as in scalar arithmetic, a value may overflow to inf (and inf - inf be NaN) unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, ((_, dist), b, g) in enumerate(zip(spec.covariates, spec.beta[1:], spec.gamma[1:])):
+            x = covariates[:, j] = dist.draw(streams)
+            eta, psi = eta + b * x, psi + g * x
+        latlon = _centroids(spec.layout, streams)
+    zero = streams.doubles() < _sigmoid(psi)
+    lam = _exp(eta)
+    overflow = np.isinf(lam) & np.isfinite(eta)  # where libm's exp overflowed
+    failed = overflow | ~(zero | (lam <= POISSON_LAM_MAX))
+    if failed.any():
+        i = int(failed.argmax())
+        if overflow[i]:
+            raise InvalidSpec(f"lambda overflow at unit {i}: beta too large for covariates")
+        lam_i = float(lam[i])
+        raise InvalidSpec(
+            f"lambda {lam_i} at unit {i} is NaN or above the Poisson limit {POISSON_LAM_MAX}"
+        )
     width = len(str(n - 1)) if n > 1 else 1
     return Dataset(
         schema=spec.covariate_names,
-        ids=[f"u{i:0{width}d}" for i in range(n)],
-        latlon=_centroids(spec.layout, raw[:, starts[-2]:zero]),
-        y=counts,
+        ids=["u" + str(i).zfill(width) for i in range(n)],
+        latlon=latlon,
+        y=streams.poisson(np.where(zero, 0.0, lam)),  # a structural zero draws no count
         covariates=covariates,
     )
 

@@ -500,3 +500,37 @@ class TestCoresKeepTheArithmetic:
         # exact comparison; an overflow to inf or NaN must match too
         np.testing.assert_array_equal(entry.loglik(beta, gamma, data), value)
         np.testing.assert_array_equal(entry.grad(beta, gamma, data), score)
+
+
+class TestEntryPointInputs:
+    """A design or outcome numpy cannot read as float numbers is refused, never converted."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: logit_loglik([0.1], [[1.0], [1.0, 2.0]], [0, 1]),
+             "design matrix must be a rectangular array, got [[1.0], [1.0, 2.0]]"),
+            (lambda: logit_loglik([0.1], "ab", [0, 1]),
+             "design matrix must be float64 values, got <U2"),
+            (lambda: logit_loglik([0.1], [[1.0], [2.0]], ["0", "1"]),
+             "outcome must be float64 values, got <U1"),
+            (lambda: poisson_loglik([0.1], [[1.0], [2.0]], [[1, 2], [3]]),
+             "outcome must be a rectangular array, got [[1, 2], [3]]"),
+        ],
+        ids=["ragged-design", "string-design", "string-outcome", "ragged-outcome"],
+    )
+    def test_unreadable_input_is_invalid_spec(self, call, message):
+        with pytest.raises(InvalidSpec, match=re.escape(message)):
+            call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: poisson_grad([0.1], [[1.0], [2.0]], [[1], [2]]),
+            lambda: logit_loglik([0.1], [[1.0]], 1),
+        ],
+        ids=["column-outcome", "scalar-outcome"],
+    )
+    def test_outcome_that_is_not_one_dimensional(self, call):
+        with pytest.raises(DimensionMismatch, match="outcome must be one-dimensional"):
+            call()
