@@ -2,11 +2,12 @@
 inference from the observed information matrix.
 
 The maximizer takes Newton steps using a finite-difference Hessian of the
-analytic gradient.  When that Hessian is not negative definite a ridge term
-is added (doubling from ``ridge_floor``) until the step is an ascent
-direction, and every step is backtracked by halving until the objective does
-not decrease.  One maximizer serves all three families.  Options and saved fits
-are read by the rules of :mod:`geocount.exceptions`; a bad value is ``InvalidSpec``.
+analytic gradient, whose points a stacked score evaluates several at a time.
+When that Hessian is not negative definite a ridge term is added (doubling
+from ``ridge_floor``) until the step is an ascent direction, and every step is
+backtracked by halving until the objective does not decrease.  One maximizer
+serves all three families.  Options and saved fits are read by the rules of
+:mod:`geocount.exceptions`; a bad value is ``InvalidSpec``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import ndtr
 
 from .data import Dataset, DesignMatrix, binarize_counts, build_design
@@ -42,6 +44,12 @@ from .likelihoods import INFLATE_PREFIX, FAMILIES, Family, ModelSpec
 from .likelihoods import logit_grad, logit_loglik, poisson_grad, poisson_loglik
 from .likelihoods import zip_grad, zip_loglik
 
+
+#: Most points x observations one score call of an FD Hessian covers.  Up to
+#: n = 64 one call takes every point of a k <= 32 Hessian.  From n = 2,049 up a
+#: call takes one point: blocks of 8 or more rows at n = 2,947, and of 2 or more
+#: at n = 30,000, ran slower than one row at a time (BENCH_stacked_score.json).
+SCORE_BLOCK_ELEMENTS = 4096
 
 _LIMIT = (int, lambda v: v > 0, "an integer > 0")
 _SCALE = (float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
@@ -129,22 +137,27 @@ class FitResult:
         return cls(**doc)
 
 
-def fd_hessian(grad: Callable[[np.ndarray], np.ndarray], theta: np.ndarray) -> np.ndarray:
-    """Central finite differences of an analytic gradient, symmetrized.
+def fd_hessian(
+    score: Callable[[np.ndarray], np.ndarray], theta: np.ndarray, block_rows: int = 1
+) -> np.ndarray:
+    """Central finite differences of a stacked analytic score, symmetrized.
 
-    Step per coordinate is 1e-5 * (1 + |theta_j|).
+    Step per coordinate is h_j = 1e-5 * (1 + |theta_j|).  The k points
+    theta + h_j e_j, then the k points theta - h_j e_j, go to ``score`` in order,
+    as (m, k) stacks of at most ``block_rows`` rows; ``score`` returns the (m, k)
+    gradients at them, one row per point.
     """
     theta = np.asarray(theta, dtype=np.float64)
     k = theta.shape[0]
-    H = np.empty((k, k))
-    for j in range(k):
-        h = 1e-5 * (1.0 + abs(theta[j]))
-        up = theta.copy()
-        dn = theta.copy()
-        up[j] += h
-        dn[j] -= h
-        H[:, j] = (grad(up) - grad(dn)) / (2.0 * h)
-    return 0.5 * (H + H.T)
+    h = 1e-5 * (1.0 + np.abs(theta))
+    points = np.full((2, k, k), theta)
+    diagonal = np.arange(k)
+    points[0, diagonal, diagonal] = theta + h
+    points[1, diagonal, diagonal] = theta - h
+    points = points.reshape(2 * k, k)
+    G = np.concatenate([score(points[i : i + block_rows]) for i in range(0, 2 * k, block_rows)])
+    columns = (G[:k] - G[k:]) / (2.0 * h)[:, None]  # row j is column j of H
+    return 0.5 * (columns.T + columns)
 
 
 def _newton_step(H: np.ndarray, g: np.ndarray, ridge_floor: float) -> np.ndarray:
@@ -152,19 +165,18 @@ def _newton_step(H: np.ndarray, g: np.ndarray, ridge_floor: float) -> np.ndarray
 
     Tries the raw Hessian first; on failure adds -tau*I with tau doubling
     from ridge_floor until -(H - tau I) admits a Cholesky factor and the
-    resulting step satisfies g's > 0.
+    resulting step satisfies g's > 0.  LAPACK's dpotrf/dpotrs are called as
+    ``scipy.linalg.cho_factor``/``cho_solve`` call them, without those
+    wrappers' input checks: H and g are finite here.
     """
-    k = g.shape[0]
+    identity = np.eye(g.shape[0])
     tau = 0.0
     for _ in range(200):
-        A = -(H - tau * np.eye(k))
-        try:
-            c, low = scipy.linalg.cho_factor(A)
-            step = scipy.linalg.cho_solve((c, low), g)
+        factor, info = dpotrf(-(H - tau * identity), clean=0)
+        if info == 0:  # info > 0: not positive definite, so ridge further
+            step, _ = dpotrs(factor, g)
             if np.all(np.isfinite(step)) and g @ step > 0.0:
                 return step
-        except scipy.linalg.LinAlgError:
-            pass
         tau = ridge_floor if tau == 0.0 else 2.0 * tau
     # Hessian hopelessly scaled; fall back to steepest ascent
     return g / max(1.0, np.linalg.norm(g))
@@ -172,17 +184,26 @@ def _newton_step(H: np.ndarray, g: np.ndarray, ridge_floor: float) -> np.ndarray
 
 def maximize(
     loglik: Callable[[np.ndarray], float],
-    grad: Callable[[np.ndarray], np.ndarray],
+    score: Callable[[np.ndarray], np.ndarray],
     init,
     options: OptimOptions = OptimOptions(),
+    block_rows: int = 1,
 ) -> MaximizeResult:
     """Maximize a log-likelihood by damped Newton ascent.
+
+    ``score`` is stacked: it takes an (m, k) array of points, one per row, and
+    returns the (m, k) gradients of ``loglik`` at them.  The gradient at the
+    current point is the m = 1 call; each Hessian hands its 2k points to
+    :func:`fd_hessian` in calls of at most ``block_rows`` rows.
 
     Terminates when the max-abs gradient component falls below
     ``gradient_tolerance`` (converged) or after ``max_iterations`` Newton
     steps (not converged, best-so-far point returned).  The sequence of
-    accepted objective values is non-decreasing by construction.
+    accepted objective values is non-decreasing by construction.  A
+    non-finite objective at the start, or gradient or Hessian at an
+    iteration, raises ``NonFiniteObjective``.
     """
+    grad = lambda th: np.asarray(score(th[None]), dtype=np.float64)[0]
     theta = np.array(init, dtype=np.float64)
     f = float(loglik(theta))
     if not np.isfinite(f):
@@ -190,13 +211,15 @@ def maximize(
 
     iterations = 0
     for iteration in range(1, options.max_iterations + 1):
-        g = np.asarray(grad(theta), dtype=np.float64)
+        g = grad(theta)
         if not np.all(np.isfinite(g)):
             raise NonFiniteObjective(iteration)
         if np.max(np.abs(g)) <= options.gradient_tolerance:
             return MaximizeResult(theta, f, iterations, True)
 
-        H = fd_hessian(grad, theta)
+        H = fd_hessian(score, theta, block_rows)
+        if not np.all(np.isfinite(H)):
+            raise NonFiniteObjective(iteration)
         step = _newton_step(H, g, options.ridge_floor)
 
         # objective comparisons are meaningless below float rounding noise
@@ -216,7 +239,7 @@ def maximize(
             # no non-decreasing step within the halving budget: stalled
             return MaximizeResult(theta, f, iterations, False)
 
-    g = np.asarray(grad(theta), dtype=np.float64)
+    g = grad(theta)
     converged = bool(np.all(np.isfinite(g)) and np.max(np.abs(g)) <= options.gradient_tolerance)
     return MaximizeResult(theta, f, iterations, converged)
 
@@ -253,8 +276,8 @@ def _stars(p: float) -> str:
     return ""
 
 
-def _check_full_rank(design: DesignMatrix):
-    """Reject rank-deficient designs via pivoted QR."""
+def _check_full_rank(design: DesignMatrix, prefix: str = ""):
+    """Reject rank-deficient designs via pivoted QR, naming columns as ``prefix + name``."""
     X = design.values
     if X.shape[1] == 0:
         return
@@ -263,7 +286,7 @@ def _check_full_rank(design: DesignMatrix):
     tol = 1e-10 * diag.max() if diag.size else 0.0
     rank = int(np.sum(diag > tol))
     if rank < X.shape[1]:
-        suspects = [design.column_names[j] for j in piv[rank:]]
+        suspects = [prefix + design.column_names[j] for j in piv[rank:]]
         raise RankDeficientDesign(suspects)
 
 
@@ -289,21 +312,24 @@ def fit(model: ModelSpec, dataset: Dataset, options: OptimOptions = OptimOptions
     Z = None
     if family.inflated:
         inflation = model.inflation_covariates or model.count_covariates
-        Z = build_design(dataset, inflation, model.add_intercept)
-        _check_full_rank(Z)
+        Z = X  # the same covariates make the same design
+        if inflation != model.count_covariates:
+            Z = build_design(dataset, inflation, model.add_intercept)
+            _check_full_rank(Z, INFLATE_PREFIX)
     data = family.prepare(X, Z, binarize_counts(dataset) if family.binary else counts)
     kx = X.k
     objective = lambda th: family.loglik(th[:kx], th[kx:], data)
-    score = lambda th: family.grad(th[:kx], th[kx:], data)
+    score = lambda points: family.grad(points[:, :kx], points[:, kx:], data)
+    block_rows = max(1, SCORE_BLOCK_ELEMENTS // len(dataset))
 
     init = family.initial_values(counts, X, Z, model.add_intercept)
-    result = maximize(objective, score, init, options)
-
-    if family.binary and not result.converged:
-        if float(np.max(np.abs(X.values @ result.theta))) > 30.0:
-            raise SeparationSuspected()
-
-    covariance = _observed_covariance(score, result.theta)
+    # an overflow ends in a typed error or a refused trial step, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = maximize(objective, score, init, options, block_rows)
+        if family.binary and not result.converged:
+            if float(np.max(np.abs(X.values @ result.theta))) > 30.0:
+                raise SeparationSuspected()
+        covariance = _observed_covariance(score, result.theta, block_rows)
     rows = wald_inference(family.names(X, Z), result.theta, covariance)
     return FitResult(
         family=model.family,
@@ -315,9 +341,12 @@ def fit(model: ModelSpec, dataset: Dataset, options: OptimOptions = OptimOptions
     )
 
 
-def _observed_covariance(score, theta: np.ndarray) -> np.ndarray:
-    """Inverse of the negative FD Hessian, validated symmetric PSD."""
-    H = fd_hessian(score, theta)
+def _observed_covariance(score, theta: np.ndarray, block_rows: int = 1) -> np.ndarray:
+    """Inverse of the negative FD Hessian of the stacked ``score``, validated
+    finite, symmetric and PSD."""
+    H = fd_hessian(score, theta, block_rows)
+    if not np.all(np.isfinite(H)):
+        raise SingularInformation()
     info = -H
     try:
         cov = scipy.linalg.inv(info)

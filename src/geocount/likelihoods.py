@@ -117,7 +117,7 @@ def _design(D) -> np.ndarray:
 
 
 def _coef(coef, D: np.ndarray) -> np.ndarray:
-    coef = np.asarray(coef, dtype=np.float64)
+    coef = _column(coef, "coefficients", np.float64)
     if coef.ndim != 1 or coef.shape[0] != D.shape[1]:
         raise DimensionMismatch(
             f"coefficient length {coef.shape} does not match design width {D.shape[1]}"
@@ -139,6 +139,18 @@ def log_sigmoid(t: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -np.asarray(t, dtype=np.float64))
 
 
+def _products(D: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """(m, len(D)) block whose row r is ``D @ vectors[r]``.
+
+    ``matmul`` over the stack of (k, 1) columns makes one matrix-vector
+    product per row, the call ``D @ vectors[r]`` makes, so every row has that
+    call's bits; a product with the (k, m) matrix of the rows would not.
+    """
+    if len(vectors) == 1:  # one point: skip the stack's fixed cost
+        return (D @ vectors[0])[None]
+    return np.matmul(D, vectors[:, :, None])[:, :, 0]
+
+
 def _logit_loglik(beta, gamma, d: Prepared) -> float:
     eta = d.X @ beta
     # y=1 contributes log sigma(eta), y=0 contributes log sigma(-eta)
@@ -146,7 +158,7 @@ def _logit_loglik(beta, gamma, d: Prepared) -> float:
 
 
 def _logit_grad(beta, gamma, d: Prepared) -> np.ndarray:
-    return d.X.T @ (d.y - expit(d.X @ beta))
+    return _products(d.X.T, d.y - expit(_products(d.X, beta)))
 
 
 def _poisson_loglik(beta, gamma, d: Prepared) -> float:
@@ -155,7 +167,7 @@ def _poisson_loglik(beta, gamma, d: Prepared) -> float:
 
 
 def _poisson_grad(beta, gamma, d: Prepared) -> np.ndarray:
-    return d.X.T @ (d.y - np.exp(d.X @ beta))
+    return _products(d.X.T, d.y - np.exp(_products(d.X, beta)))
 
 
 def _zip_loglik(beta, gamma, d: Prepared) -> float:
@@ -172,14 +184,14 @@ def _zip_loglik(beta, gamma, d: Prepared) -> float:
 
 
 def _zip_grad(beta, gamma, d: Prepared) -> np.ndarray:
-    lam = np.exp(d.X @ beta)
-    psi = d.Z @ gamma
+    lam = np.exp(_products(d.X, beta))
+    psi = _products(d.Z, gamma)
     p = expit(psi)
     # beta weights: y>0 gives (y - lambda); y=0 gives -lambda * (1-p)e^{-lam}/D
     w_beta = np.where(d.zero, -lam * expit(-(psi + lam)), d.y - lam)
     # gamma weights: y>0 gives -p; y=0 gives p(1-p)(1-e^{-lam})/D
     w_gamma = np.where(d.zero, (1.0 - p) * (-np.expm1(-lam)) * expit(psi + lam), -p)
-    return np.concatenate([d.X.T @ w_beta, d.Z.T @ w_gamma])
+    return np.concatenate([_products(d.X.T, w_beta), _products(d.Z.T, w_gamma)], axis=1)
 
 
 def _zip_predict(beta, gamma, X, Z) -> ZipPrediction:
@@ -192,9 +204,11 @@ def _zip_predict(beta, gamma, X, Z) -> ZipPrediction:
 class FamilyModel:
     """Everything that differs between the families, stated once per family.
 
-    The unchecked cores ``loglik(beta, gamma, prepared)``, ``grad`` (same
-    arguments; the score in beta, then gamma) and ``predict(beta, gamma, X,
-    Z)`` trust their inputs.  gamma and Z are None unless ``inflated``.
+    The unchecked cores ``loglik(beta, gamma, prepared)``, ``grad`` and
+    ``predict(beta, gamma, X, Z)`` trust their inputs.  ``grad`` is stacked: it
+    takes m points as coefficient rows, beta (m, kx) and gamma (m, kz), and
+    returns their (m, k) scores, in beta and then gamma; one point is the
+    m = 1 call.  gamma and Z are None unless ``inflated``.
     """
 
     loglik: Callable[..., float]
@@ -249,7 +263,10 @@ def _checked(family, core: str, beta, gamma, X, Z, y):
     """Prepare the family's data, check the coefficients, then run one core."""
     entry = FAMILIES[Family(family)]
     data = entry.prepare(X, Z, y)
-    return getattr(entry, core)(*_coefficients(beta, gamma, data.X, data.Z), data)
+    beta, gamma = _coefficients(beta, gamma, data.X, data.Z)
+    if core == "grad":  # the one point as a stack of one row
+        return entry.grad(beta[None], None if gamma is None else gamma[None], data)[0]
+    return entry.loglik(beta, gamma, data)
 
 
 def logit_loglik(beta, X, y01) -> float:

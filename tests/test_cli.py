@@ -464,6 +464,12 @@ class TestCmdSimulate:
 
 
 COORDINATE_CSV = "id,latitude,longitude,count\na,40.0,-90.0,1\nb,{lat},{lon},2\n"
+#: 20 units whose one covariate has scale 1e8; unstandardized, the first Newton
+#: step's finite-difference Hessian overflows.
+SCALED_CSV = "id,latitude,longitude,count,x\n" + "".join(
+    f"u{i},{40 + i / 10},-90.0,{0 if i < 3 else 1 + i % 4},{(7 * i % 20 - 9.5) * 1e8}\n"
+    for i in range(20)
+)
 
 
 def spec_text(n=10, layout=None, distribution=None, beta=0.1, **fields):
@@ -525,6 +531,16 @@ class TestInvalidInput:
                 "id,latitude,longitude,count\na,40.0,-90.0,3\n",
                 "DegenerateOutcome: ",
                 id="fit-one-row",
+            ),
+            *(
+                pytest.param(
+                    ["fit", "--input", "{src}", "--family", family, "--covariates", "x",
+                     "--out", "{out}"],
+                    SCALED_CSV,
+                    "NonFiniteObjective: objective became non-finite at iteration 1\n",
+                    id=f"fit-{family}-covariate-scale-1e8",
+                )
+                for family in ("poisson", "zip")
             ),
             pytest.param(
                 ["fit", "--input", SMOKE_CSV, "--family", "poisson",

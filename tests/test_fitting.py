@@ -2,14 +2,16 @@
 
 Closed-form MLEs (intercept-only logit and Poisson), finite differences of
 the log-likelihood itself, and fixed-seed Monte Carlo generation serve as
-the independent oracles.
+the independent oracles.  The per-column finite-difference Hessian and the
+checked Cholesky step that the fast paths replaced are kept here as oracles.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+import scipy.linalg
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from geocount import (
@@ -24,7 +26,9 @@ from geocount import (
     wald_inference,
 )
 from geocount import Params, binarize_counts, build_design
-from geocount.fitting import INFLATE_PREFIX, _observed_covariance, _stars
+from geocount.fitting import INFLATE_PREFIX, _newton_step, _observed_covariance, _stars
+from geocount.fitting import fd_hessian
+from geocount.likelihoods import FAMILIES
 from geocount.likelihoods import (
     logit_grad,
     logit_loglik,
@@ -38,8 +42,46 @@ from geocount.exceptions import (
     NonFiniteObjective,
     RankDeficientDesign,
     SeparationSuspected,
+    SingularInformation,
     ZeroStandardError,
 )
+
+
+def stacked(grad):
+    """A one-point gradient as a stacked score: one call per row of the stack."""
+    return lambda points: np.array([grad(theta) for theta in points])
+
+
+def oracle_fd_hessian(grad, theta):
+    """The per-column FD Hessian, one gradient call per perturbed point."""
+    theta = np.asarray(theta, dtype=np.float64)
+    k = theta.shape[0]
+    H = np.empty((k, k))
+    for j in range(k):
+        h = 1e-5 * (1.0 + abs(theta[j]))
+        up = theta.copy()
+        dn = theta.copy()
+        up[j] += h
+        dn[j] -= h
+        H[:, j] = (grad(up) - grad(dn)) / (2.0 * h)
+    return 0.5 * (H + H.T)
+
+
+def oracle_newton_step(H, g, ridge_floor):
+    """The ridged Newton step through the checked ``cho_factor``/``cho_solve``."""
+    k = g.shape[0]
+    tau = 0.0
+    for _ in range(200):
+        A = -(H - tau * np.eye(k))
+        try:
+            c, low = scipy.linalg.cho_factor(A)
+            step = scipy.linalg.cho_solve((c, low), g)
+            if np.all(np.isfinite(step)) and g @ step > 0.0:
+                return step
+        except scipy.linalg.LinAlgError:
+            pass
+        tau = ridge_floor if tau == 0.0 else 2.0 * tau
+    return g / max(1.0, np.linalg.norm(g))
 
 
 def dataset_from_arrays(counts, columns=None, schema=()):
@@ -58,11 +100,7 @@ def dataset_from_arrays(counts, columns=None, schema=()):
 
 class TestMaximize:
     def test_concave_quadratic(self):
-        res = maximize(
-            lambda t: -((t[0] - 3.0) ** 2),
-            lambda t: np.array([-2.0 * (t[0] - 3.0)]),
-            [0.0],
-        )
+        res = maximize(lambda t: -((t[0] - 3.0) ** 2), lambda points: -2.0 * (points - 3.0), [0.0])
         assert res.converged
         assert res.iterations <= 5
         assert res.theta[0] == pytest.approx(3.0, abs=1e-8)
@@ -74,7 +112,9 @@ class TestMaximize:
         from geocount import logit_loglik
         from geocount.likelihoods import logit_grad
 
-        res = maximize(lambda t: logit_loglik(t, X, y), lambda t: logit_grad(t, X, y), [0.0])
+        res = maximize(
+            lambda t: logit_loglik(t, X, y), stacked(lambda t: logit_grad(t, X, y)), [0.0]
+        )
         assert res.converged
         assert res.theta[0] == pytest.approx(math.log(0.3 / 0.7), abs=1e-8)
 
@@ -86,7 +126,7 @@ class TestMaximize:
         from geocount.likelihoods import poisson_grad
 
         res = maximize(
-            lambda t: poisson_loglik(t, X, y), lambda t: poisson_grad(t, X, y), [0.0]
+            lambda t: poisson_loglik(t, X, y), stacked(lambda t: poisson_grad(t, X, y)), [0.0]
         )
         assert res.converged
         assert res.theta[0] == pytest.approx(math.log(2.5), abs=1e-8)
@@ -99,19 +139,19 @@ class TestMaximize:
         f = lambda t: float(t @ M @ t / 2.0 + b @ t)
         g = lambda t: M @ t + b
         init = rng.normal(size=3)
-        res = maximize(f, g, init)
+        res = maximize(f, lambda points: points @ M.T + b, init)
         assert res.value >= f(init)
         assert res.converged
         assert np.max(np.abs(g(res.theta))) <= 1e-8
 
     def test_non_finite_at_init(self):
         with pytest.raises(NonFiniteObjective):
-            maximize(lambda t: float("-inf"), lambda t: np.zeros(1), [0.0])
+            maximize(lambda t: float("-inf"), lambda points: np.zeros_like(points), [0.0])
 
     def test_reports_best_so_far_on_iteration_cap(self):
         options = OptimOptions(max_iterations=2)
         f = lambda t: -((t[0] - 3.0) ** 4)  # quartic: Newton needs several steps
-        g = lambda t: np.array([-4.0 * (t[0] - 3.0) ** 3])
+        g = lambda points: -4.0 * (points - 3.0) ** 3
         res = maximize(f, g, [0.0], options)
         assert res.iterations == 2
         assert not res.converged
@@ -316,7 +356,7 @@ class TestFit:
 
         # a flat score has a zero Hessian: no information at all
         with pytest.raises(SingularInformation):
-            _observed_covariance(lambda th: np.zeros(2), np.zeros(2))
+            _observed_covariance(lambda points: np.zeros_like(points), np.zeros(2))
 
     def test_separation_suspected(self):
         # perfectly separated with spread in |x|: the coefficient path passes
@@ -334,7 +374,8 @@ def closure_fit(model, dataset, options=OptimOptions()):
 
     This is how ``fit`` was written before the family table: one branch per
     family builds the start, the names and the closures, and every kernel
-    call checks its inputs again.  Returns (maximize result, covariance, names).
+    call checks its inputs again, one point per call.  Returns (maximize
+    result, covariance, names).
     """
     counts = dataset.counts()
     X = build_design(dataset, model.count_covariates, model.add_intercept)
@@ -343,7 +384,7 @@ def closure_fit(model, dataset, options=OptimOptions()):
         y = binarize_counts(dataset)
         init = np.zeros(X.k)
         objective = lambda th: logit_loglik(th, X, y)
-        score = lambda th: logit_grad(th, X, y)
+        score = stacked(lambda th: logit_grad(th, X, y))
         names = X.column_names
     elif family is Family.POISSON:
         y = counts
@@ -351,7 +392,7 @@ def closure_fit(model, dataset, options=OptimOptions()):
         if model.add_intercept:
             init[0] = float(np.log(counts.mean() + 0.01))
         objective = lambda th: poisson_loglik(th, X, y)
-        score = lambda th: poisson_grad(th, X, y)
+        score = stacked(lambda th: poisson_grad(th, X, y))
         names = X.column_names
     else:
         inflation = model.inflation_covariates or model.count_covariates
@@ -364,7 +405,7 @@ def closure_fit(model, dataset, options=OptimOptions()):
             zero_fraction = float(np.clip(np.mean(counts == 0), 0.01, 0.99))
             init[kx] = float(np.log(zero_fraction / (1.0 - zero_fraction)))
         objective = lambda th: zip_loglik(th[:kx], th[kx:], X, Z, y)
-        score = lambda th: zip_grad(th[:kx], th[kx:], X, Z, y)
+        score = stacked(lambda th: zip_grad(th[:kx], th[kx:], X, Z, y))
         names = X.column_names + tuple(INFLATE_PREFIX + c for c in Z.column_names)
 
     result = maximize(objective, score, init, options)
@@ -410,3 +451,130 @@ class TestFitMatchesClosureOracle:
         assert result.iterations == expected.iterations
         assert result.converged == expected.converged
         assert result.names == expected_names
+
+
+class TestFdHessianMatchesOracle:
+    """The blocked FD Hessian equals the per-column one bit for bit."""
+
+    KERNELS = {Family.LOGIT: logit_grad, Family.POISSON: poisson_grad, Family.ZIP: zip_grad}
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        family=st.sampled_from(list(Family)),
+        n=st.one_of(st.integers(1, 70), st.integers(70, 5000)),
+        kx=st.integers(1, 4),
+        kz=st.integers(1, 3),
+        block_rows=st.integers(1, 15),
+        scale=st.sampled_from([0.3, 1.0, 6.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_equals_per_column(self, family, n, kx, kz, block_rows, scale, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, kx))
+        Z = rng.standard_normal((n, kz)) if family is Family.ZIP else None
+        y = rng.poisson(1.5, size=n).astype(float)
+        if family is Family.LOGIT:
+            y = np.minimum(y, 1.0)
+        theta = scale * rng.standard_normal(kx + (kz if Z is not None else 0))
+        entry = FAMILIES[family]
+        data = entry.prepare(X, Z, y)
+        score = lambda points: entry.grad(points[:, :kx], points[:, kx:], data)
+        kernel = self.KERNELS[family]
+        if Z is None:
+            grad = lambda th: kernel(th, X, y)
+        else:
+            grad = lambda th: kernel(th[:kx], th[kx:], X, Z, y)
+        event("uneven blocks" if 2 * theta.size % block_rows else "even blocks")
+        with np.errstate(over="ignore", invalid="ignore"):
+            # exact comparison; an overflow to inf or NaN must match too
+            np.testing.assert_array_equal(
+                fd_hessian(score, theta, block_rows), oracle_fd_hessian(grad, theta)
+            )
+
+
+class TestNewtonStepMatchesOracle:
+    """The raw LAPACK step equals the ``cho_factor``/``cho_solve`` one bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["negative-definite", "indefinite", "singular"])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 6),
+        ridge_floor=st.sampled_from([1e-10, 1e-4, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=1, ridge_floor=1e-10, seed=0)
+    def test_step_equals_checked_cholesky(self, kind, k, ridge_floor, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((k, k))
+        if kind == "negative-definite":
+            H = -(A @ A.T + 0.1 * np.eye(k))
+        elif kind == "indefinite":
+            # eigenvalues of both signs (one positive one for k = 1)
+            signs = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
+            Q = np.linalg.qr(A)[0]
+            H = (Q * (signs * rng.uniform(0.5, 3.0, size=k))) @ Q.T
+        else:
+            B = A[:, : k - 1]
+            H = -(B @ B.T)
+        g = rng.standard_normal(k)
+        try:
+            scipy.linalg.cho_factor(-H)
+            event("raw Hessian factored")
+        except scipy.linalg.LinAlgError:
+            event("ridged")
+        step = _newton_step(H, g, ridge_floor)
+        assert step.tobytes() == oracle_newton_step(H, g, ridge_floor).tobytes()
+
+
+# 20 units whose one covariate has scale 1e8; unstandardized, the first Newton
+# step's finite-difference Hessian overflows
+SCALED_COUNTS = [0, 0, 0] + [1 + i % 4 for i in range(3, 20)]
+SCALED_X = [(7 * i % 20 - 9.5) * 1e8 for i in range(20)]
+
+
+class TestNonFiniteHessian:
+    @pytest.mark.parametrize("family", ["poisson", "zip"])
+    def test_fit_raises_non_finite_objective(self, family):
+        ds = dataset_from_arrays(SCALED_COUNTS, np.array(SCALED_X)[:, None], schema=("x",))
+        with pytest.raises(NonFiniteObjective, match="non-finite at iteration 1$"):
+            fit(ModelSpec(family=family, count_covariates=("x",)), ds)
+
+    def test_maximize_raises_non_finite_objective(self):
+        score = lambda points: np.where(points == 0.0, 1.0, np.nan)
+        with pytest.raises(NonFiniteObjective, match="non-finite at iteration 1$"):
+            maximize(lambda t: 0.0, score, [0.0])
+
+    def test_covariance_raises_singular_information(self):
+        with pytest.raises(SingularInformation):
+            _observed_covariance(lambda points: np.full_like(points, np.nan), np.zeros(2))
+
+
+class TestInflationDesign:
+    def zip_data(self):
+        rng = np.random.default_rng(20)
+        columns = rng.standard_normal((200, 2))
+        lam = np.exp(0.4 + columns @ np.array([0.5, -0.3]))
+        counts = np.where(rng.random(200) < 0.3, 0, rng.poisson(lam))
+        return columns, counts
+
+    def test_count_covariates_given_twice_equal_the_default(self):
+        columns, counts = self.zip_data()
+        ds = dataset_from_arrays(counts, columns, schema=("a", "b"))
+        default = fit(ModelSpec(family="zip", count_covariates=("a", "b")), ds)
+        explicit = fit(
+            ModelSpec(family="zip", count_covariates=("a", "b"), inflation_covariates=("a", "b")),
+            ds,
+        )
+        assert explicit.to_dict() == default.to_dict()
+        assert explicit.covariance.tobytes() == default.covariance.tobytes()
+
+    def test_rank_deficient_inflation_design_names_inflate_columns(self):
+        columns, counts = self.zip_data()
+        columns = np.column_stack([columns, 2.0 * columns[:, 1]])
+        ds = dataset_from_arrays(counts, columns, schema=("a", "b", "c"))
+        model = ModelSpec(family="zip", count_covariates=("a",), inflation_covariates=("b", "c"))
+        with pytest.raises(RankDeficientDesign) as caught:
+            fit(model, ds)
+        assert caught.value.columns and all(
+            name.startswith(INFLATE_PREFIX) for name in caught.value.columns
+        )

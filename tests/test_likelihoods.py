@@ -427,6 +427,13 @@ class TestParams:
             Params(**kwargs)
 
 
+def stack(coefficients, m=1):
+    """``coefficients`` as a stack of m rows scaled 1, 1.1, 1.2, ...; None stays None."""
+    if coefficients is None:
+        return None
+    return coefficients * (1.0 + 0.1 * np.arange(m))[:, None]
+
+
 class TestKernelsAreCheckedCores:
     """Each public function is its family's table core on the prepared inputs."""
 
@@ -442,7 +449,8 @@ class TestKernelsAreCheckedCores:
         X, Z, y, beta, gamma = random_instance(np.random.default_rng(seed), family)
         entry = FAMILIES[Family(family)]
         data = entry.prepare(X, Z, y)
-        value, score = entry.loglik(beta, gamma, data), entry.grad(beta, gamma, data)
+        value = entry.loglik(beta, gamma, data)
+        score = entry.grad(stack(beta), stack(gamma), data)[0]
 
         kernel_loglik, kernel_grad = self.KERNELS[family]
         args = (beta, gamma, X, Z, y) if family == "zip" else (beta, X, y)
@@ -489,9 +497,10 @@ class TestCoresKeepTheArithmetic:
     @given(
         family=st.sampled_from(["logit", "poisson", "zip"]),
         scale=st.sampled_from([1.0, 8.0, 40.0]),  # 40 reaches |x'beta| of a few hundred
+        rows=st.integers(1, 4),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_cores_equal_the_pre_table_kernels(self, family, scale, seed):
+    def test_cores_equal_the_pre_table_kernels(self, family, scale, rows, seed):
         X, Z, y, beta, gamma = random_instance(np.random.default_rng(seed), family)
         beta = beta * scale
         entry = FAMILIES[Family(family)]
@@ -499,11 +508,19 @@ class TestCoresKeepTheArithmetic:
         value, score = arithmetic_oracle(family, beta, gamma, X, Z, y)
         # exact comparison; an overflow to inf or NaN must match too
         np.testing.assert_array_equal(entry.loglik(beta, gamma, data), value)
-        np.testing.assert_array_equal(entry.grad(beta, gamma, data), score)
+        # each row of a stacked score call is the one-point score at that row
+        betas, gammas = stack(beta, rows), stack(gamma, rows)
+        scores = entry.grad(betas, gammas, data)
+        assert scores.shape == (rows, X.shape[1] + (0 if Z is None else Z.shape[1]))
+        for r in range(rows):
+            point = (betas[r], None if gamma is None else gammas[r])
+            np.testing.assert_array_equal(scores[r], arithmetic_oracle(family, *point, X, Z, y)[1])
+        np.testing.assert_array_equal(scores[0], score)
 
 
 class TestEntryPointInputs:
-    """A design or outcome numpy cannot read as float numbers is refused, never converted."""
+    """A design, outcome or coefficient list numpy cannot read as float numbers is
+    refused, never converted."""
 
     @pytest.mark.parametrize(
         "call, message",
@@ -516,8 +533,13 @@ class TestEntryPointInputs:
              "outcome must be float64 values, got <U1"),
             (lambda: poisson_loglik([0.1], [[1.0], [2.0]], [[1, 2], [3]]),
              "outcome must be a rectangular array, got [[1, 2], [3]]"),
+            (lambda: logit_loglik(["0.1"], [[1.0]], [1]),
+             "coefficients must be float64 values, got <U3"),
+            (lambda: logit_loglik([0.1, [1]], [[1.0]], [1]),
+             "coefficients must be a rectangular array, got [0.1, [1]]"),
         ],
-        ids=["ragged-design", "string-design", "string-outcome", "ragged-outcome"],
+        ids=["ragged-design", "string-design", "string-outcome", "ragged-outcome",
+             "string-coefficients", "ragged-coefficients"],
     )
     def test_unreadable_input_is_invalid_spec(self, call, message):
         with pytest.raises(InvalidSpec, match=re.escape(message)):
