@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 on any domain, I/O or command-line error (reported
 as a single ``Code: message`` line on stderr), 2 when a fit ran but did not
 converge (the result is still written).  stdout carries only the report or
-summary; diagnostics go to stderr.
+summary; diagnostics go to stderr.  A warning a command raises is printed
+as one ``warning: Category: message`` line on exit 0 or 2, dropped on exit 1.
 
 Each option's ``add_argument`` in :func:`build_parser` is its one declaration.
 Flag values override config-file values, which override defaults.  The optional
@@ -19,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -412,15 +414,19 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    try:
-        config = parse_args(argv)
-        return config.run(config)
-    except GeocountError as exc:
-        print(f"{exc.code}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"IOError: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            config = parse_args(argv)
+            code = config.run(config)
+        except GeocountError as exc:
+            print(f"{exc.code}: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            print(f"IOError: {exc}", file=sys.stderr)
+            return 1
+    for record in caught:
+        print(f"warning: {record.category.__name__}: {record.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -281,7 +281,8 @@ def _check_full_rank(design: DesignMatrix, prefix: str = ""):
     X = design.values
     if X.shape[1] == 0:
         return
-    _, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    # a Dataset has refused non-finite covariates, so the wrapper's finiteness scan is skipped
+    _, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True, check_finite=False)
     diag = np.abs(np.diag(R))
     tol = 1e-10 * diag.max() if diag.size else 0.0
     rank = int(np.sum(diag > tol))

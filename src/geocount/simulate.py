@@ -13,13 +13,15 @@ parallel or in any order yields exactly the serial output.
 
 ``generate`` runs every unit's stream in lockstep (:class:`_Streams`).  The
 streams' seed words are computed for all units at once
-(:func:`_unit_seed_states`), and each PCG64 state is held as two uint64
-columns, so one draw advances every unit by one word in a few array
-operations.  A word becomes a value as numpy's ``Generator`` makes it: a
-double is ``(word >> 11) * 2**-53``, a normal takes the ziggurat's fast path
-(table in :mod:`._ziggurat`), ``integers(c)`` takes Lemire's bound on the
-word's low half, and a Poisson count with 0 < lambda < 10 multiplies doubles
-until the product falls to ``exp(-lambda)``.  Every rarer case (a ziggurat
+(:func:`_unit_seed_states`: numpy's ``SeedSequence(seed).pool`` supplies the
+pool, and the units' spawn keys are mixed into it as one array), and each
+PCG64 state is held as two uint64 columns, so one draw advances every unit
+by one word in a few array operations.  A word becomes a value as numpy's
+``Generator`` makes it: a double is ``(word >> 11) * 2**-53``, a normal takes
+the ziggurat's fast path (table in :mod:`._ziggurat`), ``integers(c)`` takes
+Lemire's bound on the word's low half, and a Poisson count with
+0 < lambda < 10 multiplies doubles until the product falls to
+``exp(-lambda)``.  Every rarer case (a ziggurat
 rejection, a possible Lemire rejection, lambda >= 10) is drawn by one numpy
 ``Generator`` set to that unit's exact state, which hands the state back.  The
 values, and so every output byte and error message, are those of one
@@ -36,7 +38,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Union
 
 import numpy as np
-from numpy.random import PCG64, Generator
+from numpy.random import PCG64, Generator, SeedSequence
 
 from . import _ziggurat
 from .data import Dataset, is_lat_lon
@@ -222,14 +224,14 @@ def _hash_constants(start: int, mult: int, count: int) -> tuple:
     return xor, times
 
 
-# SeedSequence's hash steps, on Python ints and uint32 arrays alike
+# SeedSequence's hash steps on uint32 arrays, which wrap modulo 2**32
 def _hashmix(value, xor, times):
-    value = (value ^ xor) * times & _MASK32
+    value = (value ^ xor) * times
     return value ^ (value >> 16)
 
 
 def _mix(x, y):
-    result = ((x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32)) & _MASK32
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
     return result ^ (result >> 16)
 
 
@@ -244,31 +246,17 @@ def _unit_seed_states(seed: int, n: int) -> np.ndarray:
 
     Row i equals ``SeedSequence(entropy=seed, spawn_key=(i,))
     .generate_state(4, np.uint64)``.  Every unit mixes the same seed words
-    into its pool before its spawn key, so that part is hashed once, on Python
-    ints; the spawn key and the output pass run on (pool word, unit) arrays.
-    Needs ``seed >= 0`` and ``n < 2**32`` (both checked by :class:`DgpSpec`).
+    into its pool before its spawn key, so numpy's ``SeedSequence(seed).pool``
+    is that pool; the spawn key and the output pass run on (pool word, unit)
+    arrays.  Needs ``seed >= 0`` and ``n < 2**32`` (both checked by
+    :class:`DgpSpec`).
     """
-    words = []  # seed as little-endian uint32 words, padded to the pool size
-    while True:
-        words.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    words += [0] * (_POOL_SIZE - len(words))
-    # one (xor, multiply) pair per hash step, in the order SeedSequence takes them
-    steps = iter(zip(*_hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (len(words) + 1))))
-    pool = [_hashmix(words[i], *next(steps)) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(steps)))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, *next(steps)))
-    # the spawn key, entropy's last word, mixed into each pool word by its own step
-    xor, times = (np.array(c, dtype=np.uint32)[:, None] for c in zip(*steps))
+    words = max(_POOL_SIZE, -(-seed.bit_length() // 32))  # the seed's uint32 words, padded
+    # the pool took 4 hash steps per word; the spawn key takes the next 4
+    xor, times = (np.array(c[-_POOL_SIZE:], dtype=np.uint32)[:, None]
+                  for c in _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (words + 1)))
     key = np.arange(n, dtype=np.uint32)
-    pool = _mix(np.array(pool, dtype=np.uint32)[:, None], _hashmix(key, xor, times))
+    pool = _mix(SeedSequence(seed).pool[:, None], _hashmix(key, xor, times))
     state = _hashmix(np.vstack([pool, pool]), _OUTPUT_XOR, _OUTPUT_MULT).astype(np.uint64)
     return (state[0::2] | state[1::2] << 32).T  # little-endian pairs of uint32 words
 

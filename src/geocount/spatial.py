@@ -79,8 +79,7 @@ class SpatialWeightsMatrix:
         return np.asarray(self.entries.sum(axis=1)).ravel()
 
     def row_square_sums(self) -> np.ndarray:
-        squared = self.entries.multiply(self.entries)
-        return np.asarray(squared.sum(axis=1)).ravel()
+        return np.asarray(self.entries.power(2).sum(axis=1)).ravel()
 
     def summary(self) -> WeightsSummary:
         """Neighbor counts per unit, not counting the unit's own weight."""

@@ -8,10 +8,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -128,6 +130,31 @@ class TestCmdFit:
         assert json.loads(out.read_text())["converged"] is False
         captured = capsys.readouterr()
         assert "did not converge" in captured.err
+
+    @pytest.mark.parametrize("converged, code", [(True, 0), (False, 2)])
+    def test_warnings_print_one_line_each(self, tmp_path, monkeypatch, capsys, converged, code):
+        stub = FitResult(
+            family=Family.LOGIT,
+            coefficients=(CoefficientRow("Intercept", 0.1, 0.2, 0.5, 0.617, ""),),
+            log_likelihood=-1.0,
+            iterations=3,
+            converged=converged,
+            covariance=np.array([[0.04]]),
+        )
+
+        def warning_fit(model, dataset):
+            warnings.warn("ill-conditioned matrix", scipy.linalg.LinAlgWarning)
+            warnings.warn("overflow encountered", RuntimeWarning)
+            return stub
+
+        monkeypatch.setattr(cli, "fit", warning_fit)
+        rc = cli.main(["fit", "--input", SMOKE_CSV, "--family", "logit",
+                       "--out", str(tmp_path / "fit.json"), "--format", "json"])
+        assert rc == code
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-2:] == ["warning: LinAlgWarning: ill-conditioned matrix",
+                              "warning: RuntimeWarning: overflow encountered"]
+        assert len(lines) == 2 + (not converged)  # and the non-convergence line
 
     def test_block_headings_render(self, tmp_path):
         rng = np.random.default_rng(30)
@@ -471,6 +498,20 @@ SCALED_CSV = "id,latitude,longitude,count,x\n" + "".join(
     for i in range(20)
 )
 
+#: 7 units that ``generate`` writes for a ZIP spec at seed 807940; ``fit --family zip
+#: --covariates a,b`` on them meets an ill-conditioned information matrix, whose inverse
+#: raises scipy's ``LinAlgWarning`` before the fit ends in ``SingularInformation``.
+ILL_CONDITIONED_CSV = """\
+id,latitude,longitude,count,a,b,c
+u0,39.258850235741555,-102.24118110854398,3,-1.7126457149415524,-2.4021578189380905,1.0
+u1,40.905207842849414,-103.433459074209,0,-2.0608050804377847,-0.594161695286046,1.0
+u2,37.856570862607946,-95.88717262101056,0,-1.7372275086049611,0.6163377803024799,0.0
+u3,34.82258812402905,-97.5094622557641,0,-0.8102333375911083,-2.103905262928898,0.0
+u4,39.08978294013926,-97.55253676193982,0,-1.596547641017111,0.9482238426776318,1.0
+u5,41.4270967091949,-97.93017890785347,4,1.4064342108608288,-0.42387294289762856,0.0
+u6,35.688785117046706,-102.48643557995995,5,-0.36328703287240194,-1.9497176658127697,1.0
+"""
+
 
 def spec_text(n=10, layout=None, distribution=None, beta=0.1, **fields):
     """A DgpSpec document, with one covariate when a distribution is given and
@@ -541,6 +582,13 @@ class TestInvalidInput:
                     id=f"fit-{family}-covariate-scale-1e8",
                 )
                 for family in ("poisson", "zip")
+            ),
+            pytest.param(
+                ["fit", "--input", "{src}", "--family", "zip", "--covariates", "a,b",
+                 "--out", "{out}"],
+                ILL_CONDITIONED_CSV,
+                "SingularInformation: observed information matrix is singular or indefinite\n",
+                id="fit-zip-ill-conditioned-information",
             ),
             pytest.param(
                 ["fit", "--input", SMOKE_CSV, "--family", "poisson",
@@ -927,9 +975,12 @@ class TestInvalidInput:
             src.write_bytes(text)
         elif text is not None:
             src.write_text(text, encoding="utf-8")
-        rc = cli.main([arg.format(src=src, out=out) for arg in argv])
+        with warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            rc = cli.main([arg.format(src=src, out=out) for arg in argv])
         captured = capsys.readouterr()
         assert rc == 1
+        assert escaped == []  # a warning the command raised is not printed either
         assert captured.err.startswith(expected)
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
         assert captured.out == ""
@@ -953,6 +1004,21 @@ class TestInvalidInput:
         assert result.stdout == ""
         assert result.stderr.startswith("InvalidSpec: argument --family: invalid choice: 'foo'")
         assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+
+    def test_ill_conditioned_fit_exits_1_from_the_shell(self, tmp_path):
+        src = tmp_path / "n7.csv"
+        src.write_text(ILL_CONDITIONED_CSV, encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(Path(geocount.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-m", "geocount.cli", "fit", "--input", str(src), "--family", "zip",
+             "--covariates", "a,b", "--out", str(tmp_path / "fit.txt")],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            "SingularInformation: observed information matrix is singular or indefinite\n"
+        )
 
 
 class TestCmdReport:

@@ -242,7 +242,13 @@ class TestUnitSeedStates:
     @example(seed=2**32, n=3)
     @example(seed=2**63 + 7, n=3)
     @example(seed=2**127 + 3, n=3)
+    @example(seed=2**96 - 1, n=1)  # three words, padded to four
+    @example(seed=2**96 - 1, n=3)
+    @example(seed=2**128 - 1, n=1)  # exactly four words
+    @example(seed=2**128 - 1, n=3)
     @example(seed=2**128, n=3)
+    @example(seed=2**160 - 1, n=1)  # five words
+    @example(seed=2**160 - 1, n=3)
     @example(seed=2**130, n=3)
     @example(seed=2**200, n=3)
     def test_rows_equal_numpy_seed_sequence(self, seed, n):

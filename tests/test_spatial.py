@@ -9,11 +9,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from geocount import (
     DistanceBand,
     HotspotClass,
     KNearest,
+    SpatialWeightsMatrix,
     WeightsSummary,
     build_weights,
     classify,
@@ -248,6 +250,17 @@ class TestGetisOrdGstar:
         res = getis_ord_gstar(np.array([1.0, 2.0, 3.0]), W)
         np.testing.assert_array_equal(res.z, 0.0)
         assert all(c is HotspotClass.NOT_SIGNIFICANT for c in res.classes)
+
+    def test_row_square_sums_of_non_binary_weights(self):
+        # weights in [0.1, 3] on a 1/64 grid, so every square and row sum is exact in any
+        # order; rows keep unsorted column indices, and row 2 is empty
+        rng = np.random.default_rng(26)
+        indptr = [0, 4, 7, 7, 12, 14]
+        indices = [3, 0, 2, 1, 2, 0, 3, 4, 1, 0, 3, 2, 4, 1]
+        data = np.round(rng.uniform(0.1, 3.0, size=len(indices)) * 64.0) / 64.0
+        entries = scipy.sparse.csr_matrix((data, indices, indptr), shape=(5, 5))
+        W = SpatialWeightsMatrix(n=5, entries=entries, scheme=KNearest(3), include_self=False)
+        np.testing.assert_array_equal(W.row_square_sums(), (W.entries.toarray() ** 2).sum(axis=1))
 
     def test_dimension_mismatch(self):
         pts = equator_line(0.0, 100.0)
