@@ -12,6 +12,11 @@ Flag values override config-file values, which override defaults.  The optional
 ``--spec`` and ``--fit`` are ``input``), each value checked against its option's
 declaration; a key the command has no option for is refused.  CSV output quotes
 ids and names with :func:`geocount.ingest.csv_field`.
+
+Importing this module loads no scipy; a command loads the scipy parts it runs.
+If that first import happens inside :func:`main`, the two warning filters scipy
+adds on import (numpy's matrix ``PendingDeprecationWarning`` ignored,
+``SpecialFunctionWarning`` always shown) are dropped when ``main`` returns.
 """
 
 from __future__ import annotations

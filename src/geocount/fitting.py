@@ -7,7 +7,9 @@ When that Hessian is not negative definite a ridge term is added (doubling
 from ``ridge_floor``) until the step is an ascent direction, and every step is
 backtracked by halving until the objective does not decrease.  One maximizer
 serves all three families.  Options and saved fits are read by the rules of
-:mod:`geocount.exceptions`; a bad value is ``InvalidSpec``.
+:mod:`geocount.exceptions`; a bad value is ``InvalidSpec``.  scipy is imported
+by the functions that call it, so that ``import geocount`` costs only numpy's
+start-up.
 """
 
 from __future__ import annotations
@@ -17,9 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.special import ndtr
 
 from .data import Dataset, DesignMatrix, binarize_counts, build_design
 from .exceptions import (
@@ -169,6 +168,7 @@ def _newton_step(H: np.ndarray, g: np.ndarray, ridge_floor: float) -> np.ndarray
     ``scipy.linalg.cho_factor``/``cho_solve`` call them, without those
     wrappers' input checks: H and g are finite here.
     """
+    from scipy.linalg.lapack import dpotrf, dpotrs
     identity = np.eye(g.shape[0])
     tau = 0.0
     for _ in range(200):
@@ -250,6 +250,7 @@ def wald_inference(names, estimates, covariance) -> tuple[CoefficientRow, ...]:
     z = estimate / std_error, p = 2 (1 - Phi(|z|)); stars follow the
     three-tier legend: p <= 0.001 "***", p <= 0.05 "**", p <= 0.10 "*".
     """
+    from scipy.special import ndtr
     estimates = np.asarray(estimates, dtype=np.float64)
     covariance = np.asarray(covariance, dtype=np.float64)
     names = tuple(names)
@@ -278,6 +279,7 @@ def _stars(p: float) -> str:
 
 def _check_full_rank(design: DesignMatrix, prefix: str = ""):
     """Reject rank-deficient designs via pivoted QR, naming columns as ``prefix + name``."""
+    import scipy.linalg
     X = design.values
     if X.shape[1] == 0:
         return
@@ -345,6 +347,7 @@ def fit(model: ModelSpec, dataset: Dataset, options: OptimOptions = OptimOptions
 def _observed_covariance(score, theta: np.ndarray, block_rows: int = 1) -> np.ndarray:
     """Inverse of the negative FD Hessian of the stacked ``score``, validated
     finite, symmetric and PSD."""
+    import scipy.linalg
     H = fd_hessian(score, theta, block_rows)
     if not np.all(np.isfinite(H)):
         raise SingularInformation()

@@ -27,6 +27,8 @@ Each family is declared once, in :data:`FAMILIES`.  The public functions
 check their inputs, then call the family's unchecked core; ``fit`` checks
 once and calls the cores inside its Newton loop.  The fields of
 :class:`ModelSpec` and :class:`Params` declare their rules (``exceptions.rule``).
+scipy is imported by the functions that call it, so that ``import geocount``
+costs only numpy's start-up.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import expit, gammaln
 
 from .data import DesignMatrix, _column
 from .exceptions import FINITE_NUMBERS, Checked, DimensionMismatch, DomainError, InvalidSpec
@@ -158,6 +159,7 @@ def _logit_loglik(beta, gamma, d: Prepared) -> float:
 
 
 def _logit_grad(beta, gamma, d: Prepared) -> np.ndarray:
+    from scipy.special import expit
     return _products(d.X.T, d.y - expit(_products(d.X, beta)))
 
 
@@ -184,6 +186,7 @@ def _zip_loglik(beta, gamma, d: Prepared) -> float:
 
 
 def _zip_grad(beta, gamma, d: Prepared) -> np.ndarray:
+    from scipy.special import expit
     lam = np.exp(_products(d.X, beta))
     psi = _products(d.Z, gamma)
     p = expit(psi)
@@ -194,7 +197,13 @@ def _zip_grad(beta, gamma, d: Prepared) -> np.ndarray:
     return np.concatenate([_products(d.X.T, w_beta), _products(d.Z.T, w_gamma)], axis=1)
 
 
+def _logit_predict(beta, gamma, X, Z) -> np.ndarray:
+    from scipy.special import expit
+    return expit(X @ beta)
+
+
 def _zip_predict(beta, gamma, X, Z) -> ZipPrediction:
+    from scipy.special import expit
     lam = np.exp(X @ beta)
     p = expit(Z @ gamma)
     return ZipPrediction(mean=(1.0 - p) * lam, inflation_probability=p)
@@ -219,6 +228,7 @@ class FamilyModel:
 
     def prepare(self, X, Z, y) -> Prepared:
         """Check the designs and the outcome once and derive what the cores need."""
+        from scipy.special import gammaln
         Xv, Zv = _design(X), _design(Z) if self.inflated else None
         y = _column(y, "outcome", np.float64)
         if y.ndim != 1:
@@ -251,9 +261,7 @@ class FamilyModel:
 
 
 FAMILIES = {
-    Family.LOGIT: FamilyModel(
-        _logit_loglik, _logit_grad, lambda b, g, X, Z: expit(X @ b), binary=True
-    ),
+    Family.LOGIT: FamilyModel(_logit_loglik, _logit_grad, _logit_predict, binary=True),
     Family.POISSON: FamilyModel(_poisson_loglik, _poisson_grad, lambda b, g, X, Z: np.exp(X @ b)),
     Family.ZIP: FamilyModel(_zip_loglik, _zip_grad, _zip_predict, inflated=True),
 }
@@ -301,6 +309,7 @@ def zip_pmf(p: float, lam: float, y) -> float | np.ndarray:
 
     p + (1-p) * Poisson(0; lam) at zero, (1-p) * Poisson(y; lam) above.
     """
+    from scipy.special import gammaln
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"mixing probability p={p} outside [0, 1]")
     if not lam > 0.0:

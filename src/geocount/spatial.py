@@ -11,7 +11,8 @@ the population standard deviation.  The population form of S next to the
 (n - 1) denominator term is kept exactly as printed in the source formula.
 Large positive z marks clustering of high values (hot spot), large negative
 z clustering of low values (cold spot); a unit with no usable neighborhood
-variance scores z = 0 by convention.
+variance scores z = 0 by convention.  scipy is imported by the functions that
+call it, so that ``import geocount`` costs only numpy's start-up.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.sparse
-import scipy.spatial
 
 from .exceptions import DegenerateGeometry, DimensionMismatch, DomainError, InvalidSpec
 from .exceptions import Checked, KTooLarge, rule
@@ -136,6 +135,7 @@ class _Sphere:
     """
 
     def __init__(self, lat, lon):
+        import scipy.spatial
         self.lat, self.lon = np.radians(lat), np.radians(lon)
         self.cos_lat = np.cos(self.lat)
         self.tree = scipy.spatial.cKDTree(
@@ -214,6 +214,7 @@ def _knn_pairs(sphere: _Sphere, k: int):
 
 
 def _binary_csr(n: int, rows, cols, include_self: bool) -> scipy.sparse.csr_matrix:
+    import scipy.sparse
     if include_self:
         diagonal = np.arange(n)
         rows, cols = np.concatenate((rows, diagonal)), np.concatenate((cols, diagonal))
