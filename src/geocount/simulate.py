@@ -27,7 +27,8 @@ rejection, a possible Lemire rejection, lambda >= 10) is drawn by one numpy
 values, and so every output byte and error message, are those of one
 ``Generator`` per unit.  Each field declares its rule (``exceptions.rule``)
 and documents are read by ``exceptions.read_object``: a string or bool is
-refused, never converted.
+refused, never converted.  Generation loads no scipy, on the ``paper-scale``
+preset too: its two intercepts are checked-in literals.
 """
 
 from __future__ import annotations
@@ -501,20 +502,16 @@ def generate(spec: DgpSpec) -> Dataset:
 def paper_scale_spec(seed: int = 0) -> DgpSpec:
     """Intercept-only preset at the scale of the 2009 county analysis.
 
-    n = 2947 units; intercepts are solved so the expected zero share is
-    0.505 and the mean count among nonzero draws is 2.
+    n = 2947 units.  The intercepts are checked in: they are ``brentq``'s
+    roots for the targets ``PAPER_SCALE_ZERO_SHARE`` (expected zero share) and
+    ``PAPER_SCALE_MEAN_POSITIVE`` (mean count among nonzero draws), and a test
+    re-derives them bit for bit.
     """
-    from scipy.optimize import brentq  # imported here to keep `import geocount` light
-
-    lam = brentq(
-        lambda v: v / (1.0 - np.exp(-v)) - PAPER_SCALE_MEAN_POSITIVE, 1e-9, 50.0
-    )
-    p = (PAPER_SCALE_ZERO_SHARE - np.exp(-lam)) / (1.0 - np.exp(-lam))
     return DgpSpec(
         n=PAPER_SCALE_N,
         covariates=(),
-        beta=(float(np.log(lam)),),
-        gamma=(float(np.log(p / (1.0 - p))),),
+        beta=(0.46601083115101805,),  # 0x1.dd31f17d80690p-2
+        gamma=(-0.49475302479604466,),  # -0x1.faa0897462652p-2
         layout=UniformSquare(side_km=4000.0),
         seed=seed,
     )

@@ -177,11 +177,11 @@ def _band_pairs(sphere: _Sphere, d_km: float):
     """(row, col) of every ordered pair i != j with haversine(i, j) <= d_km."""
     radius = _km_to_chord(d_km) * (1.0 + _CHORD_REL_SLACK) + _CHORD_ABS_SLACK
     i, j = sphere.tree.query_pairs(radius, output_type="ndarray").T
-    # each orientation is filtered on its own, exactly as row i, column j of
-    # the full distance matrix would be
-    ij = sphere.km(i, j) <= d_km
-    ji = sphere.km(j, i) <= d_km
-    return np.concatenate((i[ij], j[ji])), np.concatenate((j[ij], i[ji]))
+    # the haversine is symmetric bit for bit (a - b = -(b - a), sin is odd,
+    # products commute), so one orientation decides both links
+    near = sphere.km(i, j) <= d_km
+    i, j = i[near], j[near]
+    return np.concatenate((i, j)), np.concatenate((j, i))
 
 
 def _knn_pairs(sphere: _Sphere, k: int):

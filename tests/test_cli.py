@@ -1170,17 +1170,24 @@ print(json.dumps([outputs, sorted(m for m in sys.modules if m.split(".")[0] == "
 def test_simulate_and_report_run_cold_without_scipy(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(spec_text(n=40, distribution={"type": "normal", "mu": 0.0, "sigma": 1.0}))
+    preset = tmp_path / "preset.json"
+    preset.write_text(json.dumps({"preset": "paper-scale", "seed": 7}))
 
-    def commands(out):
-        return [["simulate", "--spec", str(spec), "--out", str(out)], ["report", "--fit", SMOKE_FIT_JSON]]
+    def commands(side):
+        return [
+            ["simulate", "--spec", str(spec), "--out", str(tmp_path / f"{side}.csv")],
+            ["simulate", "--spec", str(preset), "--out", str(tmp_path / f"{side}_preset.csv")],
+            ["report", "--fit", SMOKE_FIT_JSON],
+        ]
 
-    result = fresh_python("-c", COLD_RUN, json.dumps(commands(tmp_path / "cold.csv")))
+    result = fresh_python("-c", COLD_RUN, json.dumps(commands("cold")))
     assert result.returncode == 0 and result.stderr == "", result.stderr
     cold, scipy_modules = json.loads(result.stdout)
     assert scipy_modules == []
-    warm = [[cli.main(argv), capsys.readouterr().out] for argv in commands(tmp_path / "warm.csv")]
+    warm = [[cli.main(argv), capsys.readouterr().out] for argv in commands("warm")]
     assert cold == warm
-    assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+    for name in ("", "_preset"):
+        assert (tmp_path / f"cold{name}.csv").read_bytes() == (tmp_path / f"warm{name}.csv").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -408,11 +408,12 @@ def closure_fit(model, dataset, options=OptimOptions()):
         score = stacked(lambda th: zip_grad(th[:kx], th[kx:], X, Z, y))
         names = X.column_names + tuple(INFLATE_PREFIX + c for c in Z.column_names)
 
-    result = maximize(objective, score, init, options)
-    if family is Family.LOGIT and not result.converged:
-        if float(np.max(np.abs(X.values @ result.theta))) > 30.0:
-            raise SeparationSuspected()
-    return result, _observed_covariance(score, result.theta), names
+    with np.errstate(over="ignore", invalid="ignore"):  # as in ``fit``; it changes no bits
+        result = maximize(objective, score, init, options)
+        if family is Family.LOGIT and not result.converged:
+            if float(np.max(np.abs(X.values @ result.theta))) > 30.0:
+                raise SeparationSuspected()
+        return result, _observed_covariance(score, result.theta), names
 
 
 class TestFitMatchesClosureOracle:

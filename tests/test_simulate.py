@@ -22,7 +22,7 @@ from geocount import (
     zip_moments,
 )
 from geocount.exceptions import InvalidSpec
-from geocount.simulate import MAX_SIDE_KM
+from geocount.simulate import MAX_SIDE_KM, PAPER_SCALE_MEAN_POSITIVE, PAPER_SCALE_ZERO_SHARE
 
 
 def intercept_only_spec(beta0, gamma0, n=20_000, seed=0):
@@ -109,9 +109,16 @@ class TestGenerate:
 class TestPaperScalePreset:
     def test_structure(self):
         spec = paper_scale_spec(seed=42)
-        assert spec.n == 2947
+        assert spec.n == 2947 and spec.seed == 42
         assert spec.covariates == ()
-        # intercepts solve: zero share 0.505, mean positive count 2
+        # the intercepts are checked in; they must be the roots the solve gave, bit for bit
+        from scipy.optimize import brentq
+
+        lam = brentq(lambda v: v / (1.0 - np.exp(-v)) - PAPER_SCALE_MEAN_POSITIVE, 1e-9, 50.0)
+        p = (PAPER_SCALE_ZERO_SHARE - np.exp(-lam)) / (1.0 - np.exp(-lam))
+        assert spec.beta == (float(np.log(lam)),)
+        assert spec.gamma == (float(np.log(p / (1.0 - p))),)
+        # and they solve: zero share 0.505, mean positive count 2
         lam = math.exp(spec.beta[0])
         p = 1.0 / (1.0 + math.exp(-spec.gamma[0]))
         assert p + (1 - p) * math.exp(-lam) == pytest.approx(0.505, abs=1e-10)

@@ -10,6 +10,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geocount import (
     DistanceBand,
@@ -58,6 +60,26 @@ def gstar_oracle(values, weights_dense):
     return out
 
 
+_EDGE_LATS = (90.0, -90.0, 0.0, math.nextafter(90.0, 0.0), 45.0)
+_EDGE_LONS = (180.0, -180.0, 0.0, math.nextafter(180.0, 0.0), -98.0)
+
+
+@st.composite
+def point_pairs(draw):
+    """Two (lat, lon) points: random, identical, 1 ulp apart or antipodal,
+    with poles and +-180 degree longitudes drawn often."""
+    lat = draw(st.sampled_from(_EDGE_LATS) | st.floats(-90.0, 90.0))
+    lon = draw(st.sampled_from(_EDGE_LONS) | st.floats(-180.0, 180.0))
+    other = draw(st.sampled_from(("random", "same", "ulp", "antipode")))
+    if other == "random":
+        return lat, lon, draw(st.floats(-90.0, 90.0)), draw(st.floats(-180.0, 180.0))
+    if other == "same":
+        return lat, lon, lat, lon
+    if other == "ulp":
+        return lat, lon, math.nextafter(lat, 0.0), math.nextafter(lon, 0.0)
+    return lat, lon, -lat, lon - 180.0 if lon > 0.0 else lon + 180.0
+
+
 class TestHaversine:
     def test_equator_degree(self):
         # one degree of longitude on the equator is R * pi / 180 km
@@ -69,6 +91,17 @@ class TestHaversine:
         assert haversine_km(*a, *b) == pytest.approx(haversine_km(*b, *a), rel=1e-12)
         assert haversine_km(*a, *a) == 0.0
         assert 170.0 < haversine_km(*a, *b) < 230.0  # roughly 200 km apart
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(point_pairs(), min_size=1, max_size=40))
+    def test_bit_symmetric(self, pairs):
+        # the band builder decides both links of a pair from one orientation
+        lat1, lon1, lat2, lon2 = np.array(pairs, dtype=np.float64).T
+        forward = haversine_km(lat1, lon1, lat2, lon2)
+        assert forward.tobytes() == haversine_km(lat2, lon2, lat1, lon1).tobytes()
+        for k in range(len(pairs)):  # the scalar path too
+            a = haversine_km(lat1[k], lon1[k], lat2[k], lon2[k])
+            assert a.tobytes() == haversine_km(lat2[k], lon2[k], lat1[k], lon1[k]).tobytes()
 
 
 class TestBuildWeights:

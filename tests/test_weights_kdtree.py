@@ -85,6 +85,8 @@ def assert_same_as_oracle(points, scheme, include_self):
         assert a.dtype == b.dtype, name
         np.testing.assert_array_equal(a, b, err_msg=name)
     assert got.entries.shape == expected.shape
+    if isinstance(scheme, DistanceBand):  # a band links both directions or neither
+        assert (got.entries != got.entries.T).nnz == 0
 
 
 # ---------------------------------------------------------------------------
