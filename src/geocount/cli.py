@@ -36,7 +36,8 @@ from .fitting import INFLATE_PREFIX, FitResult, fit
 from .ingest import IngestConfig, csv_field, read_dataset, write_dataset
 from .likelihoods import Family, ModelSpec
 from .simulate import dgp_spec_from_json, generate
-from .spatial import DistanceBand, HotspotResult, KNearest, build_weights, getis_ord_gstar
+from .spatial import DistanceBand, HotspotClass, HotspotResult, KNearest
+from .spatial import build_weights, getis_ord_gstar
 
 #: Table-style block headings for known covariate names in text reports.
 COVARIATE_BLOCKS: tuple[tuple[str, tuple[str, ...]], ...] = (
@@ -161,9 +162,11 @@ def render_fit_json(result: FitResult) -> str:
 
 
 def render_hotspot_csv(dataset: Dataset, result: HotspotResult) -> str:
+    """One ``id,z,class`` line per unit.  A class is a ``str`` holding its value,
+    so ``join`` writes the value."""
     lines = ["id,z,class"]
-    for obs_id, z, cls in zip(dataset.ids, result.z.tolist(), result.classes):
-        lines.append(f"{csv_field(obs_id)},{z!r},{cls.value}")
+    lines += map(",".join, zip(map(csv_field, dataset.ids), map(repr, result.z.tolist()),
+                               result.classes))
     return "\n".join(lines) + "\n"
 
 
@@ -194,14 +197,13 @@ def render_hotspot_geojson(dataset: Dataset, result: HotspotResult) -> str:
     The z column goes through one ``json.dumps`` call, so a non-finite z in a
     result built by hand is spelled as ``json`` spells it.
     """
-    labels = {cls: json.dumps(cls.value) for cls in set(result.classes)}
+    labels = {cls: json.dumps(cls.value) for cls in HotspotClass}
     z_text = json.dumps(result.z.tolist())[1:-1].split(", ")
-    features = ",\n".join(
-        _GEOJSON_FEATURE % (lon, lat, json.dumps(obs_id), z, labels[cls])
-        for obs_id, (lat, lon), z, cls in zip(
-            dataset.ids, dataset.centroids().tolist(), z_text, result.classes
-        )
-    )
+    lat, lon = dataset.centroids().T.tolist()
+    # json.dumps of a str is encode_basestring_ascii of it
+    ids = map(json.encoder.encode_basestring_ascii, dataset.ids)
+    features = ",\n".join(map(_GEOJSON_FEATURE.__mod__, zip(
+        lon, lat, ids, z_text, map(labels.__getitem__, result.classes))))
     body = f"\n{features}\n  " if features else ""
     return f'{{\n  "type": "FeatureCollection",\n  "features": [{body}]\n}}\n'
 
@@ -270,8 +272,9 @@ def cmd_hotspot(config: argparse.Namespace) -> int:
     result = getis_ord_gstar(values, weights)
     render = {"csv": render_hotspot_csv, "geojson": render_hotspot_geojson}
     Path(config.output).write_text(render[config.format](dataset, result), encoding="utf-8")
-    n_hot = sum(1 for c in result.classes if c.value.startswith("Hot"))
-    n_cold = sum(1 for c in result.classes if c.value.startswith("Cold"))
+    count = result.classes.count
+    n_hot = count(HotspotClass.HOT_99) + count(HotspotClass.HOT_95)
+    n_cold = count(HotspotClass.COLD_99) + count(HotspotClass.COLD_95)
     print(f"hotspot: n={weights.n} hot={n_hot} cold={n_cold} -> {config.output}")
     return 0
 

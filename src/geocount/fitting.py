@@ -277,17 +277,27 @@ def _stars(p: float) -> str:
     return ""
 
 
+def _pivoted_qr_diagonal(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(diag(R), pivots) of ``scipy.linalg.qr(X, mode="economic", pivoting=True)``.
+
+    LAPACK's dgeqp3 is called as that wrapper calls it, with the workspace size
+    its query returns, so the pivots are the same; Q is not formed.  X is finite
+    (a Dataset refuses non-finite covariates) and has at least one row.
+    """
+    from scipy.linalg.lapack import dgeqp3
+    lwork = int(dgeqp3(X, lwork=-1)[3][0])
+    qr, pivots, _, _, _ = dgeqp3(X, lwork=lwork)
+    return np.diag(qr), pivots - 1  # dgeqp3's pivots are 1-based
+
+
 def _check_full_rank(design: DesignMatrix, prefix: str = ""):
     """Reject rank-deficient designs via pivoted QR, naming columns as ``prefix + name``."""
-    import scipy.linalg
     X = design.values
     if X.shape[1] == 0:
         return
-    # a Dataset has refused non-finite covariates, so the wrapper's finiteness scan is skipped
-    _, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True, check_finite=False)
-    diag = np.abs(np.diag(R))
-    tol = 1e-10 * diag.max() if diag.size else 0.0
-    rank = int(np.sum(diag > tol))
+    diag, piv = _pivoted_qr_diagonal(X)
+    diag = np.abs(diag)
+    rank = int(np.sum(diag > 1e-10 * diag.max()))
     if rank < X.shape[1]:
         suspects = [prefix + design.column_names[j] for j in piv[rank:]]
         raise RankDeficientDesign(suspects)

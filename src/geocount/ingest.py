@@ -132,21 +132,52 @@ def _parse_column(cells, kind: str) -> tuple[np.ndarray | None, type | None]:
     return values, None
 
 
-def _parse_block(block, header, checks) -> tuple[dict, dict[str, np.ndarray]] | None:
-    """(cells, parsed): the block's cells by column, and each checked column as an array.
-
-    None if a row has the wrong width or a cell fails its check.
-    """
-    if any(len(row) != len(header) for row in block):
-        return None
-    cells = dict(zip(header, zip(*block)))
+def _parse_columns(cells: dict, checks) -> dict[str, np.ndarray] | None:
+    """Each checked column of ``cells`` as an array; None if a cell fails its check."""
     parsed: dict[str, np.ndarray] = {}
     for name, kind in checks:
         values, error = _parse_column(cells[name], kind)
         if error:
             return None
         parsed.setdefault(name, values)
-    return cells, parsed
+    return parsed
+
+
+def _parse_block(block, header, checks) -> tuple[dict, dict[str, np.ndarray]] | None:
+    """(cells, parsed): the block's cells by column, and each checked column as an array.
+
+    None if a row has the wrong width or a cell fails its check.
+    """
+    if set(map(len, block)) != {len(header)}:
+        return None
+    cells = dict(zip(header, zip(*block)))
+    parsed = _parse_columns(cells, checks)
+    return None if parsed is None else (cells, parsed)
+
+
+def _parse_plain(lines: list[str], header, checks) -> tuple[dict, dict[str, np.ndarray]] | None:
+    """:func:`_parse_block` of lines that ``csv.reader`` would split on their commas alone.
+
+    None unless the block is plain: no quote, CR or NUL, no line longer than
+    ``csv.field_size_limit()`` and ``len(header) - 1`` commas on every line (so
+    no empty line, since a header has at least four names).  Then its text is
+    split once and each column is a strided slice.  None too if a cell fails
+    its check.
+    """
+    body = "".join(lines)
+    width = len(header)
+    if (
+        '"' in body or "\r" in body or "\0" in body
+        or max(map(len, lines)) > csv.field_size_limit()
+        or set(map(str.count, lines, itertools.repeat(","))) != {width - 1}
+    ):
+        return None
+    cells = body.replace("\n", ",").split(",")
+    if body.endswith("\n"):
+        del cells[-1]  # the empty cell after the last line's newline
+    columns = {name: cells[j::width] for j, name in enumerate(header)}
+    parsed = _parse_columns(columns, checks)
+    return None if parsed is None else (columns, parsed)
 
 
 def _raise_first_bad_cell(block, first_row: int, header, checks) -> None:
@@ -163,6 +194,33 @@ def _raise_first_bad_cell(block, first_row: int, header, checks) -> None:
                 raise error(row, name)
 
 
+def _blocks(handle, header, checks, lines_read: int):
+    """Yield (cells, parsed) for each block of data rows, ``lines_read`` lines into ``handle``.
+
+    A plain block is split on its commas; the first other block, and every one
+    after it, is read by ``csv.reader`` over that block's lines and the rest of
+    ``handle``.  That covers quoted fields and every malformed row.
+    """
+    first_row = 1
+    while lines := list(itertools.islice(handle, BLOCK_ROWS)):
+        parsed_block = _parse_plain(lines, header, checks)
+        if parsed_block is None:
+            break
+        yield parsed_block
+        first_row += len(lines)
+    reader = csv.reader(itertools.chain(lines, handle))  # at the end of handle, reads nothing
+    lines_read += first_row - 1
+    try:
+        while block := list(itertools.islice(reader, BLOCK_ROWS)):
+            parsed_block = _parse_block(block, header, checks)
+            if parsed_block is None:
+                _raise_first_bad_cell(block, first_row, header, checks)
+            yield parsed_block
+            first_row += len(block)
+    except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+        raise MalformedCsv(lines_read + reader.line_num, exc) from None
+
+
 def read_dataset(csv_source, config: IngestConfig) -> Dataset:
     """Read a CSV table into a validated :class:`Dataset`.
 
@@ -171,10 +229,14 @@ def read_dataset(csv_source, config: IngestConfig) -> Dataset:
     change n and all downstream inference.  Row indices in errors are 1-based
     data rows (the header is row 0).
 
-    Rows are parsed a column at a time in blocks of :data:`BLOCK_ROWS`; a
-    block with a bad cell is checked again row by row, so the error names the
-    first bad row and, within it, the first bad cell in the order a row is
-    checked: latitude, longitude, count, the other columns, then derivations.
+    ``csv_source`` is a path or an open text file.  Rows are parsed a column at
+    a time in blocks of :data:`BLOCK_ROWS` lines.  A plain block (no quote, CR,
+    NUL, empty line or overlong line, and the header's width on every line) is
+    split on its commas; from the first other block on, ``csv.reader`` reads
+    the rows, so every table reads as ``csv.reader`` reads it.  A block with a
+    bad cell is checked again row by row, so the error names the first bad row
+    and, within it, the first bad cell in the order a row is checked:
+    latitude, longitude, count, the other columns, then derivations.
     """
     handle, owned = _open(csv_source, "r")
     reader = csv.reader(handle)
@@ -206,17 +268,11 @@ def read_dataset(csv_source, config: IngestConfig) -> Dataset:
         blocks: dict[str, list[np.ndarray]] = {}  # typed empty starts, for a table with no rows
         for name, kind in checks:
             blocks.setdefault(name, [np.empty(0, np.int64 if kind == _COUNT else np.float64)])
-        first_row = 1
-        while block := list(itertools.islice(reader, BLOCK_ROWS)):
-            parsed_block = _parse_block(block, header, checks)
-            if parsed_block is None:
-                _raise_first_bad_cell(block, first_row, header, checks)
-            cells, parsed = parsed_block
+        for cells, parsed in _blocks(handle, header, checks, reader.line_num):
             ids.extend(cells[ID_COLUMN])
             for name, values in parsed.items():
                 blocks[name].append(values)
-            first_row += len(block)
-    except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+    except csv.Error as exc:  # in the header, e.g. a cell over csv.field_size_limit()
         raise MalformedCsv(reader.line_num, exc) from None
     finally:
         if owned:

@@ -273,6 +273,19 @@ def classify(z: float) -> HotspotClass:
     return HotspotClass.NOT_SIGNIFICANT
 
 
+#: Hot99, Hot95, NotSignificant, Cold95, Cold99: the declaration order, from the highest z down.
+_CLASSES = tuple(HotspotClass)
+
+
+def _classes(z: np.ndarray) -> tuple[HotspotClass, ...]:
+    """:func:`classify` of each z, from one comparison of z with each cut point.
+
+    A NaN compares false with every cut point, so it is not significant.
+    """
+    index = 2 - (z >= HOT_95) - (z >= HOT_99) + (z <= -HOT_95) + (z <= -HOT_99)
+    return tuple(map(_CLASSES.__getitem__, index.tolist()))
+
+
 def getis_ord_gstar(values, W: SpatialWeightsMatrix) -> HotspotResult:
     """Local hot-spot z-scores for each unit under the given weights.
 
@@ -302,5 +315,4 @@ def getis_ord_gstar(values, W: SpatialWeightsMatrix) -> HotspotResult:
     if S > 0.0:
         valid = bracket > 0.0
         z[valid] = numerator[valid] / (S * np.sqrt(bracket[valid]))
-    classes = tuple(classify(float(zi)) for zi in z)
-    return HotspotResult(z=z, classes=classes, mean=xbar, scale=S)
+    return HotspotResult(z=z, classes=_classes(z), mean=xbar, scale=S)

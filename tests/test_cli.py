@@ -358,7 +358,8 @@ def oracle_geojson(dataset, result):
 
 
 #: Ids that need CSV quoting or JSON escaping.
-ODD_IDS = ("a,b", 'q"uote', "line\nbreak", "back\\slash", "caf\u00e9", "tab\tbell\x07", "\u2028")
+ODD_IDS = ("a,b", 'q"uote', "line\nbreak", "back\\slash", "caf\u00e9", "tab\tbell\x07", "\u2028",
+           "cr\rid")
 
 
 @st.composite
@@ -402,6 +403,39 @@ class TestGeojsonOracle:
         result = geocount.getis_ord_gstar(dataset.counts().astype(float), weights)
         assert dataset.ids == ODD_IDS
         assert out.read_text(encoding="utf-8") == oracle_geojson(dataset, result)
+
+
+def oracle_hotspot_csv(dataset, result):
+    """The per-row f-string the column-wise CSV renderer replaced."""
+    lines = ["id,z,class"]
+    for obs_id, z, cls in zip(dataset.ids, result.z.tolist(), result.classes):
+        lines.append(f"{geocount.ingest.csv_field(obs_id)},{z!r},{cls.value}")
+    return "\n".join(lines) + "\n"
+
+
+class TestHotspotCsvOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(output=hotspot_outputs())
+    def test_columns_match_row_loop(self, output):
+        assert cli.render_hotspot_csv(*output) == oracle_hotspot_csv(*output)
+
+    def test_summary_counts_equal_startswith_counts(self, tmp_path, monkeypatch, capsys):
+        src, out = tmp_path / "units.csv", tmp_path / "hot.csv"
+        rng = np.random.default_rng(41)
+        members = list(geocount.HotspotClass)
+        for n in [2, 5, 12, 12, 30]:
+            lines = [f"u{i},{40 + 0.01 * i!r},-90.0,{i % 3}" for i in range(n)]
+            src.write_text("id,latitude,longitude,count\n" + "\n".join(lines) + "\n")
+            classes = tuple(members[i] for i in rng.integers(0, len(members), size=n))
+            result = HotspotResult(z=np.zeros(n), classes=classes, mean=0.0, scale=1.0)
+            monkeypatch.setattr(cli, "getis_ord_gstar", lambda values, weights: result)
+            argv = ["hotspot", "--input", str(src), "--weights", "knn:1", "--out", str(out)]
+            assert cli.main(argv) == 0
+            n_hot = sum(1 for c in classes if c.value.startswith("Hot"))
+            n_cold = sum(1 for c in classes if c.value.startswith("Cold"))
+            assert capsys.readouterr().out == f"hotspot: n={n} hot={n_hot} cold={n_cold} -> {out}\n"
+            assert out.read_text(encoding="utf-8") == oracle_hotspot_csv(
+                geocount.read_dataset(src, geocount.IngestConfig()), result)
 
 
 class TestCsvQuoting:

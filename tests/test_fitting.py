@@ -7,6 +7,7 @@ checked Cholesky step that the fast paths replaced are kept here as oracles.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from geocount import (
 )
 from geocount import Params, binarize_counts, build_design
 from geocount.fitting import INFLATE_PREFIX, _newton_step, _observed_covariance, _stars
+from geocount.fitting import _pivoted_qr_diagonal
 from geocount.fitting import fd_hessian
 from geocount.likelihoods import FAMILIES
 from geocount.likelihoods import (
@@ -416,6 +418,18 @@ def closure_fit(model, dataset, options=OptimOptions()):
         return result, _observed_covariance(score, result.theta), names
 
 
+def recording_warnings(call):
+    """(what ``call()`` returns or the GeocountError it raises, [(category, message)] of
+    every warning it raises)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = call()
+        except GeocountError as error:
+            value = error
+    return value, [(w.category, str(w.message)) for w in caught]
+
+
 class TestFitMatchesClosureOracle:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -437,14 +451,17 @@ class TestFitMatchesClosureOracle:
         dataset = dataset_from_arrays(counts, columns, schema=names)
         model = ModelSpec(family=family, count_covariates=names, add_intercept=add_intercept)
         options = OptimOptions(max_iterations=max_iterations)
-        try:
-            expected, covariance, expected_names = closure_fit(model, dataset, options)
-        except GeocountError as error:
-            event(type(error).__name__)
-            with pytest.raises(type(error)):
-                fit(model, dataset, options)
+        want, want_warnings = recording_warnings(lambda: closure_fit(model, dataset, options))
+        got, got_warnings = recording_warnings(lambda: fit(model, dataset, options))
+        assert got_warnings == want_warnings
+        for category, _ in want_warnings:
+            event(f"warning {category.__name__}")
+        if isinstance(want, GeocountError):
+            event(type(want).__name__)
+            assert type(got) is type(want)
             return
-        result = fit(model, dataset, options)
+        expected, covariance, expected_names = want
+        result = got
         event(f"converged={expected.converged}")
         assert np.array_equal(result.estimates, expected.theta)
         assert np.array_equal(result.covariance, covariance)
@@ -452,6 +469,39 @@ class TestFitMatchesClosureOracle:
         assert result.iterations == expected.iterations
         assert result.converged == expected.converged
         assert result.names == expected_names
+
+
+@st.composite
+def designs(draw):
+    """An n x k design, n 1-5,000 and k 1-8, whose columns may repeat, be zero or be scaled."""
+    n, k = draw(st.integers(1, 5000)), draw(st.integers(1, 8))
+    X = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, k))
+    for j in range(k):
+        kind = draw(st.sampled_from(["normal", "normal", "duplicate", "zero", "scaled", "ones"]))
+        if kind == "duplicate":
+            X[:, j] = X[:, draw(st.integers(0, k - 1))]
+        elif kind == "zero":
+            X[:, j] = 0.0
+        elif kind == "scaled":
+            X[:, j] = X[:, draw(st.integers(0, k - 1))] * draw(st.sampled_from([-3.0, 1e-12, 1e8]))
+        elif kind == "ones":
+            X[:, j] = 1.0
+    return np.asfortranarray(X) if draw(st.booleans()) else X
+
+
+class TestPivotedQrMatchesScipy:
+    """dgeqp3 called directly gives ``scipy.linalg.qr``'s R diagonal and pivots."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(X=designs())
+    @example(X=np.ones((1, 8)))
+    @example(X=np.zeros((5000, 8)))
+    @example(X=np.column_stack([np.arange(5000.0)] * 8))
+    def test_diagonal_and_pivots(self, X):
+        _, R, pivots = scipy.linalg.qr(X, mode="economic", pivoting=True)
+        diag, got_pivots = _pivoted_qr_diagonal(X)
+        assert diag.tobytes() == np.diag(R).tobytes()
+        assert np.array_equal(got_pivots, pivots)
 
 
 class TestFdHessianMatchesOracle:

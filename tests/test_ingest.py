@@ -2,7 +2,9 @@
 
 import csv
 import io
+import os
 import re
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -305,7 +307,17 @@ def _oracle_float(cell, row, column):
 
 def oracle_read(text, config):
     reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return _oracle_rows(reader, config)
+    except csv.Error as exc:
+        raise MalformedCsv(reader.line_num, exc) from None
+
+
+def _oracle_rows(reader, config):
     header = next(reader)
+    duplicates = [name for name in header if header.count(name) > 1]
+    if duplicates:
+        raise DuplicateColumn(duplicates[0])
     required = ["id", "latitude", "longitude", "count"]
     if config.population_column is not None:
         required.append(config.population_column)
@@ -329,6 +341,8 @@ def oracle_read(text, config):
             count = int(rec["count"])
         except (TypeError, ValueError):
             raise NonNumericCell(rownum, "count") from None
+        if not -(2**63) <= count < 2**63:
+            raise NonNumericCell(rownum, "count")
         values = [_oracle_float(rec[c], rownum, c) for c in passthrough]
         if config.rate_specs:
             population = _oracle_float(
@@ -383,19 +397,29 @@ def oracle_write(dataset):
 
 
 def outcome(read, text, config):
-    """The dataset read, or (exception type, row, column) of the error raised."""
+    """The dataset read, or (exception type, row, column) of the error raised.
+
+    The row of a :class:`MalformedCsv` is its line.
+    """
     try:
         return read(text, config)
     except Exception as exc:  # noqa: BLE001 - the type itself is compared
-        return type(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+        row = getattr(exc, "row", getattr(exc, "line", None))
+        return type(exc), row, getattr(exc, "column", None)
 
 
 def assert_same_outcome(text, config, block_rows):
-    with mock.patch.object(ingest, "BLOCK_ROWS", block_rows):
-        got = outcome(lambda t, c: read_dataset(io.StringIO(t, newline=""), c), text, config)
+    """``read_dataset`` of ``text``, from a stream and from a file, equals the oracle's."""
     want = outcome(oracle_read, text, config)
-    assert type(got) is type(want)
-    assert got == want
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        for source in (io.StringIO(text, newline=""), path):
+            with mock.patch.object(ingest, "BLOCK_ROWS", block_rows):
+                got = outcome(lambda t, c: read_dataset(source, c), text, config)
+            assert type(got) is type(want)
+            assert got == want
 
 
 CONFIGS = {
@@ -462,6 +486,62 @@ def tables(draw, odd=True):
     return buf.getvalue(), config
 
 
+def odd_table(rows=None, header="id,latitude,longitude,count,x,den\n", end="\n"):
+    """Lines of a 7-row table: header, then row i as ``rows[i]`` or a plain row."""
+    rows = rows or {}
+    lines = [rows.get(i, f"r{i},4{i}.5,-90.0,{i % 3},{i}.25,2") + end for i in range(1, 8)]
+    return [header, *lines]
+
+
+#: Longer than ``csv.field_size_limit()``, as one cell and as a line of shorter cells.
+_LIMIT = csv.field_size_limit()
+_LONG_CELL, _HALF_CELL = "y" * (_LIMIT + 1), "y" * (_LIMIT // 2)
+
+#: (lines, outcome or None) of tables a plain split must not read differently from csv.reader.
+ODD_TEXT = [
+    pytest.param(odd_table({3: ""}), (NonNumericCell, 3, "id"), id="blank-line"),
+    pytest.param(odd_table({3: "a\0b,40.0,-90.0,1,2,3"}), None, id="nul-in-id"),
+    pytest.param(odd_table({3: "r3,40.0,-90.0,1,2\0,3"}), (NonNumericCell, 3, "x"),
+                 id="nul-in-number"),
+    pytest.param(odd_table({3: "a\rb,40.0,-90.0,1,2,3"}), (NonNumericCell, 3, "latitude"),
+                 id="bare-cr"),
+    pytest.param(odd_table(end="\r\n"), None, id="crlf"),
+    pytest.param(odd_table({i: f"4{i}.5,-90.0,1,2,3,r{i}" for i in range(1, 8)}, end="\r\n",
+                           header="latitude,longitude,count,x,den,id\r\n"), None,
+                 id="crlf-id-last"),
+    pytest.param(odd_table({3: '"a,b",40.0,-90.0,1,2,3'}), None, id="quoted-comma"),
+    pytest.param(odd_table(header="\ufeffid,latitude,longitude,count,x,den\n"),
+                 (MissingColumn, None, None), id="bom-in-header"),
+    pytest.param(odd_table({3: "r3,\ufeff40.0,-90.0,1,2,3"}), (NonNumericCell, 3, "latitude"),
+                 id="bom-in-cell"),
+    pytest.param(odd_table({3: f"{_LONG_CELL},40.0,-90.0,1,2,3"}), (MalformedCsv, 4, None),
+                 id="cell-over-field-limit"),
+    pytest.param(odd_table({3: f"{_HALF_CELL},40.0,-90.0,1,{_HALF_CELL}2,3"}),
+                 (NonNumericCell, 3, "x"), id="line-over-field-limit"),
+    pytest.param(odd_table({3: f"{_HALF_CELL},40.0,-90.0,1,{'0' * (_LIMIT // 2)}2,3"}), None,
+                 id="line-over-field-limit-reads"),
+    pytest.param(odd_table()[:-1] + ["r7,40.0,-90.0,1,2,3"], None, id="no-final-newline"),
+    pytest.param(["id,latitude,longitude,count,x,den"], None, id="header-only-no-newline"),
+    pytest.param(odd_table(header="id,latitude,longitude,count,x,x\n"),
+                 (DuplicateColumn, None, None), id="duplicate-header"),
+    pytest.param(odd_table({3: "r3,40.0,-90.0,1_0,1_0,2"}), None, id="underscore-digits"),
+    pytest.param(odd_table({3: "r3,40.0,-90.0,\uff11,\uff12.5,\uff12"}), None,
+                 id="full-width-digits"),
+    pytest.param(odd_table({3: "r3,40.0,-90.0,9223372036854775808,1,2"}),
+                 (NonNumericCell, 3, "count"), id="count-beyond-int64"),
+    pytest.param(odd_table({5: "r5,40.0,-90.0,1,oops,2"}), (NonNumericCell, 5, "x"),
+                 id="bad-cell-after-plain-rows"),
+    pytest.param(odd_table({5: f"r5,40.0,-90.0,1,{_LONG_CELL},2"}), (MalformedCsv, 6, None),
+                 id="malformed-after-plain-rows"),
+    pytest.param(odd_table({5: '"r5,quoted",40.0,-90.0,1,2,3', 6: "r6,40.0,-90.0,1,2,0"}),
+                 (ZeroDenominator, 6, "den"), id="quote-first-in-later-row"),
+    pytest.param(odd_table({5: '"r5\nsplit",40.0,-90.0,1,2,3', 7: "r7,40.0,-90.0,1,x,2"}),
+                 (NonNumericCell, 7, "x"), id="quoted-newline-in-later-row"),
+    pytest.param(odd_table({4: "r4,40.0,-90.0,1,2", 6: "r6,40.0,-90.0,1,2,3,4"}),
+                 (NonNumericCell, 4, "den"), id="short-then-long-row"),
+]
+
+
 class TestColumnOracle:
     """The block-wise column parse equals the row-at-a-time reader it replaced."""
 
@@ -510,6 +590,15 @@ class TestColumnOracle:
         config = IngestConfig(ratio_specs=(("x", "den", "x_den"),))
         assert outcome(lambda t, c: read_text(t, c), text, config) == error
         assert_same_outcome(text, config, ingest.BLOCK_ROWS)
+
+    @pytest.mark.parametrize("lines, want", ODD_TEXT)
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, ingest.BLOCK_ROWS])
+    def test_odd_text_matches_row_loop(self, lines, want, block_rows):
+        text = "".join(lines)
+        config = IngestConfig(ratio_specs=(("x", "den", "x_den"),))
+        if want is not None:
+            assert outcome(oracle_read, text, config) == want
+        assert_same_outcome(text, config, block_rows)
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_header_only(self, name):

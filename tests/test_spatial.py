@@ -13,6 +13,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geocount import spatial
 from geocount import (
     DistanceBand,
     HotspotClass,
@@ -353,3 +354,29 @@ class TestClassify:
     )
     def test_thresholds(self, z, expected):
         assert classify(z) is expected
+
+    def test_array_classes_equal_classify(self):
+        # each cut point, exactly and one ulp either side, and the special values
+        cuts = [spatial.HOT_95, spatial.HOT_99, -spatial.HOT_95, -spatial.HOT_99]
+        z = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324]
+        z += [f(c) for c in cuts for f in (lambda c: c, lambda c: math.nextafter(c, math.inf),
+                                          lambda c: math.nextafter(c, -math.inf))]
+        z += np.random.default_rng(27).normal(scale=2.5, size=200).tolist()
+        classes = spatial._classes(np.array(z))
+        assert len(classes) == len(z)
+        assert all(got is want for got, want in zip(classes, map(classify, z)))
+
+    def test_gstar_classes_equal_classify_on_hand_built_weights(self):
+        # row 0 weighs the values +-1e150 by +-1e160: its numerator and bracket overflow to
+        # inf, so its z is NaN; rows 1 and 2 have no weight, so their z is 0
+        a = 1e160
+        entries = scipy.sparse.csr_matrix(np.array([[a, -a, 0.0], [0.0] * 3, [0.0] * 3]))
+        W = SpatialWeightsMatrix(n=3, entries=entries, scheme=KNearest(1), include_self=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = getis_ord_gstar(np.array([1e150, -1e150, 0.0]), W)
+        assert math.isnan(res.z[0]) and res.z[1] == res.z[2] == 0.0
+        assert res.classes == tuple(map(classify, res.z.tolist()))
+        _, W = planted_grid()
+        res = getis_ord_gstar(np.arange(100.0) // 10, W)  # a north-south trend
+        assert set(res.classes) == set(HotspotClass)
+        assert res.classes == tuple(map(classify, res.z.tolist()))
