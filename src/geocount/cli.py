@@ -33,7 +33,7 @@ import numpy as np
 from .data import Dataset
 from .exceptions import GeocountError, InvalidSpec, is_kind, kind_wording
 from .fitting import INFLATE_PREFIX, FitResult, fit
-from .ingest import IngestConfig, csv_field, read_dataset, write_dataset
+from .ingest import IngestConfig, csv_field, not_utf8, read_dataset, write_dataset
 from .likelihoods import Family, ModelSpec
 from .simulate import dgp_spec_from_json, generate
 from .spatial import DistanceBand, HotspotClass, HotspotResult, KNearest
@@ -365,11 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: str, what: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
+    """The text of a UTF-8 file, after an optional byte-order mark."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             return handle.read()
         except UnicodeDecodeError as exc:
-            raise InvalidSpec(f"{what} {path!r} is not UTF-8 text: {exc}") from None
+            raise InvalidSpec(f"{what} {path!r} is {not_utf8(exc)}") from None
 
 
 def _load_json(path: str, what: str):

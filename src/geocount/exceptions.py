@@ -67,7 +67,8 @@ class DuplicateColumn(GeocountError):
 
 class MalformedCsv(GeocountError):
     def __init__(self, line, reason):
-        super().__init__(f"line {line}: not valid CSV: {reason}")
+        where = f"line {line}: " if line is not None else ""
+        super().__init__(f"{where}not valid CSV: {reason}")
         self.line = line
 
 

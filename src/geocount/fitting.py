@@ -2,7 +2,7 @@
 inference from the observed information matrix.
 
 The maximizer takes Newton steps using a finite-difference Hessian of the
-analytic gradient, whose points a stacked score evaluates several at a time.
+analytic gradient, whose points a stacked score evaluates in one call.
 When that Hessian is not negative definite a ridge term is added (doubling
 from ``ridge_floor``) until the step is an ascent direction, and every step is
 backtracked by halving until the objective does not decrease.  One maximizer
@@ -24,6 +24,7 @@ from .data import Dataset, DesignMatrix, binarize_counts, build_design
 from .exceptions import (
     DegenerateOutcome,
     DimensionMismatch,
+    DomainError,
     InvalidSpec,
     NonFiniteObjective,
     RankDeficientDesign,
@@ -44,7 +45,7 @@ from .likelihoods import logit_grad, logit_loglik, poisson_grad, poisson_loglik
 from .likelihoods import zip_grad, zip_loglik
 
 
-#: Most points x observations one score call of an FD Hessian covers.  Up to
+#: Most points x observations one core call of ``fit``'s score covers.  Up to
 #: n = 64 one call takes every point of a k <= 32 Hessian.  From n = 2,049 up a
 #: call takes one point: blocks of 8 or more rows at n = 2,947, and of 2 or more
 #: at n = 30,000, ran slower than one row at a time (BENCH_stacked_score.json).
@@ -136,15 +137,12 @@ class FitResult:
         return cls(**doc)
 
 
-def fd_hessian(
-    score: Callable[[np.ndarray], np.ndarray], theta: np.ndarray, block_rows: int = 1
-) -> np.ndarray:
+def fd_hessian(score: Callable[[np.ndarray], np.ndarray], theta: np.ndarray) -> np.ndarray:
     """Central finite differences of a stacked analytic score, symmetrized.
 
-    Step per coordinate is h_j = 1e-5 * (1 + |theta_j|).  The k points
-    theta + h_j e_j, then the k points theta - h_j e_j, go to ``score`` in order,
-    as (m, k) stacks of at most ``block_rows`` rows; ``score`` returns the (m, k)
-    gradients at them, one row per point.
+    Step per coordinate is h_j = 1e-5 * (1 + |theta_j|).  ``score`` takes the
+    k points theta + h_j e_j, then the k points theta - h_j e_j, in one (2k, k)
+    stack and returns the gradients at them, one row per point.
     """
     theta = np.asarray(theta, dtype=np.float64)
     k = theta.shape[0]
@@ -153,8 +151,7 @@ def fd_hessian(
     diagonal = np.arange(k)
     points[0, diagonal, diagonal] = theta + h
     points[1, diagonal, diagonal] = theta - h
-    points = points.reshape(2 * k, k)
-    G = np.concatenate([score(points[i : i + block_rows]) for i in range(0, 2 * k, block_rows)])
+    G = np.asarray(score(points.reshape(2 * k, k)), dtype=np.float64)
     columns = (G[:k] - G[k:]) / (2.0 * h)[:, None]  # row j is column j of H
     return 0.5 * (columns.T + columns)
 
@@ -187,21 +184,20 @@ def maximize(
     score: Callable[[np.ndarray], np.ndarray],
     init,
     options: OptimOptions = OptimOptions(),
-    block_rows: int = 1,
 ) -> MaximizeResult:
     """Maximize a log-likelihood by damped Newton ascent.
 
     ``score`` is stacked: it takes an (m, k) array of points, one per row, and
     returns the (m, k) gradients of ``loglik`` at them.  The gradient at the
-    current point is the m = 1 call; each Hessian hands its 2k points to
-    :func:`fd_hessian` in calls of at most ``block_rows`` rows.
+    current point is the m = 1 call; each Hessian is one m = 2k call through
+    :func:`fd_hessian`.
 
     Terminates when the max-abs gradient component falls below
-    ``gradient_tolerance`` (converged) or after ``max_iterations`` Newton
-    steps (not converged, best-so-far point returned).  The sequence of
-    accepted objective values is non-decreasing by construction.  A
-    non-finite objective at the start, or gradient or Hessian at an
-    iteration, raises ``NonFiniteObjective``.
+    ``gradient_tolerance`` (converged), or after ``max_iterations`` Newton
+    steps or a step that no halving makes non-decreasing (not converged,
+    best-so-far point returned).  The sequence of accepted objective values is
+    non-decreasing by construction.  A non-finite objective at the start, or
+    gradient or Hessian before a step, raises ``NonFiniteObjective``.
     """
     grad = lambda th: np.asarray(score(th[None]), dtype=np.float64)[0]
     theta = np.array(init, dtype=np.float64)
@@ -209,46 +205,38 @@ def maximize(
     if not np.isfinite(f):
         raise NonFiniteObjective(0)
 
-    iterations = 0
-    for iteration in range(1, options.max_iterations + 1):
+    for steps in range(options.max_iterations + 1):
         g = grad(theta)
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteObjective(iteration)
-        if np.max(np.abs(g)) <= options.gradient_tolerance:
-            return MaximizeResult(theta, f, iterations, True)
-
-        H = fd_hessian(score, theta, block_rows)
+        finite = np.all(np.isfinite(g))
+        if finite and np.max(np.abs(g)) <= options.gradient_tolerance:
+            return MaximizeResult(theta, f, steps, True)
+        if steps == options.max_iterations:
+            return MaximizeResult(theta, f, steps, False)
+        if not finite:
+            raise NonFiniteObjective(steps + 1)
+        H = fd_hessian(score, theta)
         if not np.all(np.isfinite(H)):
-            raise NonFiniteObjective(iteration)
+            raise NonFiniteObjective(steps + 1)
         step = _newton_step(H, g, options.ridge_floor)
 
         # objective comparisons are meaningless below float rounding noise
         noise = 1e-12 * (1.0 + abs(f))
-        alpha = 1.0
-        accepted = False
-        for _ in range(options.step_halving_max):
-            trial = theta + alpha * step
+        for halvings in range(options.step_halving_max):
+            trial = theta + 0.5**halvings * step
             f_trial = float(loglik(trial))
             if np.isfinite(f_trial) and f_trial >= f - noise:
                 theta, f = trial, f_trial
-                accepted = True
                 break
-            alpha *= 0.5
-        iterations = iteration
-        if not accepted:
-            # no non-decreasing step within the halving budget: stalled
-            return MaximizeResult(theta, f, iterations, False)
-
-    g = grad(theta)
-    converged = bool(np.all(np.isfinite(g)) and np.max(np.abs(g)) <= options.gradient_tolerance)
-    return MaximizeResult(theta, f, iterations, converged)
+        else:  # no non-decreasing step within the halving budget: stalled
+            return MaximizeResult(theta, f, steps + 1, False)
 
 
 def wald_inference(names, estimates, covariance) -> tuple[CoefficientRow, ...]:
     """Coefficient table from estimates and their covariance.
 
     z = estimate / std_error, p = 2 (1 - Phi(|z|)); stars follow the
-    three-tier legend: p <= 0.001 "***", p <= 0.05 "**", p <= 0.10 "*".
+    three-tier legend: p <= 0.001 "***", p <= 0.05 "**", p <= 0.10 "*".  A
+    negative or NaN variance raises ``DomainError``, a zero one ``ZeroStandardError``.
     """
     from scipy.special import ndtr
     estimates = np.asarray(estimates, dtype=np.float64)
@@ -258,7 +246,10 @@ def wald_inference(names, estimates, covariance) -> tuple[CoefficientRow, ...]:
         raise DimensionMismatch("coefficient names, estimates, and covariance disagree")
     rows = []
     for j, name in enumerate(names):
-        se = float(np.sqrt(covariance[j, j]))
+        variance = float(covariance[j, j])
+        if not variance >= 0.0:
+            raise DomainError(f"coefficient {name!r} has variance {variance}; it must be >= 0")
+        se = math.sqrt(variance)
         if se == 0.0:
             raise ZeroStandardError(name)
         z = float(estimates[j]) / se
@@ -308,7 +299,8 @@ def fit(model: ModelSpec, dataset: Dataset, options: OptimOptions = OptimOptions
 
     The inputs are checked once; the family's entry in ``FAMILIES`` supplies
     the starting values (see ``FamilyModel.initial_values``), the coefficient
-    names and the unchecked cores the maximizer calls.  The covariance is the
+    names and the unchecked cores, which the score calls on blocks of at most
+    ``max(1, SCORE_BLOCK_ELEMENTS // n)`` points.  The covariance is the
     inverse of the negative finite-difference Hessian at the optimum.
     """
     if len(dataset) < 2:
@@ -330,19 +322,21 @@ def fit(model: ModelSpec, dataset: Dataset, options: OptimOptions = OptimOptions
             Z = build_design(dataset, inflation, model.add_intercept)
             _check_full_rank(Z, INFLATE_PREFIX)
     data = family.prepare(X, Z, binarize_counts(dataset) if family.binary else counts)
-    kx = X.k
+    kx, block = X.k, max(1, SCORE_BLOCK_ELEMENTS // len(dataset))
     objective = lambda th: family.loglik(th[:kx], th[kx:], data)
-    score = lambda points: family.grad(points[:, :kx], points[:, kx:], data)
-    block_rows = max(1, SCORE_BLOCK_ELEMENTS // len(dataset))
+    score = lambda points: np.concatenate([
+        family.grad(points[i : i + block, :kx], points[i : i + block, kx:], data)
+        for i in range(0, len(points), block)
+    ])
 
     init = family.initial_values(counts, X, Z, model.add_intercept)
     # an overflow ends in a typed error or a refused trial step, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        result = maximize(objective, score, init, options, block_rows)
+        result = maximize(objective, score, init, options)
         if family.binary and not result.converged:
             if float(np.max(np.abs(X.values @ result.theta))) > 30.0:
                 raise SeparationSuspected()
-        covariance = _observed_covariance(score, result.theta, block_rows)
+        covariance = _observed_covariance(score, result.theta)
     rows = wald_inference(family.names(X, Z), result.theta, covariance)
     return FitResult(
         family=model.family,
@@ -354,11 +348,11 @@ def fit(model: ModelSpec, dataset: Dataset, options: OptimOptions = OptimOptions
     )
 
 
-def _observed_covariance(score, theta: np.ndarray, block_rows: int = 1) -> np.ndarray:
+def _observed_covariance(score, theta: np.ndarray) -> np.ndarray:
     """Inverse of the negative FD Hessian of the stacked ``score``, validated
     finite, symmetric and PSD."""
     import scipy.linalg
-    H = fd_hessian(score, theta, block_rows)
+    H = fd_hessian(score, theta)
     if not np.all(np.isfinite(H)):
         raise SingularInformation()
     info = -H

@@ -1,9 +1,10 @@
 """CSV ingestion: read raw county tables, derive rate covariates, standardize.
 
 Input and output dialect is RFC-4180 CSV, UTF-8, header row required,
-'.' decimal separator.  Floats are written with up to 17 significant digits
-(shortest representation that round-trips); text fields are quoted by
-:func:`csv_field`.
+'.' decimal separator.  A file read may start with a byte-order mark; a byte
+that is not UTF-8 raises ``MalformedCsv``.  Floats are written with up to 17
+significant digits (shortest representation that round-trips); text fields are
+quoted by :func:`csv_field`.
 """
 
 from __future__ import annotations
@@ -67,10 +68,19 @@ class IngestConfig(Checked):
 
 
 def _open(target, mode: str):
-    """(file object, owned): a path is opened in ``mode``; an open file is used as is."""
+    """(file object, owned): a path is opened in ``mode``; an open file is used as is.
+
+    A path is read as UTF-8 after an optional byte-order mark and written as UTF-8.
+    """
     if isinstance(target, (str, os.PathLike)):
-        return open(target, mode, encoding="utf-8", newline=""), True
+        encoding = "utf-8-sig" if mode == "r" else "utf-8"
+        return open(target, mode, encoding=encoding, newline=""), True
     return target, False
+
+
+def not_utf8(exc: UnicodeDecodeError) -> str:
+    """Why a read was not UTF-8, without the position: a file is decoded a chunk at a time."""
+    return f"not UTF-8 text ({exc.reason} {exc.object[exc.start : exc.end]!r})"
 
 
 #: A field holding one of these characters is written in double quotes.
@@ -274,6 +284,8 @@ def read_dataset(csv_source, config: IngestConfig) -> Dataset:
                 blocks[name].append(values)
     except csv.Error as exc:  # in the header, e.g. a cell over csv.field_size_limit()
         raise MalformedCsv(reader.line_num, exc) from None
+    except UnicodeDecodeError as exc:
+        raise MalformedCsv(None, not_utf8(exc)) from None
     finally:
         if owned:
             handle.close()

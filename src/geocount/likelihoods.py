@@ -267,9 +267,17 @@ FAMILIES = {
 }
 
 
+def _family_model(family) -> FamilyModel:
+    """The ``FAMILIES`` entry of a family or its name; any other value raises ``InvalidSpec``."""
+    try:
+        return FAMILIES[Family(family)]
+    except ValueError:
+        raise InvalidSpec(f"family must be one of {_FAMILY_NAMES}, got {family!r}") from None
+
+
 def _checked(family, core: str, beta, gamma, X, Z, y):
     """Prepare the family's data, check the coefficients, then run one core."""
-    entry = FAMILIES[Family(family)]
+    entry = _family_model(family)
     data = entry.prepare(X, Z, y)
     beta, gamma = _coefficients(beta, gamma, data.X, data.Z)
     if core == "grad":  # the one point as a stack of one row
@@ -385,6 +393,6 @@ def predict(family: Family, params: Params, X, Z=None):
     logit: P(y=1); poisson: lambda; zip: mixture mean (1-p) lambda with the
     structural-zero probability reported alongside.
     """
-    entry = FAMILIES[Family(family)]
+    entry = _family_model(family)
     Xv, Zv = _design(X), _design(Z) if entry.inflated else None
     return entry.predict(*_coefficients(params.beta, params.gamma, Xv, Zv), Xv, Zv)

@@ -292,12 +292,17 @@ def getis_ord_gstar(values, W: SpatialWeightsMatrix) -> HotspotResult:
     Units whose denominator degenerates (S = 0, or a weights row with zero
     bracketed variance term) score z = 0: total absence of neighborhood
     information is treated as no evidence of clustering.  Values whose sum of
-    squares is not a finite float raise :class:`DomainError`.
+    squares is not a finite float, and weights that are not finite or whose
+    products with the values or with themselves overflow, raise
+    :class:`DomainError`.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != W.n:
         raise DimensionMismatch(f"expected {W.n} values, got shape {x.shape}")
     n = W.n
+    if n < 2 or W.entries.shape != (n, n):
+        shape = W.entries.shape
+        raise DimensionMismatch(f"G* needs n >= 2 and n x n weights, got n = {n} and {shape}")
     with np.errstate(over="ignore"):
         sum_sq = np.sum(x * x)
     if not np.isfinite(sum_sq):
@@ -305,11 +310,16 @@ def getis_ord_gstar(values, W: SpatialWeightsMatrix) -> HotspotResult:
     xbar = float(np.mean(x))
     S = float(np.sqrt(max(sum_sq / n - xbar * xbar, 0.0)))
 
-    wx = W.entries @ x
-    w_sum = W.row_sums()
-    w_sq = W.row_square_sums()
-    numerator = wx - xbar * w_sum
-    bracket = (n * w_sq - w_sum**2) / (n - 1)
+    # 0/1 weights cannot overflow here: a finite sum of squares bounds every product
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_sum = W.row_sums()
+        numerator = W.entries @ x - xbar * w_sum
+        bracket = (n * W.row_square_sums() - w_sum**2) / (n - 1)
+    if not (np.all(np.isfinite(numerator)) and np.all(np.isfinite(bracket))):
+        raise DomainError(
+            "weights must be finite, and their products with the values and with themselves"
+            " below the float limit"
+        )
 
     z = np.zeros(n)
     if S > 0.0:

@@ -67,6 +67,24 @@ class TestCmdFit:
         assert out.read_bytes() == golden
         assert "fit logit" in capsys.readouterr().out
 
+    def test_byte_order_marks_read_as_without(self, tmp_path, capsys):
+        # spreadsheet programs save "CSV UTF-8" with a byte-order mark
+        bom = b"\xef\xbb\xbf"
+        table, cfg = tmp_path / "bom.csv", tmp_path / "bom.json"
+        table.write_bytes(bom + Path(SMOKE_CSV).read_bytes())
+        cfg.write_bytes(bom + json.dumps({"family": "logit", "format": "text"}).encode())
+        out = tmp_path / "fit.txt"
+        assert cli.main(["fit", "--input", str(table), "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA_DIR / "smoke_fit_golden.txt").read_bytes()
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(bom + spec_text().encode())
+        sims = [tmp_path / "bom_sim.csv", tmp_path / "sim.csv"]
+        assert cli.main(["simulate", "--spec", str(spec), "--out", str(sims[0])]) == 0
+        spec.write_text(spec_text(), encoding="utf-8")
+        assert cli.main(["simulate", "--spec", str(spec), "--out", str(sims[1])]) == 0
+        assert sims[0].read_bytes() == sims[1].read_bytes()
+        assert capsys.readouterr().err == ""
+
     def test_smoke_matches_closed_form(self, tmp_path):
         out = tmp_path / "fit.json"
         rc = cli.main(
@@ -1000,6 +1018,12 @@ class TestInvalidInput:
                 "id,latitude,longitude,count\n" + "a" * 200_000 + ",40.0,-90.0,1\n",
                 "MalformedCsv: line 2: not valid CSV: field larger than field limit",
                 id="fit-cell-over-field-limit",
+            ),
+            pytest.param(
+                ["fit", "--input", "{src}", "--family", "poisson", "--out", "{out}"],
+                b"id,latitude,longitude,count\na,40.0,-90.0,1\nb\xff,41.0,-91.0,0\n",
+                "MalformedCsv: not valid CSV: not UTF-8 text (invalid start byte b'\\xff')\n",
+                id="fit-table-not-utf8",
             ),
         ],
     )

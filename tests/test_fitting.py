@@ -2,12 +2,14 @@
 
 Closed-form MLEs (intercept-only logit and Poisson), finite differences of
 the log-likelihood itself, and fixed-seed Monte Carlo generation serve as
-the independent oracles.  The per-column finite-difference Hessian and the
-checked Cholesky step that the fast paths replaced are kept here as oracles.
+the independent oracles.  The per-column finite-difference Hessian, the
+checked Cholesky step and the Newton loop with a post-loop gradient test that
+the current code replaced are kept here as oracles.
 """
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,8 +30,9 @@ from geocount import (
 )
 from geocount import Params, binarize_counts, build_design
 from geocount.fitting import INFLATE_PREFIX, _newton_step, _observed_covariance, _stars
+from geocount import fitting
 from geocount.fitting import _pivoted_qr_diagonal
-from geocount.fitting import fd_hessian
+from geocount.fitting import MaximizeResult, fd_hessian
 from geocount.likelihoods import FAMILIES
 from geocount.likelihoods import (
     logit_grad,
@@ -40,6 +43,7 @@ from geocount.likelihoods import (
     zip_loglik,
 )
 from geocount.exceptions import (
+    DomainError,
     GeocountError,
     NonFiniteObjective,
     RankDeficientDesign,
@@ -84,6 +88,48 @@ def oracle_newton_step(H, g, ridge_floor):
             pass
         tau = ridge_floor if tau == 0.0 else 2.0 * tau
     return g / max(1.0, np.linalg.norm(g))
+
+
+def oracle_maximize(loglik, score, init, options=OptimOptions()):
+    """``maximize`` with the convergence test stated twice: up to ``max_iterations``
+    steps in the loop, then the gradient is computed and tested once more."""
+    grad = lambda th: np.asarray(score(th[None]), dtype=np.float64)[0]
+    theta = np.array(init, dtype=np.float64)
+    f = float(loglik(theta))
+    if not np.isfinite(f):
+        raise NonFiniteObjective(0)
+
+    iterations = 0
+    for iteration in range(1, options.max_iterations + 1):
+        g = grad(theta)
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteObjective(iteration)
+        if np.max(np.abs(g)) <= options.gradient_tolerance:
+            return MaximizeResult(theta, f, iterations, True)
+
+        H = fd_hessian(score, theta)
+        if not np.all(np.isfinite(H)):
+            raise NonFiniteObjective(iteration)
+        step = _newton_step(H, g, options.ridge_floor)
+
+        noise = 1e-12 * (1.0 + abs(f))
+        alpha = 1.0
+        accepted = False
+        for _ in range(options.step_halving_max):
+            trial = theta + alpha * step
+            f_trial = float(loglik(trial))
+            if np.isfinite(f_trial) and f_trial >= f - noise:
+                theta, f = trial, f_trial
+                accepted = True
+                break
+            alpha *= 0.5
+        iterations = iteration
+        if not accepted:
+            return MaximizeResult(theta, f, iterations, False)
+
+    g = grad(theta)
+    converged = bool(np.all(np.isfinite(g)) and np.max(np.abs(g)) <= options.gradient_tolerance)
+    return MaximizeResult(theta, f, iterations, converged)
 
 
 def dataset_from_arrays(counts, columns=None, schema=()):
@@ -160,6 +206,101 @@ class TestMaximize:
         assert res.value >= f(np.array([0.0]))
 
 
+def maximize_outcome(call):
+    """(theta bits, value, iterations, converged) of a ``MaximizeResult``, or the
+    (type, message) of the GeocountError raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = call()
+    except GeocountError as error:
+        return type(error), str(error)
+    assert type(result.converged) is bool
+    return result.theta.tobytes(), result.value, result.iterations, result.converged
+
+
+@st.composite
+def concave_problems(draw):
+    """(loglik, score, init, options): a concave quadratic-plus-quartic problem.
+
+    ``kind`` "stall" refuses every point but the start; "nan" makes the score NaN
+    beyond a plane between the start and the quadratic's optimum, so the gradient
+    or the Hessian turns NaN before, at or after the budget's last step;
+    "optimum" starts at the quadratic's optimum.
+    """
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((k, k))
+    M = -(A @ A.T + 0.1 * np.eye(k))
+    b = rng.standard_normal(k)
+    kind = draw(st.sampled_from(["plain", "stall", "nan", "optimum"]))
+    c = 0.0 if kind == "optimum" else draw(st.sampled_from([0.0, 0.05, 1.0]))
+    optimum = np.linalg.solve(M, -b)
+    init = optimum if kind == "optimum" else 3.0 * rng.standard_normal(k)
+    f = lambda t: float(t @ M @ t / 2.0 + b @ t - c * np.sum(t**4))
+    score = lambda points: points @ M.T + b - 4.0 * c * points**3
+    loglik = f
+    if kind == "stall":
+        loglik = lambda t: f(t) if np.array_equal(t, init) else -math.inf
+    elif kind == "nan":
+        direction = optimum - init
+        cut = direction @ (init + draw(st.floats(0.0, 1.5)) * direction)
+        smooth = score
+        score = lambda points: np.where((points @ direction > cut)[:, None], np.nan, smooth(points))
+    options = OptimOptions(
+        max_iterations=draw(st.sampled_from([1, 2, 3, 200])),
+        gradient_tolerance=draw(st.sampled_from([1e-8, 1e-3])),
+        step_halving_max=draw(st.sampled_from([1, 2, 30])),
+    )
+    event(kind)
+    return loglik, score, init, options
+
+
+#: (loglik, score, init) of f = -(t - 3)**2 from t = 0, whose first Newton
+#: step lands on 3; the score is NaN from t = 2 on, so after one step.
+NAN_AFTER_ONE_STEP = (
+    lambda t: -((t[0] - 3.0) ** 2),
+    lambda points: np.where(points >= 2.0, np.nan, -2.0 * (points - 3.0)),
+    [0.0],
+)
+
+
+class TestMaximizeMatchesOracle:
+    """One convergence test at the top of the loop gives the bits, iteration counts
+    and errors of the loop that tested the gradient again after its last step."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(problem=concave_problems())
+    def test_bit_identical(self, problem):
+        loglik, score, init, options = problem
+        want = maximize_outcome(lambda: oracle_maximize(loglik, score, init, options))
+        got = maximize_outcome(lambda: maximize(loglik, score, init, options))
+        event("raised" if len(want) == 2 else f"converged={want[3]}, iterations={want[2]}")
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "problem, options, want",
+        [
+            pytest.param(NAN_AFTER_ONE_STEP, OptimOptions(max_iterations=1), (1, False),
+                         id="nan-gradient-after-the-last-step"),
+            pytest.param(NAN_AFTER_ONE_STEP, OptimOptions(max_iterations=2),
+                         "non-finite at iteration 2", id="nan-gradient-at-the-last-step"),
+            pytest.param((lambda t: -((t[0] - 3.0) ** 2), lambda points: -2.0 * (points - 3.0),
+                          [3.0]), OptimOptions(max_iterations=1), (0, True), id="start-at-optimum"),
+            pytest.param((lambda t: 0.0 if t[0] == 0.0 else -math.inf,
+                          lambda points: 1.0 - points, [0.0]), OptimOptions(), (1, False),
+                         id="stall"),
+        ],
+    )
+    def test_edge_cases(self, problem, options, want):
+        loglik, score, init = problem
+        got = maximize_outcome(lambda: maximize(loglik, score, init, options))
+        assert got == maximize_outcome(lambda: oracle_maximize(loglik, score, init, options))
+        if isinstance(want, str):
+            assert got[0] is NonFiniteObjective and got[1].endswith(want)
+        else:
+            assert got[2:] == want
+
+
 class TestOptimOptions:
     @pytest.mark.parametrize(
         "kwargs",
@@ -203,6 +344,13 @@ class TestWaldInference:
     def test_zero_standard_error(self):
         with pytest.raises(ZeroStandardError):
             wald_inference(["a"], [1.0], [[0.0]])
+
+    @pytest.mark.parametrize("variance", [-1.0, -1e-300, math.nan, -math.inf])
+    def test_negative_or_nan_variance_is_a_domain_error(self, variance):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="coefficient 'b' has variance"):
+                wald_inference(["a", "b"], [1.0, 2.0], [[1.0, 0.0], [0.0, variance]])
 
     def test_star_thresholds(self):
         assert _stars(0.0009) == "***"
@@ -376,8 +524,8 @@ def closure_fit(model, dataset, options=OptimOptions()):
 
     This is how ``fit`` was written before the family table: one branch per
     family builds the start, the names and the closures, and every kernel
-    call checks its inputs again, one point per call.  Returns (maximize
-    result, covariance, names).
+    call checks its inputs again, one point per call, and the Newton loop is
+    :func:`oracle_maximize`.  Returns (maximize result, covariance, names).
     """
     counts = dataset.counts()
     X = build_design(dataset, model.count_covariates, model.add_intercept)
@@ -411,7 +559,7 @@ def closure_fit(model, dataset, options=OptimOptions()):
         names = X.column_names + tuple(INFLATE_PREFIX + c for c in Z.column_names)
 
     with np.errstate(over="ignore", invalid="ignore"):  # as in ``fit``; it changes no bits
-        result = maximize(objective, score, init, options)
+        result = oracle_maximize(objective, score, init, options)
         if family is Family.LOGIT and not result.converged:
             if float(np.max(np.abs(X.values @ result.theta))) > 30.0:
                 raise SeparationSuspected()
@@ -438,9 +586,14 @@ class TestFitMatchesClosureOracle:
         k=st.integers(0, 2),
         n=st.integers(8, 40),
         max_iterations=st.sampled_from([3, 200]),
+        block_rows=st.sampled_from([None, 1, 2, 3]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_fit_is_bit_identical(self, family, add_intercept, k, n, max_iterations, seed):
+    def test_fit_is_bit_identical(
+        self, family, add_intercept, k, n, max_iterations, block_rows, seed
+    ):
+        """``fit`` equals the oracle with its score's default blocks (``block_rows``
+        None: one block up to n = 4,096) and with blocks of 1, 2 or 3 rows."""
         rng = np.random.default_rng(seed)
         k = max(k, int(not add_intercept))  # a design needs a column
         columns = rng.standard_normal((n, k))
@@ -452,7 +605,9 @@ class TestFitMatchesClosureOracle:
         model = ModelSpec(family=family, count_covariates=names, add_intercept=add_intercept)
         options = OptimOptions(max_iterations=max_iterations)
         want, want_warnings = recording_warnings(lambda: closure_fit(model, dataset, options))
-        got, got_warnings = recording_warnings(lambda: fit(model, dataset, options))
+        elements = fitting.SCORE_BLOCK_ELEMENTS if block_rows is None else block_rows * n
+        with mock.patch.object(fitting, "SCORE_BLOCK_ELEMENTS", elements):
+            got, got_warnings = recording_warnings(lambda: fit(model, dataset, options))
         assert got_warnings == want_warnings
         for category, _ in want_warnings:
             event(f"warning {category.__name__}")
@@ -505,7 +660,8 @@ class TestPivotedQrMatchesScipy:
 
 
 class TestFdHessianMatchesOracle:
-    """The blocked FD Hessian equals the per-column one bit for bit."""
+    """The FD Hessian of a score that splits its stack into blocks of ``block_rows``
+    rows, as ``fit``'s score does, equals the per-column one bit for bit."""
 
     KERNELS = {Family.LOGIT: logit_grad, Family.POISSON: poisson_grad, Family.ZIP: zip_grad}
 
@@ -529,7 +685,10 @@ class TestFdHessianMatchesOracle:
         theta = scale * rng.standard_normal(kx + (kz if Z is not None else 0))
         entry = FAMILIES[family]
         data = entry.prepare(X, Z, y)
-        score = lambda points: entry.grad(points[:, :kx], points[:, kx:], data)
+        score = lambda points: np.concatenate([
+            entry.grad(points[i : i + block_rows, :kx], points[i : i + block_rows, kx:], data)
+            for i in range(0, len(points), block_rows)
+        ])
         kernel = self.KERNELS[family]
         if Z is None:
             grad = lambda th: kernel(th, X, y)
@@ -539,7 +698,7 @@ class TestFdHessianMatchesOracle:
         with np.errstate(over="ignore", invalid="ignore"):
             # exact comparison; an overflow to inf or NaN must match too
             np.testing.assert_array_equal(
-                fd_hessian(score, theta, block_rows), oracle_fd_hessian(grad, theta)
+                fd_hessian(score, theta), oracle_fd_hessian(grad, theta)
             )
 
 

@@ -290,6 +290,27 @@ class TestWriteDataset:
         assert back.schema == ds.schema
         assert [o.count for o in back.observations] == [o.count for o in ds.observations]
 
+    def test_path_is_read_after_a_byte_order_mark_and_written_without_one(self, tmp_path):
+        ds = random_dataset(np.random.default_rng(2), n=3, k=2)
+        path = tmp_path / "out.csv"
+        write_dataset(ds, path)
+        assert path.read_bytes() == dataset_to_csv_text(ds).encode("utf-8")
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert read_dataset(path, IngestConfig()) == read_text(dataset_to_csv_text(ds))
+
+    @pytest.mark.parametrize("row", [1, 3000, 9000])
+    def test_bytes_that_are_not_utf8_are_malformed_with_no_line(self, tmp_path, row):
+        # the file is decoded a chunk at a time, so the error names no line
+        lines = [b"id,latitude,longitude,count"]
+        lines += [b"r%d,40.0,-90.0,1" % i for i in range(1, 9001)]
+        lines[row] = b"r\xff,40.0,-90.0,1"
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(MalformedCsv) as caught:
+            read_dataset(path, IngestConfig())
+        assert str(caught.value) == "not valid CSV: not UTF-8 text (invalid start byte b'\\xff')"
+        assert caught.value.line is None
+
 
 # ---------------------------------------------------------------------------
 # oracles: the row-at-a-time reader and writer the column-wise code replaced
@@ -409,13 +430,18 @@ def outcome(read, text, config):
 
 
 def assert_same_outcome(text, config, block_rows):
-    """``read_dataset`` of ``text``, from a stream and from a file, equals the oracle's."""
-    want = outcome(oracle_read, text, config)
+    """``read_dataset`` of ``text``, from a stream and from a file, equals the oracle's.
+
+    A file is decoded after an optional byte-order mark, so the oracle reads it
+    without a leading U+FEFF; a stream is read as given.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table.csv")
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-        for source in (io.StringIO(text, newline=""), path):
+        for source, seen in ((io.StringIO(text, newline=""), text),
+                             (path, text.removeprefix("\ufeff"))):
+            want = outcome(oracle_read, seen, config)
             with mock.patch.object(ingest, "BLOCK_ROWS", block_rows):
                 got = outcome(lambda t, c: read_dataset(source, c), text, config)
             assert type(got) is type(want)

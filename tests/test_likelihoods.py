@@ -393,6 +393,13 @@ class TestDispatch:
         with pytest.raises(DimensionMismatch):
             loglik(Family.ZIP, Params(beta=np.zeros(1)), np.ones((2, 1)), y=np.zeros(2))
 
+    @pytest.mark.parametrize("family", ["nb", None, ["logit"]])
+    @pytest.mark.parametrize("call", [loglik, grad_loglik, predict], ids=lambda f: f.__name__)
+    def test_unknown_family_is_invalid_spec(self, call, family):
+        message = f"family must be one of ['logit', 'poisson', 'zip'], got {family!r}"
+        with pytest.raises(InvalidSpec, match=re.escape(message)):
+            call(family, Params(beta=np.zeros(1)), np.ones((2, 1)))
+
 
 class TestParams:
     @pytest.mark.parametrize(

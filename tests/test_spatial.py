@@ -302,6 +302,29 @@ class TestGetisOrdGstar:
         with pytest.raises(DimensionMismatch):
             getis_ord_gstar(np.zeros(3), W)
 
+    @pytest.mark.parametrize("n, size", [(5, 3), (1, 1)], ids=["3x3-for-5", "one-unit"])
+    def test_weights_of_another_size_are_a_dimension_mismatch(self, n, size):
+        entries = scipy.sparse.csr_matrix(np.eye(size))
+        W = SpatialWeightsMatrix(n=n, entries=entries, scheme=KNearest(1), include_self=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatch, match=rf"got n = {n} and \({size}, {size}\)"):
+                getis_ord_gstar(np.arange(float(n)), W)
+
+    @pytest.mark.parametrize(
+        "weight, values",
+        [(1e160, [0.0, 1.0, 2.0]), (math.nan, [1.0, 2.0, 3.0])], ids=["square", "nan-weight"]
+    )
+    def test_overflowing_hand_built_weights_are_a_domain_error(self, weight, values):
+        # as in test_gstar_classes_equal_classify_on_hand_built_weights, whose numerator and
+        # bracket overflow; here only the squares overflow, or a weight is NaN
+        entries = scipy.sparse.csr_matrix(np.array([[weight, -weight, 0.0], [0.0] * 3, [0.0] * 3]))
+        W = SpatialWeightsMatrix(n=3, entries=entries, scheme=KNearest(1), include_self=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="weights must be finite"):
+                getis_ord_gstar(np.array(values), W)
+
     @pytest.mark.parametrize(
         "values",
         [[1e308, -1e308, 1e308, -1e308], [2e154, 0.0, 1.0, 2.0], [math.nan, 1.0, 2.0, 3.0]],
@@ -367,15 +390,15 @@ class TestClassify:
         assert all(got is want for got, want in zip(classes, map(classify, z)))
 
     def test_gstar_classes_equal_classify_on_hand_built_weights(self):
-        # row 0 weighs the values +-1e150 by +-1e160: its numerator and bracket overflow to
-        # inf, so its z is NaN; rows 1 and 2 have no weight, so their z is 0
+        # row 0 weighs the values +-1e150 by +-1e160: its numerator and bracket overflow,
+        # which is refused as it is for values, with no numpy warning
         a = 1e160
         entries = scipy.sparse.csr_matrix(np.array([[a, -a, 0.0], [0.0] * 3, [0.0] * 3]))
         W = SpatialWeightsMatrix(n=3, entries=entries, scheme=KNearest(1), include_self=False)
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = getis_ord_gstar(np.array([1e150, -1e150, 0.0]), W)
-        assert math.isnan(res.z[0]) and res.z[1] == res.z[2] == 0.0
-        assert res.classes == tuple(map(classify, res.z.tolist()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                getis_ord_gstar(np.array([1e150, -1e150, 0.0]), W)
         _, W = planted_grid()
         res = getis_ord_gstar(np.arange(100.0) // 10, W)  # a north-south trend
         assert set(res.classes) == set(HotspotClass)
