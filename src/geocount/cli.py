@@ -30,12 +30,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
-from .exceptions import GeocountError, InvalidSpec, is_kind, kind_wording
-from .fitting import INFLATE_PREFIX, FitResult, fit
-from .ingest import IngestConfig, csv_field, not_utf8, read_dataset, write_dataset
+from .data import INFLATE_PREFIX, INTERCEPT, Dataset
+from .exceptions import GeocountError, InvalidSpec, is_kind, kind_wording, read_json
+from .fitting import FitResult, fit
+from .ingest import IngestConfig, csv_field, read_dataset, write_dataset
 from .likelihoods import Family, ModelSpec
-from .simulate import dgp_spec_from_json, generate
+from .simulate import DgpSpec, generate
 from .spatial import DistanceBand, HotspotClass, HotspotResult, KNearest
 from .spatial import build_weights, getis_ord_gstar
 
@@ -103,25 +103,17 @@ def _format_p(p: float) -> str:
 
 
 def render_fit_text(result: FitResult) -> str:
-    """Coefficient table with block headings for recognized covariate names."""
-    count_rows = [r for r in result.coefficients if not r.name.startswith(INFLATE_PREFIX)]
-    inflate_rows = [r for r in result.coefficients if r.name.startswith(INFLATE_PREFIX)]
-
-    by_name = {r.name: r for r in count_rows}
-    placed = set()
-    intercept = [by_name["Intercept"]] if "Intercept" in by_name else []
-    placed.update(r.name for r in intercept)
-    blocks = []
-    for heading, names in COVARIATE_BLOCKS:
-        hit = [by_name[n] for n in names if n in by_name]
-        if hit:
-            blocks.append((heading, hit))
-            placed.update(r.name for r in hit)
-    rest = [r for r in count_rows if r.name not in placed]
-    ordered: list[tuple[str | None, list]] = [(None, intercept + rest)] + blocks
-    if inflate_rows:
-        stripped = [r._replace(name=r.name[len(INFLATE_PREFIX):]) for r in inflate_rows]
-        ordered.append(("Zero-Inflation Component", stripped))
+    """Coefficient table with block headings for recognized covariate names.  Names are
+    unique: each block pops its rows by name, then the intercept, and the rest keep their order."""
+    rows = {r.name: r for r in result.coefficients}
+    blocks = [(heading, [rows.pop(n) for n in names if n in rows])
+              for heading, names in COVARIATE_BLOCKS]
+    inflation = [rows.pop(n)._replace(name=n[len(INFLATE_PREFIX):])
+                 for n in [n for n in rows if n.startswith(INFLATE_PREFIX)]]
+    intercept = [rows.pop(INTERCEPT)] if INTERCEPT in rows else []
+    ordered = [(None, intercept + [*rows.values()]), *((h, hit) for h, hit in blocks if hit)]
+    if inflation:
+        ordered.append(("Zero-Inflation Component", inflation))
 
     width = max(
         [len("Variable")]
@@ -281,7 +273,7 @@ def cmd_hotspot(config: argparse.Namespace) -> int:
 
 def cmd_simulate(config: argparse.Namespace) -> int:
     _require(config, "input", "output")
-    spec = dgp_spec_from_json(_read_text(config.input, "simulate: spec"))
+    spec = DgpSpec.from_dict(_load_json(config.input, "simulate: spec"))
     if config.seed is not None:
         spec = dataclasses.replace(spec, seed=config.seed)
     dataset = generate(spec)
@@ -364,20 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(path: str, what: str) -> str:
-    """The text of a UTF-8 file, after an optional byte-order mark."""
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        try:
-            return handle.read()
-        except UnicodeDecodeError as exc:
-            raise InvalidSpec(f"{what} {path!r} is {not_utf8(exc)}") from None
-
-
 def _load_json(path: str, what: str):
-    try:
-        return json.loads(_read_text(path, what))
-    except json.JSONDecodeError as exc:
-        raise InvalidSpec(f"{what} {path!r} is not valid JSON: {exc}") from None
+    """The JSON document in the file ``path`` (see ``exceptions.read_json``)."""
+    return read_json(Path(path).read_bytes(), f"{what} {path!r}")
 
 
 def _options(command: argparse.ArgumentParser) -> dict[str, argparse.Action]:

@@ -34,6 +34,10 @@ from .exceptions import (
 #: A column is treated as constant when max - min falls below this value.
 CONSTANT_COLUMN_TOL = 1e-12
 
+#: The names a fit adds: the intercept's, and the prefix of each ZIP inflation coefficient's.
+INTERCEPT = "Intercept"
+INFLATE_PREFIX = "inflate:"
+
 
 def _check_rows(latlon: np.ndarray, counts: np.ndarray, covariates: np.ndarray) -> None:
     """Validate every row at once; the error names the first bad 1-based row."""
@@ -193,7 +197,7 @@ class DesignMatrix(Checked):
     """Numeric realization of a covariate selection.
 
     The intercept, when present, is column 0 of ones.  No non-intercept
-    column may be constant.
+    column may be constant, and no two columns may share a name.
     """
 
     values: np.ndarray
@@ -207,6 +211,7 @@ class DesignMatrix(Checked):
             raise DimensionMismatch("design matrix must be two-dimensional")
         if vals.shape[1] != len(self.column_names):
             raise DimensionMismatch("column_names length does not match matrix width")
+        reject_duplicates(self.column_names, DuplicateCovariate)
         start = 1 if self.has_intercept else 0
         for j in range(start, vals.shape[1]):
             col = vals[:, j]
@@ -244,7 +249,7 @@ def build_design(dataset: Dataset, covariate_names, add_intercept: bool) -> Desi
     names = covariate_names
     if add_intercept:
         cols.insert(0, np.ones(n))
-        names = ("Intercept",) + names
+        names = (INTERCEPT,) + names
     values = np.column_stack(cols) if cols else np.empty((n, 0))
     return DesignMatrix(values=values, column_names=names, has_intercept=add_intercept)
 

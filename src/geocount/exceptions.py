@@ -4,10 +4,12 @@ Every error carries a stable ``code`` (the class name) so the CLI can emit
 machine-parseable one-line errors.  :func:`is_kind` tests a value against a kind,
 such as a number or a sequence kind ``(str,)``: JSON fields (:func:`read_object`),
 ``--config`` values and constructor fields (declared by :func:`rule`) are checked by it.
+Every JSON document (a spec, a saved fit, a ``--config`` file) is parsed by :func:`read_json`.
 """
 
 import dataclasses
 import functools
+import json
 import math
 import numbers
 import reprlib
@@ -238,6 +240,25 @@ def _as_kind(value, kind):
         return kind(value) if kind in (int, float) else value
     item = kind[0]
     return tuple(value) if item in (str, object) else tuple(_as_kind(v, item) for v in value)
+
+
+def not_utf8(exc: UnicodeDecodeError) -> str:
+    """Why a read was not UTF-8, with no position: a table is decoded a chunk at a time."""
+    return f"not UTF-8 text ({exc.reason} {exc.object[exc.start : exc.end]!r})"
+
+
+def read_json(document, what: str):
+    """The JSON value of ``document``, a ``str`` or UTF-8 ``bytes``, after one leading U+FEFF;
+    anything else (an over-long integer, deep nesting) is ``InvalidSpec`` naming ``what``."""
+    if not isinstance(document, (str, bytes)):
+        raise InvalidSpec(f"{what} must be text or bytes, got {reprlib.repr(document)}")
+    try:
+        text = document.decode("utf-8") if isinstance(document, bytes) else document
+        return json.loads(text.removeprefix("\ufeff"))
+    except UnicodeDecodeError as exc:
+        raise InvalidSpec(f"{what} is {not_utf8(exc)}") from None
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
+        raise InvalidSpec(f"{what} is not valid JSON: {exc}") from None
 
 
 def read_object(doc, what: str, **kinds) -> dict:

@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import Dataset, DesignMatrix, binarize_counts, build_design
+from .data import INFLATE_PREFIX, Dataset, DesignMatrix, _column, binarize_counts, build_design
+from .data import reject_duplicates
 from .exceptions import (
     DegenerateOutcome,
     DimensionMismatch,
@@ -36,7 +37,7 @@ from .exceptions import (
     read_object,
     rule,
 )
-from .likelihoods import INFLATE_PREFIX, FAMILIES, Family, ModelSpec
+from .likelihoods import FAMILIES, Family, ModelSpec
 
 # fit calls the unchecked cores of FAMILIES.  The span tracer in
 # perfbench/spans.py patches the six checked kernels on this module, as it
@@ -116,7 +117,7 @@ class FitResult:
 
     @classmethod
     def from_dict(cls, payload) -> "FitResult":
-        """The result a :meth:`to_dict` document holds; any other raises ``InvalidSpec``."""
+        """The result a :meth:`to_dict` document holds, names unique; else ``InvalidSpec``."""
         doc = read_object(
             payload, "fit result", family=str, coefficients=list, log_likelihood=float,
             iterations=int, converged=bool, covariance=list,
@@ -125,6 +126,8 @@ class FitResult:
         rows = (CoefficientRow(**read_object(c, "fit result coefficient", **row))
                 for c in doc["coefficients"])
         doc["coefficients"] = tuple(rows)
+        reject_duplicates([r.name for r in doc["coefficients"]], lambda name: InvalidSpec(
+            f"fit result: coefficient name {name!r} appears more than once"))
         k, covariance = len(doc["coefficients"]), doc["covariance"]
         if not (is_kind(covariance, ((float,),)) and len(covariance) == k
                 and all(len(r) == k for r in covariance)):
@@ -239,10 +242,10 @@ def wald_inference(names, estimates, covariance) -> tuple[CoefficientRow, ...]:
     negative or NaN variance raises ``DomainError``, a zero one ``ZeroStandardError``.
     """
     from scipy.special import ndtr
-    estimates = np.asarray(estimates, dtype=np.float64)
-    covariance = np.asarray(covariance, dtype=np.float64)
+    estimates = _column(estimates, "estimates", np.float64)
+    covariance = _column(covariance, "covariance", np.float64)
     names = tuple(names)
-    if covariance.shape != (len(names), len(names)) or estimates.shape[0] != len(names):
+    if covariance.shape != (len(names), len(names)) or estimates.shape != (len(names),):
         raise DimensionMismatch("coefficient names, estimates, and covariance disagree")
     rows = []
     for j, name in enumerate(names):

@@ -9,6 +9,7 @@ quoted by :func:`csv_field`.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -29,6 +30,7 @@ from .exceptions import (
     NonNumericCell,
     ZeroDenominator,
     Checked,
+    not_utf8,
     rule,
 )
 
@@ -68,19 +70,15 @@ class IngestConfig(Checked):
 
 
 def _open(target, mode: str):
-    """(file object, owned): a path is opened in ``mode``; an open file is used as is.
+    """The file as a context manager: a path is opened in ``mode`` and closed on exit; an open
+    file is used as is and left open.
 
     A path is read as UTF-8 after an optional byte-order mark and written as UTF-8.
     """
     if isinstance(target, (str, os.PathLike)):
         encoding = "utf-8-sig" if mode == "r" else "utf-8"
-        return open(target, mode, encoding=encoding, newline=""), True
-    return target, False
-
-
-def not_utf8(exc: UnicodeDecodeError) -> str:
-    """Why a read was not UTF-8, without the position: a file is decoded a chunk at a time."""
-    return f"not UTF-8 text ({exc.reason} {exc.object[exc.start : exc.end]!r})"
+        return open(target, mode, encoding=encoding, newline="")
+    return contextlib.nullcontext(target)
 
 
 #: A field holding one of these characters is written in double quotes.
@@ -248,47 +246,44 @@ def read_dataset(csv_source, config: IngestConfig) -> Dataset:
     and, within it, the first bad cell in the order a row is checked:
     latitude, longitude, count, the other columns, then derivations.
     """
-    handle, owned = _open(csv_source, "r")
-    reader = csv.reader(handle)
-    try:
+    with _open(csv_source, "r") as handle:
+        reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn(ID_COLUMN) from None
-        reject_duplicates(header, DuplicateColumn)
+            header = next(reader, None)
+            if header is None:
+                raise MissingColumn(ID_COLUMN)
+            reject_duplicates(header, DuplicateColumn)
 
-        required = [ID_COLUMN, LAT_COLUMN, LON_COLUMN, COUNT_COLUMN]
-        if config.population_column is not None:
-            required.append(config.population_column)
-        required += [raw for raw, _ in config.rate_specs]
-        required += [num for num, _, _ in config.ratio_specs]
-        required += [den for _, den, _ in config.ratio_specs]
-        for name in required:
-            if name not in header:
-                raise MissingColumn(name)
-        for name in config.derived_names:
-            if name in header:
-                raise DuplicateCovariate(name)
+            required = [ID_COLUMN, LAT_COLUMN, LON_COLUMN, COUNT_COLUMN]
+            if config.population_column is not None:
+                required.append(config.population_column)
+            required += [raw for raw, _ in config.rate_specs]
+            required += [num for num, _, _ in config.ratio_specs]
+            required += [den for _, den, _ in config.ratio_specs]
+            for name in required:
+                if name not in header:
+                    raise MissingColumn(name)
+            for name in config.derived_names:
+                if name in header:
+                    raise DuplicateCovariate(name)
 
-        passthrough = [c for c in header if c not in required]
-        schema = tuple(passthrough) + config.derived_names
-        checks = _cell_checks(config, passthrough)
+            passthrough = [c for c in header if c not in required]
+            schema = tuple(passthrough) + config.derived_names
+            checks = _cell_checks(config, passthrough)
 
-        ids: list[str] = []
-        blocks: dict[str, list[np.ndarray]] = {}  # typed empty starts, for a table with no rows
-        for name, kind in checks:
-            blocks.setdefault(name, [np.empty(0, np.int64 if kind == _COUNT else np.float64)])
-        for cells, parsed in _blocks(handle, header, checks, reader.line_num):
-            ids.extend(cells[ID_COLUMN])
-            for name, values in parsed.items():
-                blocks[name].append(values)
-    except csv.Error as exc:  # in the header, e.g. a cell over csv.field_size_limit()
-        raise MalformedCsv(reader.line_num, exc) from None
-    except UnicodeDecodeError as exc:
-        raise MalformedCsv(None, not_utf8(exc)) from None
-    finally:
-        if owned:
-            handle.close()
+            ids: list[str] = []
+            # typed empty starts, for a table with no rows
+            blocks: dict[str, list[np.ndarray]] = {}
+            for name, kind in checks:
+                blocks.setdefault(name, [np.empty(0, np.int64 if kind == _COUNT else np.float64)])
+            for cells, parsed in _blocks(handle, header, checks, reader.line_num):
+                ids.extend(cells[ID_COLUMN])
+                for name, values in parsed.items():
+                    blocks[name].append(values)
+        except csv.Error as exc:  # in the header, e.g. a cell over csv.field_size_limit()
+            raise MalformedCsv(reader.line_num, exc) from None
+        except UnicodeDecodeError as exc:
+            raise MalformedCsv(None, not_utf8(exc)) from None
 
     column = {name: np.concatenate(parts) for name, parts in blocks.items()}
     covariates = [column[name] for name in passthrough]
@@ -327,8 +322,7 @@ def write_dataset(dataset: Dataset, sink) -> None:
     Ids and names are quoted by :func:`csv_field`; reading the output back with
     a plain :class:`IngestConfig` gives the same ids, names and values.
     """
-    handle, owned = _open(sink, "w")
-    try:
+    with _open(sink, "w") as handle:
         header = [ID_COLUMN, LAT_COLUMN, LON_COLUMN, COUNT_COLUMN, *dataset.schema]
         columns = [
             map(csv_field, dataset.ids),
@@ -338,9 +332,6 @@ def write_dataset(dataset: Dataset, sink) -> None:
         ]
         handle.write(",".join(map(csv_field, header)) + "\n")
         handle.writelines(row + "\n" for row in map(",".join, zip(*columns)))
-    finally:
-        if owned:
-            handle.close()
 
 
 def dataset_to_csv_text(dataset: Dataset) -> str:

@@ -39,9 +39,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .data import DesignMatrix, _column
+from .data import INFLATE_PREFIX, DesignMatrix, _column
 from .exceptions import FINITE_NUMBERS, Checked, DimensionMismatch, DomainError, InvalidSpec
-from .exceptions import NegativeCount, rule
+from .exceptions import NegativeCount, is_number, rule
 
 
 class Family(str, Enum):
@@ -59,7 +59,8 @@ class ModelSpec(Checked):
 
     ``count_covariates`` drive the count (or presence) component;
     ``inflation_covariates`` drive the ZIP structural-zero probability and
-    default to the count set when left empty.
+    default to the count set when left empty.  A count covariate's name may
+    not start with ``INFLATE_PREFIX``, which marks the inflation coefficients.
     """
 
     family: Family = rule(str, lambda v: v in _FAMILY_NAMES, f"one of {_FAMILY_NAMES}")
@@ -70,6 +71,9 @@ class ModelSpec(Checked):
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "family", Family(self.family))
+        for name in self.count_covariates:
+            if name.startswith(INFLATE_PREFIX):
+                raise InvalidSpec(f"count covariate {name!r} starts with {INFLATE_PREFIX!r}")
         if self.inflation_covariates and not FAMILIES[self.family].inflated:
             raise InvalidSpec("inflation_covariates are only meaningful for the ZIP family")
 
@@ -93,10 +97,6 @@ class ZipPrediction(NamedTuple):
 
     mean: np.ndarray
     inflation_probability: np.ndarray
-
-
-#: Name prefix of the ZIP inflation-component coefficients.
-INFLATE_PREFIX = "inflate:"
 
 
 class Prepared(NamedTuple):
@@ -312,17 +312,22 @@ def poisson_grad(beta, X, y) -> np.ndarray:
     return _checked(Family.POISSON, "grad", beta, None, X, None, y)
 
 
+def _check_zip_parameters(p, lam) -> None:
+    """Refuse (``DomainError``) a p not a number within [0, 1] or a lambda not a number > 0."""
+    if not (is_number(p) and 0.0 <= p <= 1.0):
+        raise DomainError(f"mixing probability p must be a number within [0, 1], got {p!r}")
+    if not (is_number(lam) and lam > 0.0):
+        raise DomainError(f"lambda must be a number > 0, got {lam!r}")
+
+
 def zip_pmf(p: float, lam: float, y) -> float | np.ndarray:
     """Zero-inflated Poisson probability mass at y.
 
     p + (1-p) * Poisson(0; lam) at zero, (1-p) * Poisson(y; lam) above.
     """
     from scipy.special import gammaln
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"mixing probability p={p} outside [0, 1]")
-    if not lam > 0.0:
-        raise DomainError(f"lambda={lam} must be positive")
-    y_arr = np.asarray(y, dtype=np.float64)
+    _check_zip_parameters(p, lam)
+    y_arr = _column(y, "y", np.float64)
     if np.any(y_arr < 0) or np.any(y_arr != np.round(y_arr)):
         raise DomainError("y must be a nonnegative integer")
     poisson = np.exp(y_arr * np.log(lam) - lam - gammaln(y_arr + 1.0))
@@ -364,10 +369,7 @@ def zip_moments(p: float, lam: float) -> tuple[float, float]:
     mean = (1-p) lambda, variance = (1-p) lambda (1 + p lambda); the
     variance exceeds the mean strictly whenever p > 0.
     """
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"mixing probability p={p} outside [0, 1]")
-    if not lam > 0.0:
-        raise DomainError(f"lambda={lam} must be positive")
+    _check_zip_parameters(p, lam)
     mean = (1.0 - p) * lam
     variance = (1.0 - p) * lam * (1.0 + p * lam)
     return mean, variance

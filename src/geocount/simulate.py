@@ -42,9 +42,10 @@ import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
 from . import _ziggurat
-from .data import Dataset, is_lat_lon
-from .exceptions import FINITE_NUMBERS, Checked, InvalidSpec, is_kind, read_object, refusal, rule
-from .fitting import INFLATE_PREFIX, FitResult, OptimOptions, fit
+from .data import INFLATE_PREFIX, INTERCEPT, Dataset, is_lat_lon
+from .exceptions import FINITE_NUMBERS, Checked, InvalidSpec, is_kind, read_json, read_object
+from .exceptions import refusal, rule
+from .fitting import FitResult, OptimOptions, fit
 from .likelihoods import Family, ModelSpec
 from .spatial import EARTH_RADIUS_KM
 
@@ -57,7 +58,7 @@ MAX_SIDE_KM = math.pi * EARTH_RADIUS_KM
 #: int64 max - 10 sqrt(int64 max)); it refuses larger values and NaN.
 POISSON_LAM_MAX = 9.223372006484771e18
 
-#: Preset name accepted by :func:`dgp_spec_from_json`.
+#: Preset name accepted by :meth:`DgpSpec.from_dict`.
 PAPER_SCALE_PRESET = "paper-scale"
 PAPER_SCALE_N = 2947
 PAPER_SCALE_ZERO_SHARE = 0.505
@@ -183,6 +184,26 @@ class DgpSpec(Checked):
     @property
     def covariate_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.covariates)
+
+    @classmethod
+    def from_dict(cls, doc) -> DgpSpec:
+        """The spec a :func:`dgp_spec_to_json` document holds, or :func:`paper_scale_spec` for
+        ``{"preset": "paper-scale", "seed": N}`` (seed 0 if left out); else ``InvalidSpec``."""
+        if is_kind(doc, dict) and "preset" in doc:
+            preset = read_object({"seed": 0, **doc}, "spec", preset=object, seed=object)
+            if preset["preset"] != PAPER_SCALE_PRESET:
+                raise InvalidSpec(f"unknown preset {preset['preset']!r}")
+            return paper_scale_spec(seed=preset["seed"])
+        doc = read_object(
+            doc, "spec", n=object, covariates=list, beta=list, gamma=list, layout=dict, seed=object
+        )
+        entries = [read_object(e, "spec covariate", name=str, distribution=dict)
+                   for e in doc["covariates"]]
+        doc["covariates"] = tuple(
+            (e["name"], _descriptor_from_json(e["distribution"], _DISTRIBUTIONS)) for e in entries
+        )
+        doc["layout"] = _descriptor_from_json(doc["layout"], _LAYOUTS)
+        return cls(**doc)
 
 
 def _centroids(layout: Layout, streams: _Streams) -> np.ndarray:
@@ -552,31 +573,9 @@ def dgp_spec_to_json(spec: DgpSpec) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def dgp_spec_from_json(text: str) -> DgpSpec:
-    """Parse a DgpSpec JSON document.
-
-    ``{"preset": "paper-scale", "seed": N}`` (``seed`` 0 if left out) expands to
-    :func:`paper_scale_spec`; otherwise every field is required and no other is taken.
-    """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidSpec(f"spec is not valid JSON: {exc}") from exc
-    if is_kind(doc, dict) and "preset" in doc:
-        preset = read_object({"seed": 0, **doc}, "spec", preset=object, seed=object)
-        if preset["preset"] != PAPER_SCALE_PRESET:
-            raise InvalidSpec(f"unknown preset {preset['preset']!r}")
-        return paper_scale_spec(seed=preset["seed"])
-    doc = read_object(
-        doc, "spec", n=object, covariates=list, beta=list, gamma=list, layout=dict, seed=object
-    )
-    entries = [read_object(e, "spec covariate", name=str, distribution=dict)
-               for e in doc["covariates"]]
-    doc["covariates"] = tuple(
-        (e["name"], _descriptor_from_json(e["distribution"], _DISTRIBUTIONS)) for e in entries
-    )
-    doc["layout"] = _descriptor_from_json(doc["layout"], _LAYOUTS)
-    return DgpSpec(**doc)
+def dgp_spec_from_json(text) -> DgpSpec:
+    """The spec of a JSON document, ``str`` or UTF-8 ``bytes`` (``exceptions.read_json``)."""
+    return DgpSpec.from_dict(read_json(text, "spec"))
 
 
 # ---------------------------------------------------------------------------
@@ -617,19 +616,14 @@ def recovery_trial(
     if not model.add_intercept:
         raise InvalidSpec("recovery_trial: spec truths include an intercept")
 
-    truths = {"Intercept": spec.beta[0]}
-    for j, name in enumerate(spec.covariate_names):
-        truths[name] = spec.beta[j + 1]
-    truths[INFLATE_PREFIX + "Intercept"] = spec.gamma[0]
-    for j, name in enumerate(spec.covariate_names):
-        truths[INFLATE_PREFIX + name] = spec.gamma[j + 1]
+    names = (INTERCEPT, *spec.covariate_names)
+    truths = dict(zip(names, spec.beta))
+    truths.update(zip([INFLATE_PREFIX + name for name in names], spec.gamma))
 
     dataset = generate(spec)
     result = fit(model, dataset, options)
     rows = []
     for coef in result.coefficients:
-        if coef.name not in truths:
-            raise InvalidSpec(f"no truth for fitted coefficient {coef.name!r}")
         truth = truths[coef.name]
         z_gap = abs(coef.estimate - truth) / coef.std_error
         rows.append(RecoveryRow(coef.name, truth, coef.estimate, coef.std_error, z_gap))

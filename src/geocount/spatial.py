@@ -23,6 +23,7 @@ from enum import Enum
 
 import numpy as np
 
+from .data import _column
 from .exceptions import DegenerateGeometry, DimensionMismatch, DomainError, InvalidSpec
 from .exceptions import Checked, KTooLarge, rule
 
@@ -236,7 +237,7 @@ def build_weights(centroids, scheme, include_self: bool = True) -> SpatialWeight
     the same as thresholding or ranking the full distance matrix, in time and
     memory proportional to the number of links.
     """
-    pts = np.asarray(centroids, dtype=np.float64)
+    pts = _column(centroids, "centroids", np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise DegenerateGeometry("need at least 2 (lat, lon) centroids")
     n = pts.shape[0]
@@ -296,7 +297,7 @@ def getis_ord_gstar(values, W: SpatialWeightsMatrix) -> HotspotResult:
     products with the values or with themselves overflow, raise
     :class:`DomainError`.
     """
-    x = np.asarray(values, dtype=np.float64)
+    x = _column(values, "values", np.float64)
     if x.ndim != 1 or x.shape[0] != W.n:
         raise DimensionMismatch(f"expected {W.n} values, got shape {x.shape}")
     n = W.n

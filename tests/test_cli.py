@@ -456,6 +456,87 @@ class TestHotspotCsvOracle:
                 geocount.read_dataset(src, geocount.IngestConfig()), result)
 
 
+def oracle_render_fit_text(result):
+    """The text table as rendered before names were unique: rows placed through a set."""
+    prefix = "inflate:"
+    count_rows = [r for r in result.coefficients if not r.name.startswith(prefix)]
+    inflate_rows = [r for r in result.coefficients if r.name.startswith(prefix)]
+
+    by_name = {r.name: r for r in count_rows}
+    placed = set()
+    intercept = [by_name["Intercept"]] if "Intercept" in by_name else []
+    placed.update(r.name for r in intercept)
+    blocks = []
+    for heading, names in cli.COVARIATE_BLOCKS:
+        hit = [by_name[n] for n in names if n in by_name]
+        if hit:
+            blocks.append((heading, hit))
+            placed.update(r.name for r in hit)
+    rest = [r for r in count_rows if r.name not in placed]
+    ordered = [(None, intercept + rest)] + blocks
+    if inflate_rows:
+        stripped = [r._replace(name=r.name[len(prefix):]) for r in inflate_rows]
+        ordered.append(("Zero-Inflation Component", stripped))
+
+    width = max(
+        [len("Variable")]
+        + [len(r.name) for _, rows in ordered for r in rows]
+        + [len(h) for h, _ in ordered if h]
+    )
+    lines = [
+        f"Family: {result.family.value}",
+        f"Log-likelihood: {result.log_likelihood:.6f}",
+        f"Iterations: {result.iterations}   Converged: {'yes' if result.converged else 'no'}",
+        "",
+        f"{'Variable':<{width}}  {'Estimate':>10}  {'Stars':<5}  (p-value)",
+    ]
+    for heading, rows in ordered:
+        if heading:
+            lines.append(heading)
+        for r in rows:
+            indent = "  " if heading else ""
+            name = f"{indent}{r.name}"
+            lines.append(
+                f"{name:<{width}}  {r.estimate:>10.4f}  {r.stars:<5}  {cli._format_p(r.p_value)}"
+            )
+    lines.append("")
+    lines.append(cli._STAR_LEGEND.rstrip("\n"))
+    return "\n".join(lines) + "\n"
+
+
+BLOCK_NAMES = [name for _, names in cli.COVARIATE_BLOCKS for name in names]
+
+
+@st.composite
+def fit_results(draw):
+    """A fit result with unique names: block names, other names and the intercept, and for a
+    ZIP the inflation names, in any order."""
+    other = st.text(min_size=1, max_size=30).filter(
+        lambda n: n != "Intercept" and n not in BLOCK_NAMES and not n.startswith("inflate:"))
+    name = st.sampled_from(["Intercept", *BLOCK_NAMES]) | other
+    names = draw(st.lists(name, max_size=12, unique=True))
+    family = draw(st.sampled_from(list(Family)))
+    if family is Family.ZIP:
+        names += ["inflate:" + n for n in draw(st.lists(name, max_size=8, unique=True))]
+    names = draw(st.permutations(names))
+    number = st.floats(-1e6, 1e6)
+    rows = tuple(
+        CoefficientRow(n, draw(number), 1.0, 0.0, draw(st.floats(0, 1)),
+                       draw(st.sampled_from(["", "*", "**", "***"])))
+        for n in names
+    )
+    return FitResult(family=family, coefficients=rows, log_likelihood=draw(number),
+                     iterations=draw(st.integers(0, 200)), converged=draw(st.booleans()),
+                     covariance=np.eye(len(rows)))
+
+
+class TestFitTextOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(result=fit_results())
+    def test_pops_by_name_match_placed_set(self, result):
+        assert cli.render_fit_text(result) == oracle_render_fit_text(result)
+
+
 class TestCsvQuoting:
     """CSV output quotes ids and names, so every row parses back to its fields."""
 
@@ -1020,6 +1101,27 @@ class TestInvalidInput:
                 id="fit-cell-over-field-limit",
             ),
             pytest.param(
+                ["fit", "--input", "{src}", "--family", "poisson", "--covariates", "Intercept",
+                 "--out", "{out}"],
+                "id,latitude,longitude,count,Intercept\na,40.0,-90.0,1,0.5\nb,41.0,-91.0,2,1.5\n",
+                "DuplicateCovariate: covariate 'Intercept' selected or defined more than once\n",
+                id="fit-covariate-named-intercept",
+            ),
+            pytest.param(
+                ["fit", "--input", "{src}", "--family", "poisson", "--covariates", "inflate:x",
+                 "--out", "{out}"],
+                "id,latitude,longitude,count,inflate:x\na,40.0,-90.0,1,0.5\nb,41.0,-91.0,2,1.5\n",
+                "InvalidSpec: count covariate 'inflate:x' starts with 'inflate:'\n",
+                id="fit-covariate-named-inflate",
+            ),
+            pytest.param(
+                ["report", "--fit", "{src}"],
+                fit_text(coefficients=2 * json.loads(SMOKE_FIT_TEXT)["coefficients"],
+                         covariance=[[1.0, 0.0], [0.0, 1.0]]),
+                "InvalidSpec: fit result: coefficient name 'Intercept' appears more than once\n",
+                id="report-repeated-name",
+            ),
+            pytest.param(
                 ["fit", "--input", "{src}", "--family", "poisson", "--out", "{out}"],
                 b"id,latitude,longitude,count\na,40.0,-90.0,1\nb\xff,41.0,-91.0,0\n",
                 "MalformedCsv: not valid CSV: not UTF-8 text (invalid start byte b'\\xff')\n",
@@ -1077,6 +1179,61 @@ class TestInvalidInput:
         assert result.stderr == (
             "SingularInformation: observed information matrix is singular or indefinite\n"
         )
+
+
+#: Each JSON document's command line, with the document at ``{src}``, and its name in messages.
+DOCUMENT_COMMANDS = {
+    "spec": (SIMULATE, "simulate: spec"),
+    "fit": (["report", "--fit", "{src}"], "report: fit result"),
+    "config": (["fit", "--config", "{src}", "--out", "{out}"], "config file"),
+}
+
+#: Documents no command can read, and how each message goes on after the document's name.
+ODD_DOCUMENTS = {
+    "huge-integer": ('{"n": ' + "7" * 5000 + "}",
+                     " is not valid JSON: Exceeds the limit (4300 digits) for integer string"),
+    "deep-nesting": ("[" * 200_000, " is not valid JSON: maximum recursion depth exceeded"),
+    "byte-0xff": (b'{"n": 1\xff}', " is not UTF-8 text (invalid start byte b'\\xff')\n"),
+    "trailing-comma": ('{"a": 1,}', " is not valid JSON: Expecting property name enclosed in"
+                                    " double quotes: line 1 column 9 (char 8)\n"),
+}
+
+
+class TestDocuments:
+    """Every JSON document (spec, fit, config) is read by one reader, with the same catches."""
+
+    @pytest.mark.parametrize("document", ODD_DOCUMENTS)
+    @pytest.mark.parametrize("kind", DOCUMENT_COMMANDS)
+    def test_odd_document_exits_1_with_one_line(self, tmp_path, capsys, kind, document):
+        (argv, what), (content, rest) = DOCUMENT_COMMANDS[kind], ODD_DOCUMENTS[document]
+        src, out = tmp_path / "doc.json", tmp_path / "output"
+        src.write_bytes(content if isinstance(content, bytes) else content.encode())
+        with warnings.catch_warnings(record=True) as escaped:
+            warnings.simplefilter("always")
+            rc = cli.main([arg.format(src=src, out=out) for arg in argv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert escaped == []
+        assert captured.err.startswith(f"InvalidSpec: {what} {str(src)!r}{rest}")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", DOCUMENT_COMMANDS)
+    def test_byte_order_mark_reads_as_without(self, tmp_path, capsys, kind):
+        argv, _ = DOCUMENT_COMMANDS[kind]
+        text = {"spec": spec_text(), "fit": SMOKE_FIT_TEXT,
+                "config": json.dumps({"input": SMOKE_CSV, "family": "logit"})}[kind]
+        runs = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            src, out = tmp_path / "doc.json", tmp_path / f"output{len(mark)}"
+            src.write_bytes(mark + text.encode())
+            rc = cli.main([arg.format(src=src, out=out) for arg in argv])
+            captured = capsys.readouterr()
+            runs.append((rc, captured.out.replace(str(out), "OUT"), captured.err,
+                         out.read_bytes() if out.exists() else None))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][2] == ""
 
 
 class TestCmdReport:

@@ -191,6 +191,12 @@ class TestBuildDesign:
         np.testing.assert_array_equal(dm.values[:, 1], [1.0, 2.0, 3.0])
         assert dm.column_names == ("Intercept", "a")
 
+    def test_covariate_named_intercept_beside_the_intercept(self):
+        ds = make_dataset([1, 0], covariates=[(1.0,), (2.0,)], schema=("Intercept",))
+        assert build_design(ds, ["Intercept"], add_intercept=False).column_names == ("Intercept",)
+        with pytest.raises(DuplicateCovariate, match="'Intercept'"):
+            build_design(ds, ["Intercept"], add_intercept=True)
+
     def test_duplicate_selection_beats_unknown(self):
         ds = make_dataset([1, 0], covariates=[(1.0,), (2.0,)], schema=("a",))
         with pytest.raises(DuplicateCovariate):
@@ -241,6 +247,11 @@ class TestBuildDesign:
 
 
 class TestDesignMatrixType:
+    def test_column_names_are_unique(self):
+        values = np.column_stack([np.ones(3), [1.0, 2.0, 3.0]])
+        with pytest.raises(DuplicateCovariate, match="'a'"):
+            DesignMatrix(values=values, column_names=("a", "a"), has_intercept=False)
+
     def test_intercept_column_exempt_from_constant_check(self):
         DesignMatrix(
             values=np.column_stack([np.ones(3), [1.0, 2.0, 3.0]]),

@@ -21,6 +21,7 @@ from geocount import (
     CountyObservation,
     Dataset,
     Family,
+    FitResult,
     ModelSpec,
     OptimOptions,
     fit,
@@ -43,8 +44,11 @@ from geocount.likelihoods import (
     zip_loglik,
 )
 from geocount.exceptions import (
+    DimensionMismatch,
     DomainError,
+    DuplicateCovariate,
     GeocountError,
+    InvalidSpec,
     NonFiniteObjective,
     RankDeficientDesign,
     SeparationSuspected,
@@ -351,6 +355,22 @@ class TestWaldInference:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="coefficient 'b' has variance"):
                 wald_inference(["a", "b"], [1.0, 2.0], [[1.0, 0.0], [0.0, variance]])
+
+    @pytest.mark.parametrize(
+        "estimates, covariance, error",
+        [
+            ([1.0], [["x"]], InvalidSpec),
+            (["a"], [[1.0]], InvalidSpec),
+            ([1.0], [[True]], InvalidSpec),
+            ([1.0], [[1.0], [2.0, 3.0]], InvalidSpec),
+            (1.0, [[1.0]], DimensionMismatch),
+        ],
+        ids=["covariance-strings", "estimate-strings", "covariance-bools", "covariance-ragged",
+             "estimate-scalar"],
+    )
+    def test_arrays_that_are_not_numbers(self, estimates, covariance, error):
+        with pytest.raises(error):
+            wald_inference(["a"], estimates, covariance)
 
     def test_star_thresholds(self):
         assert _stars(0.0009) == "***"
@@ -757,6 +777,43 @@ class TestNonFiniteHessian:
     def test_covariance_raises_singular_information(self):
         with pytest.raises(SingularInformation):
             _observed_covariance(lambda points: np.full_like(points, np.nan), np.zeros(2))
+
+
+class TestCoefficientNames:
+    """Coefficient names are unique, so a table row is found by its name."""
+
+    def names_data(self, schema):
+        rng = np.random.default_rng(21)
+        counts = np.where(rng.random(60) < 0.3, 0, rng.poisson(2.0, 60))
+        return dataset_from_arrays(counts, rng.standard_normal((60, 2)), schema=schema)
+
+    @pytest.mark.parametrize(
+        "count, inflation", [(("Intercept",), ()), (("b",), ("Intercept",))], ids=["x", "z"]
+    )
+    def test_covariate_named_intercept_is_a_duplicate(self, count, inflation):
+        ds = self.names_data(("Intercept", "b"))
+        with pytest.raises(DuplicateCovariate, match="'Intercept'"):
+            fit(ModelSpec(family="zip", count_covariates=count, inflation_covariates=inflation), ds)
+
+    def test_count_covariate_may_not_take_the_inflation_prefix(self):
+        with pytest.raises(InvalidSpec, match="count covariate 'inflate:x' starts with 'inflate:'"):
+            ModelSpec(family="poisson", count_covariates=("a", INFLATE_PREFIX + "x"))
+
+    def test_inflation_covariate_keeps_a_prefixed_name(self):
+        ds = self.names_data(("a", "inflate:b"))
+        model = ModelSpec(family="zip", count_covariates=("a",), inflation_covariates=("inflate:b",))
+        assert fit(model, ds).names == ("Intercept", "a", "inflate:Intercept", "inflate:inflate:b")
+
+    def test_fit_document_with_a_repeated_name_is_refused(self):
+        row = {"name": "a", "estimate": 1.0, "std_error": 1.0, "z_stat": 1.0, "p_value": 0.3,
+               "stars": ""}
+        doc = {"family": "poisson", "coefficients": [row, {**row, "estimate": 2.0}],
+               "log_likelihood": -1.0, "iterations": 3, "converged": True,
+               "covariance": [[1.0, 0.0], [0.0, 1.0]]}
+        with pytest.raises(InvalidSpec, match="coefficient name 'a' appears more than once"):
+            FitResult.from_dict(doc)
+        doc["coefficients"][1]["name"] = "b"
+        assert FitResult.from_dict(doc).names == ("a", "b")
 
 
 class TestInflationDesign:

@@ -251,6 +251,36 @@ def random_dataset(rng, n=None, k=None):
     return Dataset.from_observations(schema, obs)
 
 
+class TestOpen:
+    """A path is opened, and closed on exit or error; an open file is used and left open."""
+
+    def test_open_files_stay_open(self):
+        ds = random_dataset(np.random.default_rng(1), n=3, k=1)
+        sink = io.StringIO()
+        write_dataset(ds, sink)
+        source, bad = io.StringIO(sink.getvalue()), io.StringIO("id,latitude\n")
+        assert read_dataset(source, IngestConfig()) == ds
+        with pytest.raises(MissingColumn):
+            read_dataset(bad, IngestConfig())
+        assert not (sink.closed or source.closed or bad.closed)
+
+    def test_paths_are_closed_on_exit_and_on_error(self, tmp_path):
+        ds = random_dataset(np.random.default_rng(2), n=3, k=1)
+        handles = []
+
+        def tracking_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        (tmp_path / "bad.csv").write_text("id,latitude\n", encoding="utf-8")
+        with mock.patch.object(ingest, "open", tracking_open, create=True):
+            write_dataset(ds, tmp_path / "out.csv")
+            assert read_dataset(tmp_path / "out.csv", IngestConfig()) == ds
+            with pytest.raises(MissingColumn):
+                read_dataset(tmp_path / "bad.csv", IngestConfig())
+        assert len(handles) == 3 and all(handle.closed for handle in handles)
+
+
 class TestWriteDataset:
     def test_empty_covariate_header(self):
         ds = random_dataset(np.random.default_rng(0), n=2, k=0)

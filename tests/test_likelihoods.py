@@ -165,6 +165,24 @@ class TestZipPmf:
         with pytest.raises(DomainError):
             zip_pmf(p, lam, y)
 
+    @pytest.mark.parametrize(
+        "p, lam, y, error",
+        [
+            ("0.5", 1.0, 0, DomainError),
+            (0.5, "1.0", 0, DomainError),
+            (True, 1.0, 0, DomainError),
+            (0.5, 1.0, "a", InvalidSpec),
+            (0.5, 1.0, [True, False], InvalidSpec),
+            (0.5, 1.0, [0, 2**70], InvalidSpec),
+            (0.5, 1.0, [[0, 1], [2]], InvalidSpec),
+        ],
+        ids=["p-string", "lambda-string", "p-bool", "y-string", "y-bools", "y-beyond-int64",
+             "y-ragged"],
+    )
+    def test_arguments_that_are_not_numbers(self, p, lam, y, error):
+        with pytest.raises(error):
+            zip_pmf(p, lam, y)
+
 
 class TestZipLoglik:
     def test_reduces_to_poisson_at_gamma_minus_40(self):
@@ -290,6 +308,11 @@ class TestZipMoments:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             zip_moments(1.5, 1.0)
+
+    @pytest.mark.parametrize("p, lam", [([0.5], 1.0), (0.5, "2"), (np.array([0.5]), 1.0)])
+    def test_arguments_that_are_not_numbers(self, p, lam):
+        with pytest.raises(DomainError, match="must be a number"):
+            zip_moments(p, lam)
 
 
 class TestGradLoglik:

@@ -1,5 +1,6 @@
 """Synthetic-data generator tests: determinism, reductions, calibration."""
 
+import json
 import math
 import re
 
@@ -173,6 +174,35 @@ class TestSpecJson:
     def test_bad_documents(self, text):
         with pytest.raises(InvalidSpec):
             dgp_spec_from_json(text)
+
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["bytes", "bom-bytes"])
+    def test_utf8_bytes_and_byte_order_marks(self, mark):
+        spec = intercept_only_spec(0.3, -0.2, n=10, seed=1)
+        text = dgp_spec_to_json(spec)
+        assert dgp_spec_from_json(mark + text.encode()) == spec
+        assert dgp_spec_from_json("\ufeff" + text) == spec  # a str drops one leading U+FEFF
+        assert DgpSpec.from_dict(json.loads(text)) == spec
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            (b"\xff", "spec is not UTF-8 text (invalid start byte b'\\xff')"),
+            (b"\xef\xbb\xbf\xef\xbb\xbf{}", "spec is not valid JSON: Unexpected UTF-8 BOM"),
+            ('{"n": ' + "7" * 5000 + "}", "spec is not valid JSON: Exceeds the limit (4300 digits)"),
+            ("[" * 200_000, "spec is not valid JSON: maximum recursion depth exceeded"),
+            (5, "spec must be text or bytes, got 5"),
+            (None, "spec must be text or bytes, got None"),
+        ],
+        ids=["byte-0xff", "two-byte-order-marks", "huge-integer", "deep-nesting", "int", "none"],
+    )
+    def test_odd_documents_are_invalid_spec(self, document, message):
+        with pytest.raises(InvalidSpec) as caught:
+            dgp_spec_from_json(document)
+        assert str(caught.value).startswith(message)
+
+    def test_from_dict_refuses_a_non_object(self):
+        with pytest.raises(InvalidSpec, match="spec must be an object, got '{}'"):
+            DgpSpec.from_dict("{}")
 
 
 class TestDgpSpecValidation:

@@ -155,6 +155,16 @@ class TestBuildWeights:
         with pytest.raises(DegenerateGeometry):
             build_weights([(0.0, 0.0)], DistanceBand(100.0))
 
+    @pytest.mark.parametrize(
+        "centroids",
+        [[["a", "b"], ["c", "d"]], [[0.0, 0.0], [1.0]], np.array([[True, False], [False, True]]),
+         [[0, 0], [1, 2**70]]],
+        ids=["strings", "ragged", "bools", "beyond-int64"],
+    )
+    def test_centroids_that_are_not_numbers(self, centroids):
+        with pytest.raises(InvalidSpec, match="^centroids must be"):
+            build_weights(centroids, KNearest(1))
+
 
 class TestSchemes:
     @pytest.mark.parametrize("d_km", [0.0, -5.0, float("nan"), float("inf"), "150", True])
@@ -301,6 +311,15 @@ class TestGetisOrdGstar:
         W = build_weights(pts, DistanceBand(150.0))
         with pytest.raises(DimensionMismatch):
             getis_ord_gstar(np.zeros(3), W)
+
+    @pytest.mark.parametrize(
+        "values", [["a", "b"], [True, False], [1, 2**70], [[1.0], [2.0, 3.0]]],
+        ids=["strings", "bools", "beyond-int64", "ragged"],
+    )
+    def test_values_that_are_not_numbers(self, values):
+        W = build_weights(equator_line(0.0, 100.0), DistanceBand(150.0))
+        with pytest.raises(InvalidSpec, match="^values must be"):
+            getis_ord_gstar(values, W)
 
     @pytest.mark.parametrize("n, size", [(5, 3), (1, 1)], ids=["3x3-for-5", "one-unit"])
     def test_weights_of_another_size_are_a_dimension_mismatch(self, n, size):
