@@ -91,6 +91,10 @@ class FitResult:
     converged: bool
     covariance: np.ndarray
 
+    def __post_init__(self):
+        reject_duplicates(self.names, lambda name: InvalidSpec(
+            f"fit result: coefficient name {name!r} appears more than once"))
+
     def coefficient(self, name: str) -> CoefficientRow:
         for row in self.coefficients:
             if row.name == name:
@@ -126,8 +130,6 @@ class FitResult:
         rows = (CoefficientRow(**read_object(c, "fit result coefficient", **row))
                 for c in doc["coefficients"])
         doc["coefficients"] = tuple(rows)
-        reject_duplicates([r.name for r in doc["coefficients"]], lambda name: InvalidSpec(
-            f"fit result: coefficient name {name!r} appears more than once"))
         k, covariance = len(doc["coefficients"]), doc["covariance"]
         if not (is_kind(covariance, ((float,),)) and len(covariance) == k
                 and all(len(r) == k for r in covariance)):
@@ -287,8 +289,6 @@ def _pivoted_qr_diagonal(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _check_full_rank(design: DesignMatrix, prefix: str = ""):
     """Reject rank-deficient designs via pivoted QR, naming columns as ``prefix + name``."""
     X = design.values
-    if X.shape[1] == 0:
-        return
     diag, piv = _pivoted_qr_diagonal(X)
     diag = np.abs(diag)
     rank = int(np.sum(diag > 1e-10 * diag.max()))

@@ -151,29 +151,15 @@ def _parse_columns(cells: dict, checks) -> dict[str, np.ndarray] | None:
     return parsed
 
 
-def _parse_block(block, header, checks) -> tuple[dict, dict[str, np.ndarray]] | None:
-    """(cells, parsed): the block's cells by column, and each checked column as an array.
-
-    None if a row has the wrong width or a cell fails its check.
-    """
-    if set(map(len, block)) != {len(header)}:
-        return None
-    cells = dict(zip(header, zip(*block)))
-    parsed = _parse_columns(cells, checks)
-    return None if parsed is None else (cells, parsed)
-
-
-def _parse_plain(lines: list[str], header, checks) -> tuple[dict, dict[str, np.ndarray]] | None:
-    """:func:`_parse_block` of lines that ``csv.reader`` would split on their commas alone.
+def _plain_columns(lines: list[str], width: int) -> list[list[str]] | None:
+    """The cells of ``lines`` by column, if ``csv.reader`` would split them on their commas alone.
 
     None unless the block is plain: no quote, CR or NUL, no line longer than
-    ``csv.field_size_limit()`` and ``len(header) - 1`` commas on every line (so
-    no empty line, since a header has at least four names).  Then its text is
-    split once and each column is a strided slice.  None too if a cell fails
-    its check.
+    ``csv.field_size_limit()`` and ``width - 1`` commas on every line (so no
+    empty line, since a header has at least four names).  Then its text is
+    split once and each column is a strided slice.
     """
     body = "".join(lines)
-    width = len(header)
     if (
         '"' in body or "\r" in body or "\0" in body
         or max(map(len, lines)) > csv.field_size_limit()
@@ -183,17 +169,15 @@ def _parse_plain(lines: list[str], header, checks) -> tuple[dict, dict[str, np.n
     cells = body.replace("\n", ",").split(",")
     if body.endswith("\n"):
         del cells[-1]  # the empty cell after the last line's newline
-    columns = {name: cells[j::width] for j, name in enumerate(header)}
-    parsed = _parse_columns(columns, checks)
-    return None if parsed is None else (columns, parsed)
+    return [cells[j::width] for j in range(width)]
 
 
-def _raise_first_bad_cell(block, first_row: int, header, checks) -> None:
+def _raise_first_bad_cell(rows, first_row: int, header, checks) -> None:
     """Raise the error of a block's first bad cell, checking row by row.
 
-    Called only on a block that failed a column check, so one cell is bad.
+    Called only on a block that failed its width or column check, so one cell is bad.
     """
-    for row, cells in enumerate(block, start=first_row):
+    for row, cells in enumerate(rows, start=first_row):
         if len(cells) != len(header):
             raise NonNumericCell(row, header[min(len(cells), len(header) - 1)])
         record = dict(zip(header, cells))
@@ -202,29 +186,27 @@ def _raise_first_bad_cell(block, first_row: int, header, checks) -> None:
                 raise error(row, name)
 
 
-def _blocks(handle, header, checks, lines_read: int):
-    """Yield (cells, parsed) for each block of data rows, ``lines_read`` lines into ``handle``.
+def _blocks(handle, width: int, lines_read: int):
+    """Yield (first_row, columns, rows) per block of data rows, ``lines_read`` lines into ``handle``.
 
-    A plain block is split on its commas; the first other block, and every one
-    after it, is read by ``csv.reader`` over that block's lines and the rest of
-    ``handle``.  That covers quoted fields and every malformed row.
+    A plain block is split on its commas and has rows None.  The first other
+    block, and every one after it, is read by ``csv.reader`` over that block's
+    lines and the rest of ``handle``, which covers quoted fields and every
+    malformed row; its columns are None if a row's width is not ``width``.
     """
     first_row = 1
     while lines := list(itertools.islice(handle, BLOCK_ROWS)):
-        parsed_block = _parse_plain(lines, header, checks)
-        if parsed_block is None:
+        columns = _plain_columns(lines, width)
+        if columns is None:
             break
-        yield parsed_block
+        yield first_row, columns, None
         first_row += len(lines)
     reader = csv.reader(itertools.chain(lines, handle))  # at the end of handle, reads nothing
     lines_read += first_row - 1
     try:
-        while block := list(itertools.islice(reader, BLOCK_ROWS)):
-            parsed_block = _parse_block(block, header, checks)
-            if parsed_block is None:
-                _raise_first_bad_cell(block, first_row, header, checks)
-            yield parsed_block
-            first_row += len(block)
+        while rows := list(itertools.islice(reader, BLOCK_ROWS)):
+            yield first_row, list(zip(*rows)) if set(map(len, rows)) == {width} else None, rows
+            first_row += len(rows)
     except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
         raise MalformedCsv(lines_read + reader.line_num, exc) from None
 
@@ -276,7 +258,11 @@ def read_dataset(csv_source, config: IngestConfig) -> Dataset:
             blocks: dict[str, list[np.ndarray]] = {}
             for name, kind in checks:
                 blocks.setdefault(name, [np.empty(0, np.int64 if kind == _COUNT else np.float64)])
-            for cells, parsed in _blocks(handle, header, checks, reader.line_num):
+            for first_row, columns, rows in _blocks(handle, len(header), reader.line_num):
+                cells = None if columns is None else dict(zip(header, columns))
+                parsed = None if cells is None else _parse_columns(cells, checks)
+                if parsed is None:
+                    _raise_first_bad_cell(rows or zip(*columns), first_row, header, checks)
                 ids.extend(cells[ID_COLUMN])
                 for name, values in parsed.items():
                     blocks[name].append(values)

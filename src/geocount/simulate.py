@@ -178,6 +178,10 @@ class DgpSpec(Checked):
         names = [n for n, _ in self.covariates]
         if not is_kind(names, (str,)) or len(set(names)) != len(names):
             raise InvalidSpec(f"covariate names must be unique strings, got {names!r}")
+        for name in names:  # a fit's own coefficient names, by which recovery_trial keys truths
+            if name == INTERCEPT or name.startswith(INFLATE_PREFIX):
+                raise InvalidSpec(
+                    f"covariate {name!r} is {INTERCEPT!r} or starts with {INFLATE_PREFIX!r}")
         if not all(type(d) in _DISTRIBUTIONS.values() for _, d in self.covariates):
             raise InvalidSpec(f"covariate distributions must be one of {list(_DISTRIBUTIONS)}")
 

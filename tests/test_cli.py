@@ -757,6 +757,12 @@ class TestInvalidInput:
             ),
             pytest.param(
                 ["report", "--fit", "{src}"],
+                fit_text(family="nb"),
+                "InvalidSpec: fit result: 'nb' is not a valid Family\n",
+                id="report-family-nb",
+            ),
+            pytest.param(
+                ["report", "--fit", "{src}"],
                 fit_text(note="hand-edited"),
                 "InvalidSpec: fit result: unknown key 'note'",
                 id="report-unknown-key",
@@ -769,6 +775,13 @@ class TestInvalidInput:
             ),
             pytest.param(
                 ["fit", "--config", "{src}", "--out", "{out}"], "{", "InvalidSpec: ", id="config"
+            ),
+            pytest.param(
+                ["fit", "--input", SMOKE_CSV, "--family", "poisson",
+                 "--config", "{src}", "--out", "{out}"],
+                "[1]",
+                "InvalidSpec: config file must be a JSON object\n",
+                id="config-not-an-object",
             ),
             pytest.param(
                 ["hotspot", "--input", SMOKE_CSV, "--weights", "band:nan", "--out", "{out}"],
@@ -1099,6 +1112,34 @@ class TestInvalidInput:
                 "id,latitude,longitude,count\n" + "a" * 200_000 + ",40.0,-90.0,1\n",
                 "MalformedCsv: line 2: not valid CSV: field larger than field limit",
                 id="fit-cell-over-field-limit",
+            ),
+            pytest.param(
+                ["fit", "--input", "{src}", "--family", "poisson", "--out", "{out}"],
+                "id,latitude,longitude,count," + "a" * 200_000 + "\n",
+                "MalformedCsv: line 1: not valid CSV: field larger than field limit (131072)\n",
+                id="fit-header-cell-over-field-limit",
+            ),
+            pytest.param(
+                ["fit", "--input", "{src}", "--family", "poisson", "--out", "{out}"],
+                "",
+                "MissingColumn: required column 'id' not found in header\n",
+                id="fit-empty-table",
+            ),
+            pytest.param(
+                ["hotspot", "--input", SMOKE_CSV, "--value-column", "nosuch", "--weights", "knn:2",
+                 "--out", "{out}"],
+                None,
+                "UnknownCovariate: covariate 'nosuch' is not in the dataset schema\n",
+                id="hotspot-unknown-value-column",
+            ),
+            pytest.param(
+                SIMULATE,
+                '{"n": 10, "covariates": [{"name": "Intercept", "distribution":'
+                ' {"type": "normal", "mu": 0, "sigma": 1}}], "beta": [0.5, 1.5],'
+                ' "gamma": [0.1, 0.2], "layout": {"type": "uniform_square", "side_km": 10},'
+                ' "seed": 1}',
+                "InvalidSpec: covariate 'Intercept' is 'Intercept' or starts with 'inflate:'\n",
+                id="spec-covariate-named-intercept",
             ),
             pytest.param(
                 ["fit", "--input", "{src}", "--family", "poisson", "--covariates", "Intercept",

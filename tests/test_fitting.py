@@ -18,6 +18,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from geocount import (
+    CoefficientRow,
     CountyObservation,
     Dataset,
     Family,
@@ -814,6 +815,15 @@ class TestCoefficientNames:
             FitResult.from_dict(doc)
         doc["coefficients"][1]["name"] = "b"
         assert FitResult.from_dict(doc).names == ("a", "b")
+
+    def test_hand_built_result_with_a_repeated_name_is_refused(self):
+        a = CoefficientRow("a", 1.0, 1.0, 1.0, 0.3, "")
+        fields = dict(family=Family.POISSON, log_likelihood=-1.0, iterations=3, converged=True,
+                      covariance=np.eye(2))
+        message = "fit result: coefficient name 'a' appears more than once"
+        with pytest.raises(InvalidSpec, match=message):
+            FitResult(coefficients=(a, a._replace(estimate=2.0)), **fields)
+        assert FitResult(coefficients=(a, a._replace(name="b")), **fields).names == ("a", "b")
 
 
 class TestInflationDesign:

@@ -258,6 +258,8 @@ class TestZipLoglik:
             lambda: poisson_loglik(np.zeros(2), np.ones((3, 1)), np.zeros(3)),
             lambda: zip_loglik(np.zeros(1), np.zeros(1), np.ones((3, 1)), np.ones((2, 1)), np.zeros(3)),
             lambda: zip_loglik(np.zeros(1), np.zeros(2), np.ones((3, 1)), np.ones((3, 1)), np.zeros(3)),
+            # no gamma for Z; without its own check, the coefficient parse raises InvalidSpec
+            lambda: zip_loglik(np.zeros(1), None, np.ones((3, 1)), np.ones((3, 1)), np.zeros(3)),
         ],
     )
     def test_dimension_mismatches(self, call):

@@ -321,6 +321,13 @@ class TestDgpSpecValidation:
         with pytest.raises(InvalidSpec, match="covariate names must be unique strings"):
             DgpSpec(10, ((name, Normal(0, 1)),), (0.1, 0.2), (0.1, 0.2), UniformSquare(1.0), 0)
 
+    @pytest.mark.parametrize("name", ["Intercept", "inflate:x"])
+    def test_covariate_may_not_take_a_coefficient_name(self, name):
+        message = f"covariate {name!r} is 'Intercept' or starts with 'inflate:'"
+        with pytest.raises(InvalidSpec, match=re.escape(message)):
+            DgpSpec(10, ((name, Normal(0, 1)), ("x2", Normal(0, 1))), (0.5, 1.5, 0.2),
+                    (0.1, 0.2, 0.3), UniformSquare(100.0), 1)
+
     def test_duplicate_covariate_names(self):
         with pytest.raises(InvalidSpec):
             DgpSpec(
@@ -373,3 +380,8 @@ class TestRecoveryTrial:
         spec = intercept_only_spec(0.0, 0.0, n=100)
         with pytest.raises(InvalidSpec):
             recovery_trial(spec, ModelSpec(family="logit"))
+
+    def test_model_without_an_intercept_has_no_truth(self):
+        spec = intercept_only_spec(0.0, 0.0, n=100)
+        with pytest.raises(InvalidSpec, match="recovery_trial: spec truths include an intercept"):
+            recovery_trial(spec, ModelSpec(family="poisson", add_intercept=False))
