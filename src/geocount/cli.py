@@ -213,13 +213,7 @@ def _require(config: argparse.Namespace, *names) -> None:
 def cmd_fit(config: argparse.Namespace) -> int:
     _require(config, "input", "output", "family")
     dataset = read_dataset(config.input, IngestConfig(standardize=config.standardize))
-    model = ModelSpec(
-        family=Family(config.family),
-        count_covariates=config.covariates,
-        inflation_covariates=config.inflation_covariates,
-        add_intercept=True,
-    )
-    result = fit(model, dataset)
+    result = fit(ModelSpec(config.family, config.covariates, config.inflation_covariates), dataset)
     render = {"text": render_fit_text, "csv": render_fit_csv, "json": render_fit_json}
     Path(config.output).write_text(render[config.format](result), encoding="utf-8")
     print(
@@ -248,7 +242,7 @@ def cmd_hotspot(config: argparse.Namespace) -> int:
     scheme = _scheme(config.weights)
     dataset = read_dataset(config.input, IngestConfig())
     if config.value_column == "count":
-        values = dataset.counts().astype(float)
+        values = dataset.counts()
     else:
         values = dataset.covariate_values(config.value_column)
     weights = build_weights(dataset.centroids(), scheme)

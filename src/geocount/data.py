@@ -238,20 +238,15 @@ def build_design(dataset: Dataset, covariate_names, add_intercept: bool) -> Desi
     """
     covariate_names = tuple(covariate_names)
     reject_duplicates(covariate_names, DuplicateCovariate)
-    for name in covariate_names:
-        if name not in dataset.schema:
-            raise UnknownCovariate(name)
-    if not covariate_names and not add_intercept:
+    cols = [dataset.covariate_values(name) for name in covariate_names]
+    if not cols and not add_intercept:
         raise EmptySelection()
-
-    n = len(dataset)
-    cols = [dataset.covariates[:, dataset.schema.index(name)] for name in covariate_names]
     names = covariate_names
     if add_intercept:
-        cols.insert(0, np.ones(n))
+        cols.insert(0, np.ones(len(dataset)))
         names = (INTERCEPT,) + names
-    values = np.column_stack(cols) if cols else np.empty((n, 0))
-    return DesignMatrix(values=values, column_names=names, has_intercept=add_intercept)
+    return DesignMatrix(values=np.column_stack(cols), column_names=names,
+                        has_intercept=add_intercept)
 
 
 def binarize_counts(dataset: Dataset) -> np.ndarray:

@@ -17,7 +17,19 @@ import sys
 
 
 class GeocountError(Exception):
-    """Base class for all geocount domain errors."""
+    """Base class for all geocount domain errors.  A class with a ``template`` takes its
+    ``fields`` as arguments, stores each as the attribute of its name and formats its one
+    message from them; a class without one takes its message as it is."""
+
+    fields: tuple[str, ...] = ()
+    template: str | None = None
+
+    def __init__(self, *args):
+        if self.template is not None:
+            values = dict(zip(self.fields, args, strict=True))
+            self.__dict__.update(values)
+            args = (self.template.format(**values),)
+        super().__init__(*args)
 
     @property
     def code(self) -> str:
@@ -29,26 +41,19 @@ class GeocountError(Exception):
 
 
 class UnknownCovariate(GeocountError):
-    def __init__(self, name):
-        super().__init__(f"covariate {name!r} is not in the dataset schema")
-        self.name = name
+    fields, template = ("name",), "covariate {name!r} is not in the dataset schema"
 
 
 class DuplicateCovariate(GeocountError):
-    def __init__(self, name):
-        super().__init__(f"covariate {name!r} selected or defined more than once")
-        self.name = name
+    fields, template = ("name",), "covariate {name!r} selected or defined more than once"
 
 
 class ConstantColumn(GeocountError):
-    def __init__(self, name):
-        super().__init__(f"column {name!r} is constant")
-        self.name = name
+    fields, template = ("name",), "column {name!r} is constant"
 
 
 class EmptySelection(GeocountError):
-    def __init__(self):
-        super().__init__("no covariates selected and no intercept requested")
+    template = "no covariates selected and no intercept requested"
 
 
 # ---------------------------------------------------------------------------
@@ -56,15 +61,11 @@ class EmptySelection(GeocountError):
 
 
 class MissingColumn(GeocountError):
-    def __init__(self, name):
-        super().__init__(f"required column {name!r} not found in header")
-        self.name = name
+    fields, template = ("name",), "required column {name!r} not found in header"
 
 
 class DuplicateColumn(GeocountError):
-    def __init__(self, name):
-        super().__init__(f"column {name!r} appears more than once in the header")
-        self.name = name
+    fields, template = ("name",), "column {name!r} appears more than once in the header"
 
 
 class MalformedCsv(GeocountError):
@@ -75,10 +76,7 @@ class MalformedCsv(GeocountError):
 
 
 class NonNumericCell(GeocountError):
-    def __init__(self, row, column):
-        super().__init__(f"row {row}: cell in column {column!r} is not numeric")
-        self.row = row
-        self.column = column
+    fields, template = ("row", "column"), "row {row}: cell in column {column!r} is not numeric"
 
 
 class NegativeCount(GeocountError, ValueError):
@@ -89,28 +87,19 @@ class NegativeCount(GeocountError, ValueError):
 
 
 class NonFiniteCovariate(GeocountError, ValueError):
-    def __init__(self, row):
-        super().__init__(f"row {row}: covariates must be finite")
-        self.row = row
+    fields, template = ("row",), "row {row}: covariates must be finite"
 
 
 class ZeroDenominator(GeocountError):
-    def __init__(self, row, column):
-        super().__init__(f"row {row}: zero denominator in column {column!r}")
-        self.row = row
-        self.column = column
+    fields, template = ("row", "column"), "row {row}: zero denominator in column {column!r}"
 
 
 class DuplicateId(GeocountError):
-    def __init__(self, id):
-        super().__init__(f"duplicate observation id {id!r}")
-        self.id = id
+    fields, template = ("id",), "duplicate observation id {id!r}"
 
 
 class InvalidCoordinate(GeocountError, ValueError):
-    def __init__(self, row, message):
-        super().__init__(f"row {row}: {message}")
-        self.row = row
+    fields, template = ("row", "reason"), "row {row}: {reason}"
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +119,7 @@ class DegenerateOutcome(GeocountError, ValueError):
 
 
 class NonFiniteObjective(GeocountError):
-    def __init__(self, iteration):
-        super().__init__(f"objective became non-finite at iteration {iteration}")
-        self.iteration = iteration
+    fields, template = ("iteration",), "objective became non-finite at iteration {iteration}"
 
 
 class RankDeficientDesign(GeocountError):
@@ -143,22 +130,16 @@ class RankDeficientDesign(GeocountError):
 
 
 class SeparationSuspected(GeocountError):
-    def __init__(self):
-        super().__init__(
-            "logit fit did not converge and |x'beta| exceeds 30; "
-            "complete or quasi-complete separation suspected"
-        )
+    template = ("logit fit did not converge and |x'beta| exceeds 30; "
+                "complete or quasi-complete separation suspected")
 
 
 class SingularInformation(GeocountError):
-    def __init__(self):
-        super().__init__("observed information matrix is singular or indefinite")
+    template = "observed information matrix is singular or indefinite"
 
 
 class ZeroStandardError(GeocountError):
-    def __init__(self, name):
-        super().__init__(f"coefficient {name!r} has zero standard error")
-        self.name = name
+    fields, template = ("name",), "coefficient {name!r} has zero standard error"
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +151,7 @@ class DegenerateGeometry(GeocountError):
 
 
 class KTooLarge(GeocountError):
-    def __init__(self, k, n):
-        super().__init__(f"k={k} neighbors requested but only {n} observations")
-        self.k = k
-        self.n = n
+    fields, template = ("k", "n"), "k={k} neighbors requested but only {n} observations"
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +279,15 @@ def field_rules(cls) -> dict:
 def refusal(obj, name: str, wording: str, value) -> InvalidSpec:
     """``<Class> <field> must be <wording>, got <value>``, a long value cut short by ``reprlib``."""
     return InvalidSpec(f"{type(obj).__name__} {name} must be {wording}, got {reprlib.repr(value)}")
+
+
+def must_be(value, cls, where: str):
+    """``value`` if it is a ``cls``; else ``InvalidSpec: <where> must be a <Class>, got <value>``,
+    where ``where`` names the function and the argument, as in ``fit: dataset``."""
+    if isinstance(value, cls):
+        return value
+    article = "an" if cls.__name__[0] in "AEIOU" else "a"
+    raise InvalidSpec(f"{where} must be {article} {cls.__name__}, got {reprlib.repr(value)}")
 
 
 def check_fields(obj) -> None:

@@ -15,6 +15,7 @@ start-up.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -34,6 +35,7 @@ from .exceptions import (
     ZeroStandardError,
     Checked,
     is_kind,
+    must_be,
     read_object,
     rule,
 )
@@ -149,7 +151,11 @@ def fd_hessian(score: Callable[[np.ndarray], np.ndarray], theta: np.ndarray) -> 
     k points theta + h_j e_j, then the k points theta - h_j e_j, in one (2k, k)
     stack and returns the gradients at them, one row per point.
     """
-    theta = np.asarray(theta, dtype=np.float64)
+    try:
+        theta = np.asarray(theta, dtype=np.float64)
+    except (ValueError, TypeError):
+        message = f"fd_hessian: theta must be a list of numbers, got {reprlib.repr(theta)}"
+        raise InvalidSpec(message) from None
     k = theta.shape[0]
     h = 1e-5 * (1.0 + np.abs(theta))
     points = np.full((2, k, k), theta)
@@ -306,12 +312,12 @@ def fit(model: ModelSpec, dataset: Dataset, options: OptimOptions = OptimOptions
     ``max(1, SCORE_BLOCK_ELEMENTS // n)`` points.  The covariance is the
     inverse of the negative finite-difference Hessian at the optimum.
     """
-    if len(dataset) < 2:
+    if len(must_be(dataset, Dataset, "fit: dataset")) < 2:
         raise DegenerateOutcome("at least 2 observations are required for a fit")
     counts = dataset.counts()
     if not np.any(counts > 0):
         raise DegenerateOutcome("all counts are zero; likelihood is degenerate")
-    family = FAMILIES[model.family]
+    family = FAMILIES[must_be(model, ModelSpec, "fit: model").family]
     if family.inflated and np.all(counts > 0):
         raise DegenerateOutcome("no zero counts; the zero-inflation part is not identified")
 
@@ -335,7 +341,7 @@ def fit(model: ModelSpec, dataset: Dataset, options: OptimOptions = OptimOptions
     init = family.initial_values(counts, X, Z, model.add_intercept)
     # an overflow ends in a typed error or a refused trial step, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        result = maximize(objective, score, init, options)
+        result = maximize(objective, score, init, must_be(options, OptimOptions, "fit: options"))
         if family.binary and not result.converged:
             if float(np.max(np.abs(X.values @ result.theta))) > 30.0:
                 raise SeparationSuspected()

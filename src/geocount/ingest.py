@@ -15,6 +15,7 @@ import io
 import itertools
 import os
 import re
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .exceptions import (
     NonNumericCell,
     ZeroDenominator,
     Checked,
+    must_be,
     not_utf8,
     rule,
 )
@@ -69,15 +71,17 @@ class IngestConfig(Checked):
         return tuple(d for _, d in self.rate_specs) + tuple(d for _, _, d in self.ratio_specs)
 
 
-def _open(target, mode: str):
+def _open(target, mode: str, where: str):
     """The file as a context manager: a path is opened in ``mode`` and closed on exit; an open
-    file is used as is and left open.
+    file is used as is and left open.  Anything else is ``InvalidSpec`` naming ``where``.
 
     A path is read as UTF-8 after an optional byte-order mark and written as UTF-8.
     """
     if isinstance(target, (str, os.PathLike)):
         encoding = "utf-8-sig" if mode == "r" else "utf-8"
         return open(target, mode, encoding=encoding, newline="")
+    if not hasattr(target, "read" if mode == "r" else "write"):
+        raise InvalidSpec(f"{where} must be a path or an open file, got {reprlib.repr(target)}")
     return contextlib.nullcontext(target)
 
 
@@ -228,7 +232,7 @@ def read_dataset(csv_source, config: IngestConfig) -> Dataset:
     and, within it, the first bad cell in the order a row is checked:
     latitude, longitude, count, the other columns, then derivations.
     """
-    with _open(csv_source, "r") as handle:
+    with _open(csv_source, "r", "read_dataset: csv_source") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
@@ -237,7 +241,7 @@ def read_dataset(csv_source, config: IngestConfig) -> Dataset:
             reject_duplicates(header, DuplicateColumn)
 
             required = [ID_COLUMN, LAT_COLUMN, LON_COLUMN, COUNT_COLUMN]
-            if config.population_column is not None:
+            if must_be(config, IngestConfig, "read_dataset: config").population_column is not None:
                 required.append(config.population_column)
             required += [raw for raw, _ in config.rate_specs]
             required += [num for num, _, _ in config.ratio_specs]
@@ -308,7 +312,8 @@ def write_dataset(dataset: Dataset, sink) -> None:
     Ids and names are quoted by :func:`csv_field`; reading the output back with
     a plain :class:`IngestConfig` gives the same ids, names and values.
     """
-    with _open(sink, "w") as handle:
+    must_be(dataset, Dataset, "write_dataset: dataset")
+    with _open(sink, "w", "write_dataset: sink") as handle:
         header = [ID_COLUMN, LAT_COLUMN, LON_COLUMN, COUNT_COLUMN, *dataset.schema]
         columns = [
             map(csv_field, dataset.ids),

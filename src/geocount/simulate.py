@@ -44,7 +44,7 @@ from numpy.random import PCG64, Generator, SeedSequence
 from . import _ziggurat
 from .data import INFLATE_PREFIX, INTERCEPT, Dataset, is_lat_lon
 from .exceptions import FINITE_NUMBERS, Checked, InvalidSpec, is_kind, read_json, read_object
-from .exceptions import refusal, rule
+from .exceptions import must_be, refusal, rule
 from .fitting import FitResult, OptimOptions, fit
 from .likelihoods import Family, ModelSpec
 from .spatial import EARTH_RADIUS_KM
@@ -455,32 +455,28 @@ class _Streams:
         lam == 0 draws no word.  Below 10, numpy multiplies doubles until the
         product falls to exp(-lam); here the next ``_POISSON_WORDS`` states of
         every unit still multiplying are jumped to at once.  From 10 on numpy
-        draws (PTRS).  A count is each unit's last draw, so the states the
-        multiplying units reach are not kept.
+        draws (PTRS).  A count is the number of products above exp(-lam).  It is
+        each unit's last draw, so the states the multiplying units reach are not kept.
         """
         counts = np.zeros(len(lam), dtype=np.int64)
         large = np.flatnonzero(lam >= 10.0)
         counts[large] = self._numpy(large, self._state(), lambda rng, i: rng.poisson(lam[i]))
         units = np.flatnonzero((0.0 < lam) & (lam < 10.0))
-        limit = _exp(-lam[units])
-        hi, lo = self.hi[units], self.lo[units]
-        inc_hi, inc_lo = self.inc[0][units], self.inc[1][units]
-        product = np.ones(len(units))
-        drawn = 0
+        arrays = (_exp(-lam[units]), np.ones(len(units)), self.hi[units], self.lo[units],
+                  self.inc[0][units], self.inc[1][units])
         while len(units):
+            limit, product, hi, lo, inc_hi, inc_lo = arrays
             # (words, units) states: state + C_j * (one step's difference)
             ahead = _mul_add(*_mul_add(hi, lo, _DIFF, inc_hi, inc_lo), _JUMPS, hi, lo)
             products = _unit_interval(_output(*ahead))
             products[0] *= product
             np.multiply.accumulate(products, axis=0, out=products)
-            stop = products <= limit
-            done = stop.any(axis=0)
-            counts[units[done]] = drawn + stop.argmax(axis=0)[done]
-            going = ~done
-            units, limit, product = units[going], limit[going], products[-1, going]
-            hi, lo = ahead[0][-1, going], ahead[1][-1, going]
-            inc_hi, inc_lo = inc_hi[going], inc_lo[going]
-            drawn += _POISSON_WORDS
+            above = products > limit  # a prefix of each column, as the products fall
+            counts[units] += above.sum(axis=0)
+            going = above[-1]
+            units = units[going]
+            arrays = tuple(a[going] for a in (limit, products[-1], ahead[0][-1], ahead[1][-1],
+                                              inc_hi, inc_lo))
         return counts
 
 
@@ -492,7 +488,7 @@ def generate(spec: DgpSpec) -> Dataset:
     covariate terms in declared order.  A spec that fails stops at its first
     failing unit, with that unit's message.
     """
-    n = spec.n
+    n = must_be(spec, DgpSpec, "generate: spec").n
     streams = _Streams(spec.seed, n)
     covariates = np.empty((n, len(spec.covariates)))
     eta, psi = np.full(n, spec.beta[0]), np.full(n, spec.gamma[0])
@@ -514,7 +510,7 @@ def generate(spec: DgpSpec) -> Dataset:
         raise InvalidSpec(
             f"lambda {lam_i} at unit {i} is NaN or above the Poisson limit {POISSON_LAM_MAX}"
         )
-    width = len(str(n - 1)) if n > 1 else 1
+    width = len(str(n - 1))
     return Dataset(
         schema=spec.covariate_names,
         ids=["u" + str(i).zfill(width) for i in range(n)],
@@ -615,12 +611,12 @@ def recovery_trial(
     inflation component against gamma.  The binary-presence family has no
     coefficient truth under this process and is rejected.
     """
-    if model.family is Family.LOGIT:
+    if must_be(model, ModelSpec, "recovery_trial: model").family is Family.LOGIT:
         raise InvalidSpec("recovery_trial: the generating process implies no logit truth")
     if not model.add_intercept:
         raise InvalidSpec("recovery_trial: spec truths include an intercept")
 
-    names = (INTERCEPT, *spec.covariate_names)
+    names = (INTERCEPT, *must_be(spec, DgpSpec, "recovery_trial: spec").covariate_names)
     truths = dict(zip(names, spec.beta))
     truths.update(zip([INFLATE_PREFIX + name for name in names], spec.gamma))
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import _column
 from .exceptions import DegenerateGeometry, DimensionMismatch, DomainError, InvalidSpec
-from .exceptions import Checked, KTooLarge, rule
+from .exceptions import Checked, KTooLarge, must_be, rule
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -298,6 +298,7 @@ def getis_ord_gstar(values, W: SpatialWeightsMatrix) -> HotspotResult:
     :class:`DomainError`.
     """
     x = _column(values, "values", np.float64)
+    must_be(W, SpatialWeightsMatrix, "getis_ord_gstar: W")
     if x.ndim != 1 or x.shape[0] != W.n:
         raise DimensionMismatch(f"expected {W.n} values, got shape {x.shape}")
     n = W.n

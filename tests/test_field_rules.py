@@ -1,11 +1,13 @@
 """Field rules, declared on the fields by ``exceptions.rule``: every constructor field with a
 rule refuses a value of the wrong kind with ``InvalidSpec: <Class> <field> must be …`` and
 stores a value of the right kind as that kind, a sequence as a tuple.  Every dataclass field
-in geocount has a rule or is listed in ``UNCHECKED``."""
+in geocount has a rule or is listed in ``UNCHECKED``.  Every error class builds its message
+and attributes as declared, and a library argument of the wrong type is ``InvalidSpec``."""
 
 import dataclasses
 import importlib
 import inspect
+import io
 import math
 import pkgutil
 
@@ -13,12 +15,14 @@ import numpy as np
 import pytest
 
 import geocount
+from geocount import exceptions, fd_hessian, fit, generate, getis_ord_gstar
 from geocount.data import CountyObservation, Dataset, DesignMatrix
 from geocount.exceptions import Checked, GeocountError, InvalidSpec, field_rules
 from geocount.fitting import FitResult, OptimOptions
-from geocount.ingest import IngestConfig
+from geocount.ingest import IngestConfig, read_dataset, write_dataset
 from geocount.likelihoods import FamilyModel, ModelSpec, Params
 from geocount.simulate import Bernoulli, Clustered, DgpSpec, Normal, RecoveryReport, RecoveryRow
+from geocount.simulate import recovery_trial
 from geocount.simulate import Uniform, UniformSquare
 from geocount.spatial import DistanceBand, HotspotResult, KNearest, SpatialWeightsMatrix
 from geocount.spatial import WeightsSummary
@@ -191,3 +195,122 @@ def test_any_field_value_is_taken_or_refused_with_a_typed_error():
                     cls(**{**valid, name: value})
                 except GeocountError:
                     pass
+
+
+#: Every error class, built with fixed arguments: its message, whether it is a ``ValueError``
+#: and its attributes.  A mistyped template or field changes a row.
+ERRORS = [
+    ("GeocountError", ("boom",), "boom", False, {}),
+    ("UnknownCovariate", ("x",), "covariate 'x' is not in the dataset schema", False,
+     {"name": "x"}),
+    ("DuplicateCovariate", ("x",), "covariate 'x' selected or defined more than once", False,
+     {"name": "x"}),
+    ("ConstantColumn", ("c",), "column 'c' is constant", False, {"name": "c"}),
+    ("EmptySelection", (), "no covariates selected and no intercept requested", False, {}),
+    ("MissingColumn", ("id",), "required column 'id' not found in header", False,
+     {"name": "id"}),
+    ("DuplicateColumn", ("lat",), "column 'lat' appears more than once in the header", False,
+     {"name": "lat"}),
+    ("MalformedCsv", (3, "bad quote"), "line 3: not valid CSV: bad quote", False, {"line": 3}),
+    ("MalformedCsv", (None, "r"), "not valid CSV: r", False, {"line": None}),
+    ("NonNumericCell", (4, "x"), "row 4: cell in column 'x' is not numeric", False,
+     {"row": 4, "column": "x"}),
+    ("NegativeCount", (5,), "row 5: count outcome must be a nonnegative integer", True,
+     {"row": 5}),
+    ("NegativeCount", (), "count outcome must be a nonnegative integer", True, {"row": None}),
+    ("NonFiniteCovariate", (6,), "row 6: covariates must be finite", True, {"row": 6}),
+    ("ZeroDenominator", (7, "pop"), "row 7: zero denominator in column 'pop'", False,
+     {"row": 7, "column": "pop"}),
+    ("DuplicateId", ("a",), "duplicate observation id 'a'", False, {"id": "a"}),
+    ("InvalidCoordinate", (8, "latitude 91.0 outside [-90, 90]"),
+     "row 8: latitude 91.0 outside [-90, 90]", True,
+     {"row": 8, "reason": "latitude 91.0 outside [-90, 90]"}),
+    ("DimensionMismatch", ("dims",), "dims", False, {}),
+    ("DomainError", ("dom",), "dom", False, {}),
+    ("DegenerateOutcome", ("deg",), "deg", True, {}),
+    ("NonFiniteObjective", (9,), "objective became non-finite at iteration 9", False,
+     {"iteration": 9}),
+    ("RankDeficientDesign", (["a", "b"],), "design matrix is rank deficient; suspect columns: a, b",
+     False, {"columns": ("a", "b")}),
+    ("SeparationSuspected", (), "logit fit did not converge and |x'beta| exceeds 30; "
+     "complete or quasi-complete separation suspected", False, {}),
+    ("SingularInformation", (), "observed information matrix is singular or indefinite", False,
+     {}),
+    ("ZeroStandardError", ("b",), "coefficient 'b' has zero standard error", False,
+     {"name": "b"}),
+    ("DegenerateGeometry", ("geo",), "geo", False, {}),
+    ("KTooLarge", (8, 5), "k=8 neighbors requested but only 5 observations", False,
+     {"k": 8, "n": 5}),
+    ("InvalidSpec", ("spec",), "spec", True, {}),
+]
+
+ERROR_CLASSES = {name: cls for name, cls in inspect.getmembers(exceptions, inspect.isclass)
+                 if issubclass(cls, GeocountError)}
+
+
+def test_every_error_class_has_a_row():
+    assert {name for name, *_ in ERRORS} == set(ERROR_CLASSES)
+
+
+def test_only_optional_and_joined_messages_have_their_own_init():
+    # a None line or row drops the message's prefix, and the columns are joined
+    own = {name for name, cls in ERROR_CLASSES.items() if "__init__" in vars(cls)}
+    assert own == {"GeocountError", "MalformedCsv", "NegativeCount", "RankDeficientDesign"}
+
+
+@pytest.mark.parametrize("name, args, message, value_error, attributes", ERRORS,
+                         ids=[f"{row[0]}-{len(row[1])}" for row in ERRORS])
+def test_error_message_and_attributes(name, args, message, value_error, attributes):
+    error = ERROR_CLASSES[name](*args)
+    assert (str(error), error.args, error.code) == (message, (message,), name)
+    assert repr(error) == f"{name}({message!r})"
+    assert isinstance(error, ValueError) is value_error
+    assert vars(error) == attributes
+
+
+def test_declared_error_takes_exactly_its_fields():
+    with pytest.raises(ValueError):
+        exceptions.KTooLarge(8)
+    with pytest.raises(ValueError):
+        exceptions.EmptySelection("extra")
+
+
+def _dataset():
+    return Dataset(schema=(), ids=("a", "b"), latlon=[[40.0, -90.0], [41.0, -91.0]], y=[0, 2],
+                   covariates=np.empty((2, 0)))
+
+
+#: A library call with one argument of the wrong type, and the ``InvalidSpec`` it raises.
+WRONG_TYPES = [
+    (lambda: fit(ModelSpec("poisson"), None), "fit: dataset must be a Dataset, got None"),
+    (lambda: fit(ModelSpec("poisson"), _dataset(), None),
+     "fit: options must be an OptimOptions, got None"),
+    (lambda: fit("poisson", _dataset()), "fit: model must be a ModelSpec, got 'poisson'"),
+    (lambda: read_dataset(5, IngestConfig()),
+     "read_dataset: csv_source must be a path or an open file, got 5"),
+    (lambda: read_dataset(io.StringIO("id,latitude,longitude,count\n"), None),
+     "read_dataset: config must be an IngestConfig, got None"),
+    (lambda: write_dataset(None, io.StringIO()),
+     "write_dataset: dataset must be a Dataset, got None"),
+    (lambda: write_dataset(_dataset(), 5),
+     "write_dataset: sink must be a path or an open file, got 5"),
+    (lambda: generate(None), "generate: spec must be a DgpSpec, got None"),
+    (lambda: recovery_trial(None, ModelSpec("poisson")),
+     "recovery_trial: spec must be a DgpSpec, got None"),
+    (lambda: recovery_trial(DgpSpec(**VALID[DgpSpec]), None),
+     "recovery_trial: model must be a ModelSpec, got None"),
+    (lambda: getis_ord_gstar([1.0, 2.0], None),
+     "getis_ord_gstar: W must be a SpatialWeightsMatrix, got None"),
+    (lambda: fd_hessian(lambda points: points, "abc"),
+     "fd_hessian: theta must be a list of numbers, got 'abc'"),
+    (lambda: fd_hessian(lambda points: points, [[1.0], [1.0, 2.0]]),
+     "fd_hessian: theta must be a list of numbers, got [[1.0], [1.0, 2.0]]"),
+]
+
+
+@pytest.mark.parametrize("call, message", WRONG_TYPES,
+                         ids=[message.split(" must")[0] for _, message in WRONG_TYPES])
+def test_wrong_argument_type_is_invalid_spec(call, message):
+    with pytest.raises(InvalidSpec) as info:
+        call()
+    assert str(info.value) == message

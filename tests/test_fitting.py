@@ -780,6 +780,20 @@ class TestNonFiniteHessian:
             _observed_covariance(lambda points: np.full_like(points, np.nan), np.zeros(2))
 
 
+class TestSafetyBranches:
+    def test_newton_step_falls_back_to_steepest_ascent(self):
+        # a 1e300 curvature keeps every ridged step's g's at or below 0 for 200 doublings
+        step = _newton_step(np.diag([1e300, 1.0]), np.array([1.0, 2.0]), 1e-10)
+        assert step.tolist() == [0.4472135954999579, 0.8944271909999159]  # g / |g|
+
+    def test_covariance_with_a_non_finite_inverse(self):
+        # a -1e-310 Hessian is subnormal: LAPACK inverts it to inf instead of failing
+        # (a factor of 1e-320 underflows to 0 and takes the LinAlgError branch instead)
+        with pytest.warns(scipy.linalg.LinAlgWarning, match="ill-conditioned"):
+            with pytest.raises(SingularInformation):
+                _observed_covariance(lambda points: -1e-310 * points, np.array([0.0]))
+
+
 class TestCoefficientNames:
     """Coefficient names are unique, so a table row is found by its name."""
 
