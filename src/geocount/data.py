@@ -28,6 +28,7 @@ from .exceptions import (
     NegativeCount,
     NonFiniteCovariate,
     UnknownCovariate,
+    must_be,
     rule,
 )
 
@@ -236,6 +237,7 @@ def build_design(dataset: Dataset, covariate_names, add_intercept: bool) -> Desi
     observation order.  Duplicate selections are rejected outright to keep
     rank-deficient designs from forming silently.
     """
+    must_be(dataset, Dataset, "build_design: dataset")
     covariate_names = tuple(covariate_names)
     reject_duplicates(covariate_names, DuplicateCovariate)
     cols = [dataset.covariate_values(name) for name in covariate_names]
@@ -251,4 +253,4 @@ def build_design(dataset: Dataset, covariate_names, add_intercept: bool) -> Desi
 
 def binarize_counts(dataset: Dataset) -> np.ndarray:
     """0/1 vector: element i is 1 exactly when observation i has count > 0."""
-    return (dataset.counts() > 0).astype(np.int64)
+    return (must_be(dataset, Dataset, "binarize_counts: dataset").counts() > 0).astype(np.int64)

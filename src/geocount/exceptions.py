@@ -7,6 +7,7 @@ such as a number or a sequence kind ``(str,)``: JSON fields (:func:`read_object`
 Every JSON document (a spec, a saved fit, a ``--config`` file) is parsed by :func:`read_json`.
 """
 
+import copyreg
 import dataclasses
 import functools
 import json
@@ -30,6 +31,11 @@ class GeocountError(Exception):
             self.__dict__.update(values)
             args = (self.template.format(**values),)
         super().__init__(*args)
+
+    def __reduce__(self):
+        # pickle would call the class on ``args``, the one formatted message; rebuild the
+        # error as it is instead: its args and its attributes, with no ``__init__`` call
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
     @property
     def code(self) -> str:

@@ -144,6 +144,16 @@ class FitResult:
         return cls(**doc)
 
 
+def _numbers(convert, value, where: str) -> np.ndarray:
+    """``convert(value, dtype=float64)``, ``np.asarray`` or ``np.array``; a value that is not
+    numbers is ``InvalidSpec: <where> must be a list of numbers, got <value>``."""
+    try:
+        return convert(value, dtype=np.float64)
+    except (ValueError, TypeError):
+        message = f"{where} must be a list of numbers, got {reprlib.repr(value)}"
+        raise InvalidSpec(message) from None
+
+
 def fd_hessian(score: Callable[[np.ndarray], np.ndarray], theta: np.ndarray) -> np.ndarray:
     """Central finite differences of a stacked analytic score, symmetrized.
 
@@ -151,11 +161,7 @@ def fd_hessian(score: Callable[[np.ndarray], np.ndarray], theta: np.ndarray) -> 
     k points theta + h_j e_j, then the k points theta - h_j e_j, in one (2k, k)
     stack and returns the gradients at them, one row per point.
     """
-    try:
-        theta = np.asarray(theta, dtype=np.float64)
-    except (ValueError, TypeError):
-        message = f"fd_hessian: theta must be a list of numbers, got {reprlib.repr(theta)}"
-        raise InvalidSpec(message) from None
+    theta = _numbers(np.asarray, theta, "fd_hessian: theta")
     k = theta.shape[0]
     h = 1e-5 * (1.0 + np.abs(theta))
     points = np.full((2, k, k), theta)
@@ -211,7 +217,8 @@ def maximize(
     gradient or Hessian before a step, raises ``NonFiniteObjective``.
     """
     grad = lambda th: np.asarray(score(th[None]), dtype=np.float64)[0]
-    theta = np.array(init, dtype=np.float64)
+    theta = _numbers(np.array, init, "maximize: init")
+    options = must_be(options, OptimOptions, "maximize: options")
     f = float(loglik(theta))
     if not np.isfinite(f):
         raise NonFiniteObjective(0)
@@ -309,8 +316,9 @@ def fit(model: ModelSpec, dataset: Dataset, options: OptimOptions = OptimOptions
     The inputs are checked once; the family's entry in ``FAMILIES`` supplies
     the starting values (see ``FamilyModel.initial_values``), the coefficient
     names and the unchecked cores, which the score calls on blocks of at most
-    ``max(1, SCORE_BLOCK_ELEMENTS // n)`` points.  The covariance is the
-    inverse of the negative finite-difference Hessian at the optimum.
+    ``max(1, SCORE_BLOCK_ELEMENTS // n)`` points, with a memo when a block is one
+    point (see ``FamilyModel``).  The covariance is the inverse of the negative
+    finite-difference Hessian at the optimum.
     """
     if len(must_be(dataset, Dataset, "fit: dataset")) < 2:
         raise DegenerateOutcome("at least 2 observations are required for a fit")
@@ -333,8 +341,9 @@ def fit(model: ModelSpec, dataset: Dataset, options: OptimOptions = OptimOptions
     data = family.prepare(X, Z, binarize_counts(dataset) if family.binary else counts)
     kx, block = X.k, max(1, SCORE_BLOCK_ELEMENTS // len(dataset))
     objective = lambda th: family.loglik(th[:kx], th[kx:], data)
+    memo = {} if block == 1 else None  # serves one-row calls only
     score = lambda points: np.concatenate([
-        family.grad(points[i : i + block, :kx], points[i : i + block, kx:], data)
+        family.grad(points[i : i + block, :kx], points[i : i + block, kx:], data, memo)
         for i in range(0, len(points), block)
     ])
 

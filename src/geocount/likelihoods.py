@@ -106,6 +106,7 @@ class Prepared(NamedTuple):
     Z: np.ndarray | None  # None for a family without an inflation design
     y: np.ndarray  # float64 outcome
     zero: np.ndarray  # y == 0
+    zeros: np.ndarray  # the indices of the y == 0 rows
     log_y_factorial: np.ndarray  # gammaln(y + 1)
 
 
@@ -158,7 +159,7 @@ def _logit_loglik(beta, gamma, d: Prepared) -> float:
     return float(np.sum(log_sigmoid(np.where(d.zero, -eta, eta))))
 
 
-def _logit_grad(beta, gamma, d: Prepared) -> np.ndarray:
+def _logit_grad(beta, gamma, d: Prepared, memo=None) -> np.ndarray:
     from scipy.special import expit
     return _products(d.X.T, d.y - expit(_products(d.X, beta)))
 
@@ -168,7 +169,7 @@ def _poisson_loglik(beta, gamma, d: Prepared) -> float:
     return float(np.sum(-np.exp(eta) + d.y * eta - d.log_y_factorial))
 
 
-def _poisson_grad(beta, gamma, d: Prepared) -> np.ndarray:
+def _poisson_grad(beta, gamma, d: Prepared, memo=None) -> np.ndarray:
     return _products(d.X.T, d.y - np.exp(_products(d.X, beta)))
 
 
@@ -177,23 +178,38 @@ def _zip_loglik(beta, gamma, d: Prepared) -> float:
     lam = np.exp(eta)
     psi = d.Z @ gamma
     log_one_minus_p = -np.logaddexp(0.0, psi)
-    terms = np.where(
-        d.zero,
-        np.logaddexp(psi, -lam) + log_one_minus_p,
-        log_one_minus_p + d.y * eta - lam - d.log_y_factorial,
-    )
+    # every row as y > 0, then the zero rows overwritten with their own branch
+    terms = log_one_minus_p + d.y * eta - lam - d.log_y_factorial
+    z = d.zeros
+    terms[z] = np.logaddexp(psi.take(z), -lam.take(z)) + log_one_minus_p.take(z)
     return float(np.sum(terms))
 
 
-def _zip_grad(beta, gamma, d: Prepared) -> np.ndarray:
+def _recall(memo: dict | None, slot: str, coefficients: np.ndarray, compute):
+    """``compute()`` for the one-row stack ``coefficients``, kept in ``memo[slot]`` under the
+    row's bytes and returned again while the next call's row has the same bytes.  Without a
+    memo, or for more rows, it is computed on each call."""
+    if memo is None or len(coefficients) != 1:
+        return compute()
+    key = coefficients.tobytes()
+    kept = memo.get(slot)
+    if kept is None or kept[0] != key:
+        memo[slot] = kept = key, compute()
+    return kept[1]
+
+
+def _zip_grad(beta, gamma, d: Prepared, memo=None) -> np.ndarray:
     from scipy.special import expit
-    lam = np.exp(_products(d.X, beta))
-    psi = _products(d.Z, gamma)
-    p = expit(psi)
-    # beta weights: y>0 gives (y - lambda); y=0 gives -lambda * (1-p)e^{-lam}/D
-    w_beta = np.where(d.zero, -lam * expit(-(psi + lam)), d.y - lam)
-    # gamma weights: y>0 gives -p; y=0 gives p(1-p)(1-e^{-lam})/D
-    w_gamma = np.where(d.zero, (1.0 - p) * (-np.expm1(-lam)) * expit(psi + lam), -p)
+    # a point that moves only beta keeps psi and p; one that moves only gamma keeps lambda
+    lam = _recall(memo, "lambda", beta, lambda: np.exp(_products(d.X, beta)))
+    psi, p = _recall(memo, "psi", gamma, lambda: (psi := _products(d.Z, gamma), expit(psi)))
+    # y>0 gives (y - lambda) for beta and -p for gamma, computed on every row; the zero
+    # rows are then overwritten with -lambda * (1-p)e^{-lam}/D and p(1-p)(1-e^{-lam})/D
+    w_beta, w_gamma = d.y - lam, -p
+    z = d.zeros
+    lam, psi, p = lam.take(z, axis=1), psi.take(z, axis=1), p.take(z, axis=1)
+    w_beta[:, z] = -lam * expit(-(psi + lam))
+    w_gamma[:, z] = (1.0 - p) * (-np.expm1(-lam)) * expit(psi + lam)
     return np.concatenate([_products(d.X.T, w_beta), _products(d.Z.T, w_gamma)], axis=1)
 
 
@@ -217,7 +233,10 @@ class FamilyModel:
     ``predict(beta, gamma, X, Z)`` trust their inputs.  ``grad`` is stacked: it
     takes m points as coefficient rows, beta (m, kx) and gamma (m, kz), and
     returns their (m, k) scores, in beta and then gamma; one point is the
-    m = 1 call.  gamma and Z are None unless ``inflated``.
+    m = 1 call.  gamma and Z are None unless ``inflated``.  ``grad``'s optional
+    ``memo``, a dict that one caller keeps across its one-row calls, lets the
+    ZIP core reuse lambda, or psi and p, from the last call whose beta, or
+    gamma, row had the same bytes; the other cores ignore it.
     """
 
     loglik: Callable[..., float]
@@ -242,7 +261,8 @@ class FamilyModel:
             raise DomainError("logit outcome must be a 0/1 vector")
         if not self.binary and (np.any(y < 0) or np.any(y != np.round(y))):
             raise NegativeCount()
-        return Prepared(Xv, Zv, y, y == 0, gammaln(y + 1.0))
+        zero = y == 0
+        return Prepared(Xv, Zv, y, zero, np.flatnonzero(zero), gammaln(y + 1.0))
 
     def initial_values(self, counts: np.ndarray, X: DesignMatrix, Z, add_intercept: bool):
         """Zeros; with an intercept, log(mean count + 0.01) for a count model's and

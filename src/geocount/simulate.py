@@ -559,6 +559,7 @@ def _descriptor_from_json(payload: dict, table: dict):
 
 
 def dgp_spec_to_json(spec: DgpSpec) -> str:
+    must_be(spec, DgpSpec, "dgp_spec_to_json: spec")
     doc = {
         "n": spec.n,
         "covariates": [

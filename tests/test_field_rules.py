@@ -9,6 +9,7 @@ import importlib
 import inspect
 import io
 import math
+import pickle
 import pkgutil
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 import geocount
 from geocount import exceptions, fd_hessian, fit, generate, getis_ord_gstar
+from geocount import binarize_counts, build_design, dgp_spec_to_json, maximize
 from geocount.data import CountyObservation, Dataset, DesignMatrix
 from geocount.exceptions import Checked, GeocountError, InvalidSpec, field_rules
 from geocount.fitting import FitResult, OptimOptions
@@ -268,6 +270,16 @@ def test_error_message_and_attributes(name, args, message, value_error, attribut
     assert vars(error) == attributes
 
 
+@pytest.mark.parametrize("protocol", [0, pickle.HIGHEST_PROTOCOL])
+@pytest.mark.parametrize("name, args, message, value_error, attributes", ERRORS,
+                         ids=[f"{row[0]}-{len(row[1])}" for row in ERRORS])
+def test_error_survives_pickle(name, args, message, value_error, attributes, protocol):
+    error = ERROR_CLASSES[name](*args)
+    copy = pickle.loads(pickle.dumps(error, protocol))
+    assert type(copy) is type(error)
+    assert (str(copy), copy.args, copy.code, vars(copy)) == (message, (message,), name, attributes)
+
+
 def test_declared_error_takes_exactly_its_fields():
     with pytest.raises(ValueError):
         exceptions.KTooLarge(8)
@@ -305,6 +317,13 @@ WRONG_TYPES = [
      "fd_hessian: theta must be a list of numbers, got 'abc'"),
     (lambda: fd_hessian(lambda points: points, [[1.0], [1.0, 2.0]]),
      "fd_hessian: theta must be a list of numbers, got [[1.0], [1.0, 2.0]]"),
+    (lambda: maximize(lambda theta: 0.0, lambda points: points, "abc"),
+     "maximize: init must be a list of numbers, got 'abc'"),
+    (lambda: maximize(lambda theta: 0.0, lambda points: points, [0.0], None),
+     "maximize: options must be an OptimOptions, got None"),
+    (lambda: build_design(None, (), True), "build_design: dataset must be a Dataset, got None"),
+    (lambda: binarize_counts(None), "binarize_counts: dataset must be a Dataset, got None"),
+    (lambda: dgp_spec_to_json(None), "dgp_spec_to_json: spec must be a DgpSpec, got None"),
 ]
 
 

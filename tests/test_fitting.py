@@ -614,7 +614,8 @@ class TestFitMatchesClosureOracle:
         self, family, add_intercept, k, n, max_iterations, block_rows, seed
     ):
         """``fit`` equals the oracle with its score's default blocks (``block_rows``
-        None: one block up to n = 4,096) and with blocks of 1, 2 or 3 rows."""
+        None: one block up to n = 4,096) and with blocks of 1, 2 or 3 rows (one row: with
+        a memo)."""
         rng = np.random.default_rng(seed)
         k = max(k, int(not add_intercept))  # a design needs a column
         columns = rng.standard_normal((n, k))
@@ -769,6 +770,17 @@ class TestNonFiniteHessian:
         ds = dataset_from_arrays(SCALED_COUNTS, np.array(SCALED_X)[:, None], schema=("x",))
         with pytest.raises(NonFiniteObjective, match="non-finite at iteration 1$"):
             fit(ModelSpec(family=family, count_covariates=("x",)), ds)
+
+    @pytest.mark.parametrize("family", ["poisson", "zip"])
+    def test_an_overflow_in_one_row_blocks_prints_no_warning(self, family):
+        """One-row blocks, so the score's calls go through the memo; their overflow is
+        silenced by ``fit``'s ``np.errstate`` as one block's is."""
+        ds = dataset_from_arrays(SCALED_COUNTS, np.array(SCALED_X)[:, None], schema=("x",))
+        with mock.patch.object(fitting, "SCORE_BLOCK_ELEMENTS", len(ds)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteObjective, match="non-finite at iteration 1$"):
+                    fit(ModelSpec(family=family, count_covariates=("x",)), ds)
 
     def test_maximize_raises_non_finite_objective(self):
         score = lambda points: np.where(points == 0.0, 1.0, np.nan)

@@ -10,7 +10,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import expit, gammaln
@@ -29,7 +29,7 @@ from geocount import (
     zip_pmf,
 )
 from geocount.exceptions import DimensionMismatch, DomainError, InvalidSpec, NegativeCount
-from geocount.likelihoods import FAMILIES, logit_grad, poisson_grad, zip_grad
+from geocount.likelihoods import FAMILIES, _products, logit_grad, poisson_grad, zip_grad
 
 
 def fd_gradient(f, theta, h=1e-6):
@@ -588,3 +588,105 @@ class TestEntryPointInputs:
     def test_outcome_that_is_not_one_dimensional(self, call):
         with pytest.raises(DimensionMismatch, match="outcome must be one-dimensional"):
             call()
+
+
+# The ZIP cores as they were before each branch ran on its own rows and before the memo:
+# both branches on every row, one kept by ``np.where``.  The cores must equal them byte for
+# byte, with or without a memo, in any order of calls.
+
+
+def where_zip_loglik(beta, gamma, d):
+    eta = d.X @ beta
+    lam = np.exp(eta)
+    psi = d.Z @ gamma
+    log_one_minus_p = -np.logaddexp(0.0, psi)
+    terms = np.where(
+        d.zero,
+        np.logaddexp(psi, -lam) + log_one_minus_p,
+        log_one_minus_p + d.y * eta - lam - d.log_y_factorial,
+    )
+    return float(np.sum(terms))
+
+
+def where_zip_grad(beta, gamma, d):
+    lam = np.exp(_products(d.X, beta))
+    psi = _products(d.Z, gamma)
+    p = expit(psi)
+    w_beta = np.where(d.zero, -lam * expit(-(psi + lam)), d.y - lam)
+    w_gamma = np.where(d.zero, (1.0 - p) * (-np.expm1(-lam)) * expit(psi + lam), -p)
+    return np.concatenate([_products(d.X.T, w_beta), _products(d.Z.T, w_gamma)], axis=1)
+
+
+@st.composite
+def zip_counts(draw, n):
+    """n counts with a drawn zero pattern, some of them large."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mean = draw(st.sampled_from([0.3, 2.0, 1e3, 1e9]))
+    y = rng.poisson(mean, size=n).astype(float)
+    pattern = draw(st.sampled_from(["mixed", "no zero", "one zero", "one positive"]))
+    if pattern == "mixed":
+        y[rng.random(n) < 0.5] = 0.0
+    else:
+        y = np.maximum(y, 1.0)
+        if pattern == "one zero":
+            y[draw(st.integers(0, n - 1))] = 0.0
+        elif pattern == "one positive":
+            y = np.where(np.arange(n) == draw(st.integers(0, n - 1)), y, 0.0)
+    return y, pattern
+
+
+class TestZipCoresMatchTheWhereOracle:
+    """``_zip_grad`` and ``_zip_loglik`` equal the both-branches oracle byte for byte: on one
+    row or a stack, and through a memo whatever its calls hit or miss."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.one_of(st.integers(1, 70), st.integers(70, 5000)),
+        kx=st.integers(1, 4),
+        kz=st.integers(1, 3),
+        scale=st.sampled_from([0.3, 1.0, 6.0, 40.0]),  # 40 overflows lambda to inf
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cores_equal_the_oracle(self, data, n, kx, kz, scale, seed):
+        rng = np.random.default_rng(seed)
+        y, pattern = data.draw(zip_counts(n))
+        entry = FAMILIES[Family.ZIP]
+        d = entry.prepare(rng.standard_normal((n, kx)), rng.standard_normal((n, kz)), y)
+        k = kx + kz
+        theta = scale * rng.standard_normal(k) / np.sqrt(k)
+        event(pattern)
+        with np.errstate(all="ignore"):
+            got = entry.loglik(theta[:kx], theta[kx:], d)
+            assert np.float64(got).tobytes() == np.float64(
+                where_zip_loglik(theta[:kx], theta[kx:], d)).tobytes()
+
+            # a stack of 1 to 2k rows: the points of an FD Hessian, in its order
+            points = np.full((2, k, k), theta)
+            points[0, np.arange(k), np.arange(k)] += 1e-5
+            points[1, np.arange(k), np.arange(k)] -= 1e-5
+            points = points.reshape(2 * k, k)
+            rows = data.draw(st.integers(1, 2 * k), label="rows")
+            memo = data.draw(st.sampled_from([None, {}]), label="memo")
+            stacked = entry.grad(points[:rows, :kx], points[:rows, kx:], d, memo)
+            assert stacked.tobytes() == where_zip_grad(points[:rows, :kx], points[:rows, kx:],
+                                                       d).tobytes()
+
+            # one-row calls through one memo: the same point again, a point that moves one
+            # coordinate of beta or of gamma, as an FD point does, or one of each, or a stack
+            memo = {}
+            beta, gamma = theta[:kx][None], theta[kx:][None]
+            moves = data.draw(st.lists(st.sampled_from(["same", "beta", "gamma", "both", "stack"]),
+                                       min_size=1, max_size=10), label="moves")
+            for move in ["same", *moves]:
+                event(f"memo call: {move}")
+                if move in ("beta", "both"):
+                    beta = beta + 1e-5 * (np.arange(kx) == rng.integers(kx))
+                if move in ("gamma", "both"):
+                    gamma = gamma + 1e-5 * (np.arange(kz) == rng.integers(kz))
+                if move == "stack":
+                    b, g = points[:, :kx], points[:, kx:]
+                    assert entry.grad(b, g, d, memo).tobytes() == where_zip_grad(b, g, d).tobytes()
+                    continue
+                got = entry.grad(beta, gamma, d, memo)
+                assert got.tobytes() == where_zip_grad(beta, gamma, d).tobytes()
