@@ -259,6 +259,9 @@ def wald_inference(names, estimates, covariance) -> tuple[CoefficientRow, ...]:
     from scipy.special import ndtr
     estimates = _column(estimates, "estimates", np.float64)
     covariance = _column(covariance, "covariance", np.float64)
+    if not is_kind(names, (str,)):
+        got = reprlib.repr(names)
+        raise InvalidSpec(f"wald_inference: names must be a list of names, got {got}")
     names = tuple(names)
     if covariance.shape != (len(names), len(names)) or estimates.shape != (len(names),):
         raise DimensionMismatch("coefficient names, estimates, and covariance disagree")
@@ -316,9 +319,8 @@ def fit(model: ModelSpec, dataset: Dataset, options: OptimOptions = OptimOptions
     The inputs are checked once; the family's entry in ``FAMILIES`` supplies
     the starting values (see ``FamilyModel.initial_values``), the coefficient
     names and the unchecked cores, which the score calls on blocks of at most
-    ``max(1, SCORE_BLOCK_ELEMENTS // n)`` points, with a memo when a block is one
-    point (see ``FamilyModel``).  The covariance is the inverse of the negative
-    finite-difference Hessian at the optimum.
+    ``max(1, SCORE_BLOCK_ELEMENTS // n)`` points.  The covariance is the inverse of
+    the negative finite-difference Hessian at the optimum.
     """
     if len(must_be(dataset, Dataset, "fit: dataset")) < 2:
         raise DegenerateOutcome("at least 2 observations are required for a fit")
@@ -341,9 +343,8 @@ def fit(model: ModelSpec, dataset: Dataset, options: OptimOptions = OptimOptions
     data = family.prepare(X, Z, binarize_counts(dataset) if family.binary else counts)
     kx, block = X.k, max(1, SCORE_BLOCK_ELEMENTS // len(dataset))
     objective = lambda th: family.loglik(th[:kx], th[kx:], data)
-    memo = {} if block == 1 else None  # serves one-row calls only
     score = lambda points: np.concatenate([
-        family.grad(points[i : i + block, :kx], points[i : i + block, kx:], data, memo)
+        family.grad(points[i : i + block, :kx], points[i : i + block, kx:], data)
         for i in range(0, len(points), block)
     ])
 

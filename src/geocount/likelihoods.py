@@ -41,7 +41,7 @@ import numpy as np
 
 from .data import INFLATE_PREFIX, DesignMatrix, _column
 from .exceptions import FINITE_NUMBERS, Checked, DimensionMismatch, DomainError, InvalidSpec
-from .exceptions import NegativeCount, is_number, rule
+from .exceptions import NegativeCount, is_number, must_be, rule
 
 
 class Family(str, Enum):
@@ -100,14 +100,14 @@ class ZipPrediction(NamedTuple):
 
 
 class Prepared(NamedTuple):
-    """Checked data, and what a family's cores derive from the outcome."""
+    """Checked data, and what a family's cores derive from it and keep between calls."""
 
     X: np.ndarray
     Z: np.ndarray | None  # None for a family without an inflation design
     y: np.ndarray  # float64 outcome
-    zero: np.ndarray  # y == 0
     zeros: np.ndarray  # the indices of the y == 0 rows
     log_y_factorial: np.ndarray  # gammaln(y + 1)
+    memo: dict  # see _recall; a _replace copy with another design needs memo={}
 
 
 def _design(D) -> np.ndarray:
@@ -156,10 +156,11 @@ def _products(D: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 def _logit_loglik(beta, gamma, d: Prepared) -> float:
     eta = d.X @ beta
     # y=1 contributes log sigma(eta), y=0 contributes log sigma(-eta)
-    return float(np.sum(log_sigmoid(np.where(d.zero, -eta, eta))))
+    eta[d.zeros] *= -1.0
+    return float(np.sum(log_sigmoid(eta)))
 
 
-def _logit_grad(beta, gamma, d: Prepared, memo=None) -> np.ndarray:
+def _logit_grad(beta, gamma, d: Prepared) -> np.ndarray:
     from scipy.special import expit
     return _products(d.X.T, d.y - expit(_products(d.X, beta)))
 
@@ -169,7 +170,7 @@ def _poisson_loglik(beta, gamma, d: Prepared) -> float:
     return float(np.sum(-np.exp(eta) + d.y * eta - d.log_y_factorial))
 
 
-def _poisson_grad(beta, gamma, d: Prepared, memo=None) -> np.ndarray:
+def _poisson_grad(beta, gamma, d: Prepared) -> np.ndarray:
     return _products(d.X.T, d.y - np.exp(_products(d.X, beta)))
 
 
@@ -185,11 +186,11 @@ def _zip_loglik(beta, gamma, d: Prepared) -> float:
     return float(np.sum(terms))
 
 
-def _recall(memo: dict | None, slot: str, coefficients: np.ndarray, compute):
+def _recall(memo: dict, slot: str, coefficients: np.ndarray, compute):
     """``compute()`` for the one-row stack ``coefficients``, kept in ``memo[slot]`` under the
-    row's bytes and returned again while the next call's row has the same bytes.  Without a
-    memo, or for more rows, it is computed on each call."""
-    if memo is None or len(coefficients) != 1:
+    row's bytes and returned again while the next call's row has the same bytes.  For more
+    rows it is computed on each call."""
+    if len(coefficients) != 1:
         return compute()
     key = coefficients.tobytes()
     kept = memo.get(slot)
@@ -198,11 +199,11 @@ def _recall(memo: dict | None, slot: str, coefficients: np.ndarray, compute):
     return kept[1]
 
 
-def _zip_grad(beta, gamma, d: Prepared, memo=None) -> np.ndarray:
+def _zip_grad(beta, gamma, d: Prepared) -> np.ndarray:
     from scipy.special import expit
     # a point that moves only beta keeps psi and p; one that moves only gamma keeps lambda
-    lam = _recall(memo, "lambda", beta, lambda: np.exp(_products(d.X, beta)))
-    psi, p = _recall(memo, "psi", gamma, lambda: (psi := _products(d.Z, gamma), expit(psi)))
+    lam = _recall(d.memo, "lambda", beta, lambda: np.exp(_products(d.X, beta)))
+    psi, p = _recall(d.memo, "psi", gamma, lambda: (psi := _products(d.Z, gamma), expit(psi)))
     # y>0 gives (y - lambda) for beta and -p for gamma, computed on every row; the zero
     # rows are then overwritten with -lambda * (1-p)e^{-lam}/D and p(1-p)(1-e^{-lam})/D
     w_beta, w_gamma = d.y - lam, -p
@@ -233,10 +234,7 @@ class FamilyModel:
     ``predict(beta, gamma, X, Z)`` trust their inputs.  ``grad`` is stacked: it
     takes m points as coefficient rows, beta (m, kx) and gamma (m, kz), and
     returns their (m, k) scores, in beta and then gamma; one point is the
-    m = 1 call.  gamma and Z are None unless ``inflated``.  ``grad``'s optional
-    ``memo``, a dict that one caller keeps across its one-row calls, lets the
-    ZIP core reuse lambda, or psi and p, from the last call whose beta, or
-    gamma, row had the same bytes; the other cores ignore it.
+    m = 1 call.  gamma and Z are None unless ``inflated``.
     """
 
     loglik: Callable[..., float]
@@ -261,8 +259,7 @@ class FamilyModel:
             raise DomainError("logit outcome must be a 0/1 vector")
         if not self.binary and (np.any(y < 0) or np.any(y != np.round(y))):
             raise NegativeCount()
-        zero = y == 0
-        return Prepared(Xv, Zv, y, zero, np.flatnonzero(zero), gammaln(y + 1.0))
+        return Prepared(Xv, Zv, y, np.flatnonzero(y == 0), gammaln(y + 1.0), {})
 
     def initial_values(self, counts: np.ndarray, X: DesignMatrix, Z, add_intercept: bool):
         """Zeros; with an intercept, log(mean count + 0.01) for a count model's and
@@ -397,6 +394,7 @@ def zip_moments(p: float, lam: float) -> tuple[float, float]:
 
 def loglik(family: Family, params: Params, X, Z=None, y=None) -> float:
     """Family-dispatched log-likelihood."""
+    params = must_be(params, Params, "loglik: params")
     return _checked(family, "loglik", params.beta, params.gamma, X, Z, y)
 
 
@@ -406,6 +404,7 @@ def grad_loglik(family: Family, params: Params, X, Z=None, y=None) -> np.ndarray
     Returned with respect to the concatenated parameter vector: beta,
     followed by gamma for ZIP.
     """
+    params = must_be(params, Params, "grad_loglik: params")
     return _checked(family, "grad", params.beta, params.gamma, X, Z, y)
 
 
@@ -416,5 +415,6 @@ def predict(family: Family, params: Params, X, Z=None):
     structural-zero probability reported alongside.
     """
     entry = _family_model(family)
+    params = must_be(params, Params, "predict: params")
     Xv, Zv = _design(X), _design(Z) if entry.inflated else None
     return entry.predict(*_coefficients(params.beta, params.gamma, Xv, Zv), Xv, Zv)

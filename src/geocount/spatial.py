@@ -117,7 +117,8 @@ class HotspotResult:
 
 def haversine_km(lat1, lon1, lat2, lon2):
     """Great-circle distance in km between (lat, lon) points in degrees."""
-    lat1, lon1, lat2, lon2 = map(np.radians, (lat1, lon1, lat2, lon2))
+    lat1, lon1, lat2, lon2 = (np.radians(_column(v, "haversine_km: coordinates", np.float64))
+                              for v in (lat1, lon1, lat2, lon2))
     return _haversine_radians(lat1, lon1, np.cos(lat1), lat2, lon2, np.cos(lat2))
 
 
@@ -262,16 +263,12 @@ def build_weights(centroids, scheme, include_self: bool = True) -> SpatialWeight
 
 
 def classify(z: float) -> HotspotClass:
-    """Map a z-score to its hot/cold class at the 95% and 99% thresholds."""
-    if z >= HOT_99:
-        return HotspotClass.HOT_99
-    if z >= HOT_95:
-        return HotspotClass.HOT_95
-    if z <= -HOT_99:
-        return HotspotClass.COLD_99
-    if z <= -HOT_95:
-        return HotspotClass.COLD_95
-    return HotspotClass.NOT_SIGNIFICANT
+    """The hot/cold class of one z-score at the 95% and 99% thresholds: :func:`_classes` of
+    it.  A value that is not one number is ``InvalidSpec``."""
+    z = _column(z, "classify: z", np.float64)
+    if z.size != 1:
+        raise InvalidSpec(f"classify: z must be one number, got {z.size} values")
+    return _classes(z.reshape(1))[0]
 
 
 #: Hot99, Hot95, NotSignificant, Cold95, Cold99: the declaration order, from the highest z down.
@@ -279,9 +276,9 @@ _CLASSES = tuple(HotspotClass)
 
 
 def _classes(z: np.ndarray) -> tuple[HotspotClass, ...]:
-    """:func:`classify` of each z, from one comparison of z with each cut point.
-
-    A NaN compares false with every cut point, so it is not significant.
+    """The class of each z, from one comparison of z with each cut point: Hot99 from
+    ``HOT_99`` up, then Hot95, Cold99 from ``-HOT_99`` down, then Cold95, else
+    NotSignificant.  A NaN compares false with every cut point, so it is not significant.
     """
     index = 2 - (z >= HOT_95) - (z >= HOT_99) + (z <= -HOT_95) + (z <= -HOT_99)
     return tuple(map(_CLASSES.__getitem__, index.tolist()))

@@ -18,6 +18,7 @@ import pytest
 import geocount
 from geocount import exceptions, fd_hessian, fit, generate, getis_ord_gstar
 from geocount import binarize_counts, build_design, dgp_spec_to_json, maximize
+from geocount import Family, grad_loglik, haversine_km, loglik, predict, wald_inference
 from geocount.data import CountyObservation, Dataset, DesignMatrix
 from geocount.exceptions import Checked, GeocountError, InvalidSpec, field_rules
 from geocount.fitting import FitResult, OptimOptions
@@ -324,6 +325,15 @@ WRONG_TYPES = [
     (lambda: build_design(None, (), True), "build_design: dataset must be a Dataset, got None"),
     (lambda: binarize_counts(None), "binarize_counts: dataset must be a Dataset, got None"),
     (lambda: dgp_spec_to_json(None), "dgp_spec_to_json: spec must be a DgpSpec, got None"),
+    (lambda: loglik(Family.ZIP, None, [[1.0]], [[1.0]], [0.0]),
+     "loglik: params must be a Params, got None"),
+    (lambda: grad_loglik(Family.ZIP, None, [[1.0]], [[1.0]], [0.0]),
+     "grad_loglik: params must be a Params, got None"),
+    (lambda: predict(Family.POISSON, None, [[1.0]]), "predict: params must be a Params, got None"),
+    (lambda: haversine_km("a", 0, 0, 0),
+     "haversine_km: coordinates must be float64 values, got <U1"),
+    (lambda: wald_inference(None, [1.0], [[1.0]]),
+     "wald_inference: names must be a list of names, got None"),
 ]
 
 

@@ -592,7 +592,8 @@ class TestEntryPointInputs:
 
 # The ZIP cores as they were before each branch ran on its own rows and before the memo:
 # both branches on every row, one kept by ``np.where``.  The cores must equal them byte for
-# byte, with or without a memo, in any order of calls.
+# byte, on a fresh ``prepare`` or on one ``Prepared`` (and so one memo) reused across calls,
+# in any order of calls.
 
 
 def where_zip_loglik(beta, gamma, d):
@@ -601,7 +602,7 @@ def where_zip_loglik(beta, gamma, d):
     psi = d.Z @ gamma
     log_one_minus_p = -np.logaddexp(0.0, psi)
     terms = np.where(
-        d.zero,
+        d.y == 0,
         np.logaddexp(psi, -lam) + log_one_minus_p,
         log_one_minus_p + d.y * eta - lam - d.log_y_factorial,
     )
@@ -612,8 +613,9 @@ def where_zip_grad(beta, gamma, d):
     lam = np.exp(_products(d.X, beta))
     psi = _products(d.Z, gamma)
     p = expit(psi)
-    w_beta = np.where(d.zero, -lam * expit(-(psi + lam)), d.y - lam)
-    w_gamma = np.where(d.zero, (1.0 - p) * (-np.expm1(-lam)) * expit(psi + lam), -p)
+    zero = d.y == 0
+    w_beta = np.where(zero, -lam * expit(-(psi + lam)), d.y - lam)
+    w_gamma = np.where(zero, (1.0 - p) * (-np.expm1(-lam)) * expit(psi + lam), -p)
     return np.concatenate([_products(d.X.T, w_beta), _products(d.Z.T, w_gamma)], axis=1)
 
 
@@ -637,7 +639,7 @@ def zip_counts(draw, n):
 
 class TestZipCoresMatchTheWhereOracle:
     """``_zip_grad`` and ``_zip_loglik`` equal the both-branches oracle byte for byte: on one
-    row or a stack, and through a memo whatever its calls hit or miss."""
+    row or a stack, and through a ``Prepared``'s memo whatever its calls hit or miss."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -652,7 +654,8 @@ class TestZipCoresMatchTheWhereOracle:
         rng = np.random.default_rng(seed)
         y, pattern = data.draw(zip_counts(n))
         entry = FAMILIES[Family.ZIP]
-        d = entry.prepare(rng.standard_normal((n, kx)), rng.standard_normal((n, kz)), y)
+        X, Z = rng.standard_normal((n, kx)), rng.standard_normal((n, kz))
+        d = entry.prepare(X, Z, y)
         k = kx + kz
         theta = scale * rng.standard_normal(k) / np.sqrt(k)
         event(pattern)
@@ -667,17 +670,20 @@ class TestZipCoresMatchTheWhereOracle:
             points[1, np.arange(k), np.arange(k)] -= 1e-5
             points = points.reshape(2 * k, k)
             rows = data.draw(st.integers(1, 2 * k), label="rows")
-            memo = data.draw(st.sampled_from([None, {}]), label="memo")
-            stacked = entry.grad(points[:rows, :kx], points[:rows, kx:], d, memo)
+            reuse = data.draw(st.booleans(), label="one Prepared reused across the calls")
+            stack_data = d if reuse else entry.prepare(X, Z, y)
+            stacked = entry.grad(points[:rows, :kx], points[:rows, kx:], stack_data)
             assert stacked.tobytes() == where_zip_grad(points[:rows, :kx], points[:rows, kx:],
                                                        d).tobytes()
 
-            # one-row calls through one memo: the same point again, a point that moves one
-            # coordinate of beta or of gamma, as an FD point does, or one of each, or a stack
-            memo = {}
+            # one-row calls on one Prepared: the same point again, a point that moves one
+            # coordinate of beta or of gamma, as an FD point does, or one of each, or a stack;
+            # or the same rows on a Prepared of other designs, which has its own memo
+            other = entry.prepare(rng.standard_normal((n, kx)), rng.standard_normal((n, kz)), y)
             beta, gamma = theta[:kx][None], theta[kx:][None]
-            moves = data.draw(st.lists(st.sampled_from(["same", "beta", "gamma", "both", "stack"]),
-                                       min_size=1, max_size=10), label="moves")
+            kinds = ["same", "beta", "gamma", "both", "stack", "other design"]
+            moves = data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=10),
+                              label="moves")
             for move in ["same", *moves]:
                 event(f"memo call: {move}")
                 if move in ("beta", "both"):
@@ -686,7 +692,8 @@ class TestZipCoresMatchTheWhereOracle:
                     gamma = gamma + 1e-5 * (np.arange(kz) == rng.integers(kz))
                 if move == "stack":
                     b, g = points[:, :kx], points[:, kx:]
-                    assert entry.grad(b, g, d, memo).tobytes() == where_zip_grad(b, g, d).tobytes()
+                    assert entry.grad(b, g, d).tobytes() == where_zip_grad(b, g, d).tobytes()
                     continue
-                got = entry.grad(beta, gamma, d, memo)
-                assert got.tobytes() == where_zip_grad(beta, gamma, d).tobytes()
+                on = other if move == "other design" else d
+                got = entry.grad(beta, gamma, on)
+                assert got.tobytes() == where_zip_grad(beta, gamma, on).tobytes()

@@ -377,6 +377,19 @@ def planted_grid(side=10, block=3, high=10.0, spacing_deg=0.09):
     return values, W
 
 
+def cascade_classify(z):
+    """The class of one z-score, one cut point at a time, from the highest down (the oracle)."""
+    if z >= spatial.HOT_99:
+        return HotspotClass.HOT_99
+    if z >= spatial.HOT_95:
+        return HotspotClass.HOT_95
+    if z <= -spatial.HOT_99:
+        return HotspotClass.COLD_99
+    if z <= -spatial.HOT_95:
+        return HotspotClass.COLD_95
+    return HotspotClass.NOT_SIGNIFICANT
+
+
 class TestClassify:
     @pytest.mark.parametrize(
         "z,expected",
@@ -395,6 +408,7 @@ class TestClassify:
         ],
     )
     def test_thresholds(self, z, expected):
+        assert cascade_classify(z) is expected
         assert classify(z) is expected
 
     def test_array_classes_equal_classify(self):
@@ -406,7 +420,28 @@ class TestClassify:
         z += np.random.default_rng(27).normal(scale=2.5, size=200).tolist()
         classes = spatial._classes(np.array(z))
         assert len(classes) == len(z)
-        assert all(got is want for got, want in zip(classes, map(classify, z)))
+        assert all(got is want for got, want in zip(classes, map(cascade_classify, z)))
+        assert all(classify(v) is want for v, want in zip(z, classes))
+
+    @pytest.mark.parametrize("z", [np.float64(3.0), np.array(3.0), np.array([3.0]), [3.0], 3])
+    def test_one_number_in_any_form(self, z):
+        assert classify(z) is HotspotClass.HOT_99
+
+    @pytest.mark.parametrize(
+        "z, message",
+        [
+            ("a", "classify: z must be float64 values, got <U1"),
+            (None, "classify: z must be float64 values, got object"),
+            (True, "classify: z must be float64 values, got bool"),
+            ([1.0, 3.0], "classify: z must be one number, got 2 values"),
+            (np.zeros((2, 2)), "classify: z must be one number, got 4 values"),
+            ([], "classify: z must be one number, got 0 values"),
+        ],
+    )
+    def test_not_one_number_is_invalid_spec(self, z, message):
+        with pytest.raises(InvalidSpec) as info:
+            classify(z)
+        assert str(info.value) == message
 
     def test_gstar_classes_equal_classify_on_hand_built_weights(self):
         # row 0 weighs the values +-1e150 by +-1e160: its numerator and bracket overflow,
@@ -421,4 +456,4 @@ class TestClassify:
         _, W = planted_grid()
         res = getis_ord_gstar(np.arange(100.0) // 10, W)  # a north-south trend
         assert set(res.classes) == set(HotspotClass)
-        assert res.classes == tuple(map(classify, res.z.tolist()))
+        assert res.classes == tuple(map(cascade_classify, res.z.tolist()))
