@@ -221,10 +221,6 @@ class DesignMatrix(Checked):
         object.__setattr__(self, "values", vals)
 
     @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def k(self) -> int:
         return self.values.shape[1]
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import math
 import reprlib
+import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,6 +164,7 @@ def fd_hessian(score: Callable[[np.ndarray], np.ndarray], theta: np.ndarray) -> 
     stack and returns the gradients at them, one row per point.
     """
     theta = _numbers(np.asarray, theta, "fd_hessian: theta")
+    score = must_be(score, Callable, "fd_hessian: score")
     k = theta.shape[0]
     h = 1e-5 * (1.0 + np.abs(theta))
     points = np.full((2, k, k), theta)
@@ -219,6 +222,8 @@ def maximize(
     grad = lambda th: np.asarray(score(th[None]), dtype=np.float64)[0]
     theta = _numbers(np.array, init, "maximize: init")
     options = must_be(options, OptimOptions, "maximize: options")
+    loglik = must_be(loglik, Callable, "maximize: loglik")
+    score = must_be(score, Callable, "maximize: score")
     f = float(loglik(theta))
     if not np.isfinite(f):
         raise NonFiniteObjective(0)
@@ -369,20 +374,24 @@ def fit(model: ModelSpec, dataset: Dataset, options: OptimOptions = OptimOptions
 
 def _observed_covariance(score, theta: np.ndarray) -> np.ndarray:
     """Inverse of the negative FD Hessian of the stacked ``score``, validated
-    finite, symmetric and PSD."""
+    finite, symmetric and PSD; the inverse's warnings are re-raised only with it."""
     import scipy.linalg
     H = fd_hessian(score, theta)
     if not np.all(np.isfinite(H)):
         raise SingularInformation()
     info = -H
-    try:
-        cov = scipy.linalg.inv(info)
-    except scipy.linalg.LinAlgError:
-        raise SingularInformation() from None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            cov = scipy.linalg.inv(info)
+        except scipy.linalg.LinAlgError:
+            raise SingularInformation() from None
     cov = 0.5 * (cov + cov.T)
     if not np.all(np.isfinite(cov)):
         raise SingularInformation()
     eigs = np.linalg.eigvalsh(cov)
     if eigs.min() < -1e-8 * max(1.0, abs(eigs.max())) or np.any(np.diag(cov) <= 0.0):
         raise SingularInformation()
+    for record in caught:
+        warnings.warn_explicit(record.message, record.category, record.filename, record.lineno)
     return cov

@@ -148,8 +148,6 @@ def _products(D: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     product per row, the call ``D @ vectors[r]`` makes, so every row has that
     call's bits; a product with the (k, m) matrix of the rows would not.
     """
-    if len(vectors) == 1:  # one point: skip the stack's fixed cost
-        return (D @ vectors[0])[None]
     return np.matmul(D, vectors[:, :, None])[:, :, 0]
 
 
@@ -187,11 +185,9 @@ def _zip_loglik(beta, gamma, d: Prepared) -> float:
 
 
 def _recall(memo: dict, slot: str, coefficients: np.ndarray, compute):
-    """``compute()`` for the one-row stack ``coefficients``, kept in ``memo[slot]`` under the
-    row's bytes and returned again while the next call's row has the same bytes.  For more
-    rows it is computed on each call."""
-    if len(coefficients) != 1:
-        return compute()
+    """``compute()`` for the stack ``coefficients``, kept in ``memo[slot]`` under the stack's
+    bytes and returned again while the next call's stack has the same bytes (a slot's rows
+    have one width, so stacks of other heights never share a key)."""
     key = coefficients.tobytes()
     kept = memo.get(slot)
     if kept is None or kept[0] != key:
@@ -201,16 +197,18 @@ def _recall(memo: dict, slot: str, coefficients: np.ndarray, compute):
 
 def _zip_grad(beta, gamma, d: Prepared) -> np.ndarray:
     from scipy.special import expit
-    # a point that moves only beta keeps psi and p; one that moves only gamma keeps lambda
-    lam = _recall(d.memo, "lambda", beta, lambda: np.exp(_products(d.X, beta)))
-    psi, p = _recall(d.memo, "psi", gamma, lambda: (psi := _products(d.Z, gamma), expit(psi)))
+    z = d.zeros
+    # each half, with its zero rows, depends on its own coefficients only: a point that
+    # moves only beta keeps the gamma half, and one that moves only gamma the beta half
+    lam, lam_z, one_minus_e = _recall(d.memo, "beta", beta, lambda: (
+        lam := np.exp(_products(d.X, beta)), lam_z := lam.take(z, axis=1), -np.expm1(-lam_z)))
+    p, psi_z, one_minus_p = _recall(d.memo, "gamma", gamma, lambda: (
+        p := expit(psi := _products(d.Z, gamma)), psi.take(z, axis=1), 1.0 - p.take(z, axis=1)))
     # y>0 gives (y - lambda) for beta and -p for gamma, computed on every row; the zero
     # rows are then overwritten with -lambda * (1-p)e^{-lam}/D and p(1-p)(1-e^{-lam})/D
     w_beta, w_gamma = d.y - lam, -p
-    z = d.zeros
-    lam, psi, p = lam.take(z, axis=1), psi.take(z, axis=1), p.take(z, axis=1)
-    w_beta[:, z] = -lam * expit(-(psi + lam))
-    w_gamma[:, z] = (1.0 - p) * (-np.expm1(-lam)) * expit(psi + lam)
+    w_beta[:, z] = -lam_z * expit(-(psi_z + lam_z))
+    w_gamma[:, z] = one_minus_p * one_minus_e * expit(psi_z + lam_z)
     return np.concatenate([_products(d.X.T, w_beta), _products(d.Z.T, w_gamma)], axis=1)
 
 

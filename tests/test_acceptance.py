@@ -10,8 +10,10 @@ import hashlib
 import json
 import math
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
+import pytest
 
 import geocount.cli as cli
 from geocount import (
@@ -168,12 +170,14 @@ def _intercept_dataset(counts):
     return Dataset.from_observations((), obs)
 
 
-def test_criterion_5_zip_parameter_recovery():
-    """ZIP recovery: n=5000, 3 covariates, >= 95 of 100 seeds all clear."""
+@pytest.fixture(scope="module")
+def zip_recovery_reports():
+    """Criterion 5's 100 ZIP recovery trials (n=5000, 3 covariates, seeds 0-99), run once
+    for the module: the recovery rule and the SE calibration read the same fits."""
     beta = (0.3, 0.4, -0.3, 0.2)
     gamma = (-0.7, 0.5, -0.4, 0.3)
     model = ModelSpec(family="zip", count_covariates=("x1", "x2", "x3"))
-    clear = 0
+    reports = []
     for seed in range(100):
         spec = DgpSpec(
             n=5000,
@@ -183,10 +187,33 @@ def test_criterion_5_zip_parameter_recovery():
             layout=UniformSquare(3000.0),
             seed=seed,
         )
-        report = recovery_trial(spec, model)
+        reports.append(recovery_trial(spec, model))
+    return reports
+
+
+def test_criterion_5_zip_parameter_recovery(zip_recovery_reports):
+    """ZIP recovery: n=5000, 3 covariates, >= 95 of 100 seeds all clear."""
+    clear = 0
+    for report in zip_recovery_reports:
         if report.fit_result.converged and not report.flagged:
             clear += 1
     _report(5, "ZIP parameter recovery", clear >= 95, f"{clear}/100 seeds clear")
+
+
+def test_zip_standard_errors_measure_the_estimates_spread(zip_recovery_reports):
+    """Criterion 5's fits: per coefficient, the estimates' standard deviation over the mean
+    reported SE lies within [0.75, 1.33], and the 95% Wald intervals of all coefficients
+    together cover the truth 92-98% of the time (doubled SEs would pass criterion 5)."""
+    rows = [report.rows for report in zip_recovery_reports]
+    names = [row.name for row in rows[0]]
+    estimates = np.array([[row.estimate for row in trial] for trial in rows])
+    errors = np.array([[row.std_error for row in trial] for trial in rows])
+    ratios = estimates.std(axis=0, ddof=1) / errors.mean(axis=0)
+    bad = {name: round(float(r), 3) for name, r in zip(names, ratios) if not 0.75 <= r <= 1.33}
+    assert not bad, f"sd(estimates) / mean(SE) outside [0.75, 1.33]: {bad}"
+    z = NormalDist().inv_cdf(0.975)
+    coverage = float(np.mean([[row.z_gap <= z for row in trial] for trial in rows]))
+    assert 0.92 <= coverage <= 0.98, f"pooled 95% Wald coverage {coverage:.3f}"
 
 
 def test_criterion_6_gstar_oracle_equivalence():

@@ -322,6 +322,11 @@ WRONG_TYPES = [
      "maximize: init must be a list of numbers, got 'abc'"),
     (lambda: maximize(lambda theta: 0.0, lambda points: points, [0.0], None),
      "maximize: options must be an OptimOptions, got None"),
+    (lambda: fd_hessian(None, [0.0]), "fd_hessian: score must be a Callable, got None"),
+    (lambda: maximize(None, lambda points: points, [0.0]),
+     "maximize: loglik must be a Callable, got None"),
+    (lambda: maximize(lambda theta: 0.0, None, [0.0]),
+     "maximize: score must be a Callable, got None"),
     (lambda: build_design(None, (), True), "build_design: dataset must be a Dataset, got None"),
     (lambda: binarize_counts(None), "binarize_counts: dataset must be a Dataset, got None"),
     (lambda: dgp_spec_to_json(None), "dgp_spec_to_json: spec must be a DgpSpec, got None"),

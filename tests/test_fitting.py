@@ -614,8 +614,8 @@ class TestFitMatchesClosureOracle:
         self, family, add_intercept, k, n, max_iterations, block_rows, seed
     ):
         """``fit`` equals the oracle with its score's default blocks (``block_rows``
-        None: one block up to n = 4,096) and with blocks of 1, 2 or 3 rows (one row: with
-        a memo)."""
+        None: one block up to n = 4,096) and with blocks of 1, 2 or 3 rows, each through
+        the ZIP score's memo."""
         rng = np.random.default_rng(seed)
         k = max(k, int(not add_intercept))  # a design needs a column
         columns = rng.standard_normal((n, k))
@@ -773,8 +773,8 @@ class TestNonFiniteHessian:
 
     @pytest.mark.parametrize("family", ["poisson", "zip"])
     def test_an_overflow_in_one_row_blocks_prints_no_warning(self, family):
-        """One-row blocks, so the score's calls go through the memo; their overflow is
-        silenced by ``fit``'s ``np.errstate`` as one block's is."""
+        """One-row blocks, so most of the score's calls keep a half from the memo; their
+        overflow is silenced by ``fit``'s ``np.errstate`` as one block's is."""
         ds = dataset_from_arrays(SCALED_COUNTS, np.array(SCALED_X)[:, None], schema=("x",))
         with mock.patch.object(fitting, "SCORE_BLOCK_ELEMENTS", len(ds)):
             with warnings.catch_warnings():
@@ -800,10 +800,19 @@ class TestSafetyBranches:
 
     def test_covariance_with_a_non_finite_inverse(self):
         # a -1e-310 Hessian is subnormal: LAPACK inverts it to inf instead of failing
-        # (a factor of 1e-320 underflows to 0 and takes the LinAlgError branch instead)
-        with pytest.warns(scipy.linalg.LinAlgWarning, match="ill-conditioned"):
+        # (a factor of 1e-320 underflows to 0 and takes the LinAlgError branch instead);
+        # scipy's LinAlgWarning about it is dropped with the covariance
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(SingularInformation):
                 _observed_covariance(lambda points: -1e-310 * points, np.array([0.0]))
+
+    def test_covariance_of_an_ill_conditioned_information_keeps_its_warning(self):
+        # rcond 1e-17 is below machine epsilon, yet the inverse is finite and PSD
+        score = lambda points: points * np.array([-1.0, -1e-17])
+        with pytest.warns(scipy.linalg.LinAlgWarning, match="ill-conditioned"):
+            cov = _observed_covariance(score, np.zeros(2))
+        assert np.all(np.isfinite(cov)) and cov[1, 1] > 1e16
 
 
 class TestCoefficientNames:

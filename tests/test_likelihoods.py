@@ -590,6 +590,32 @@ class TestEntryPointInputs:
             call()
 
 
+class TestProductsAreOneProductPerRow:
+    """Row r of ``_products(D, V)`` has the bytes of ``D @ V[r]``, for a design and for its
+    transpose, on contiguous or strided rows: the oracle below uses ``_products`` itself, so
+    this property is what ties its bits to plain matrix-vector products."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 70), st.integers(70, 3000)),
+        k=st.integers(1, 6),
+        m=st.integers(1, 5),
+        transpose=st.booleans(),
+        strided=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_row_is_its_own_product(self, n, k, m, transpose, strided, seed):
+        rng = np.random.default_rng(seed)
+        D = rng.standard_normal((n, k))
+        D = D.T if transpose else D
+        width = D.shape[1]
+        V = rng.standard_normal((m, width + 2 * strided))[:, :width]
+        got = _products(D, V)
+        assert got.shape == (m, D.shape[0])
+        for r in range(m):
+            assert got[r].tobytes() == (D @ V[r]).tobytes()
+
+
 # The ZIP cores as they were before each branch ran on its own rows and before the memo:
 # both branches on every row, one kept by ``np.where``.  The cores must equal them byte for
 # byte, on a fresh ``prepare`` or on one ``Prepared`` (and so one memo) reused across calls,
@@ -676,12 +702,16 @@ class TestZipCoresMatchTheWhereOracle:
             assert stacked.tobytes() == where_zip_grad(points[:rows, :kx], points[:rows, kx:],
                                                        d).tobytes()
 
-            # one-row calls on one Prepared: the same point again, a point that moves one
-            # coordinate of beta or of gamma, as an FD point does, or one of each, or a stack;
-            # or the same rows on a Prepared of other designs, which has its own memo
+            # calls on one Prepared: the same point again, a point that moves one coordinate
+            # of beta or of gamma, as an FD point does, or one of each; a stack of 2 to 2k
+            # points, the last stack again (its copy, so the memo must match its bytes), or
+            # one row equal to the last stack's first row (whose key must not match the
+            # stack's); or the same point on a Prepared of other designs, with its own memo
             other = entry.prepare(rng.standard_normal((n, kx)), rng.standard_normal((n, kz)), y)
             beta, gamma = theta[:kx][None], theta[kx:][None]
-            kinds = ["same", "beta", "gamma", "both", "stack", "other design"]
+            last = points
+            kinds = ["same", "beta", "gamma", "both", "stack", "the same stack again",
+                     "the last stack's first row", "other design"]
             moves = data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=10),
                               label="moves")
             for move in ["same", *moves]:
@@ -691,9 +721,11 @@ class TestZipCoresMatchTheWhereOracle:
                 if move in ("gamma", "both"):
                     gamma = gamma + 1e-5 * (np.arange(kz) == rng.integers(kz))
                 if move == "stack":
-                    b, g = points[:, :kx], points[:, kx:]
-                    assert entry.grad(b, g, d).tobytes() == where_zip_grad(b, g, d).tobytes()
-                    continue
+                    last = points[: rng.integers(2, 2 * k + 1)]
+                b, g = beta, gamma
+                if move in ("stack", "the same stack again"):
+                    b, g = last[:, :kx].copy(), last[:, kx:].copy()
+                elif move == "the last stack's first row":
+                    b, g = last[:1, :kx].copy(), last[:1, kx:].copy()
                 on = other if move == "other design" else d
-                got = entry.grad(beta, gamma, on)
-                assert got.tobytes() == where_zip_grad(beta, gamma, on).tobytes()
+                assert entry.grad(b, g, on).tobytes() == where_zip_grad(b, g, on).tobytes()
